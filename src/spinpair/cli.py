@@ -97,7 +97,7 @@ def _parse_noise(value) -> NoiseParams:
     if not isinstance(value, dict):
         raise ConfigError("noise: expected an object with gamma1..Gamma2 rates in 1/s")
     try:
-        return NoiseParams(
+        noise = NoiseParams(
             gamma1=float(value["gamma1"]),
             gamma2=float(value["gamma2"]),
             gamma3=float(value["gamma3"]),
@@ -109,6 +109,12 @@ def _parse_noise(value) -> NoiseParams:
         raise ConfigError(f"noise: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"noise: {exc}") from None
+    if noise.nbar != 0.5:
+        raise ConfigError(
+            f"noise: nbar = {noise.nbar} is not supported; the generator models "
+            "the infinite-temperature limit nbar = 0.5"
+        )
+    return noise
 
 
 def _parse_time_grid(value) -> np.ndarray:
@@ -242,10 +248,8 @@ def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarra
     if kind in COHERENCE_CURVE_KINDS:
         r, s = CHARACTERISTIC_ELEMENT[kind]
         rho0 = coherence_state(kind)
-        # Normalizing by the propagated t = 0 value makes the t = 0 row
-        # exactly 1.0: the cached propagator is reused for both evaluations.
-        reference = abs(propagate(rho0, noise, 0.0)[r, s])
-        return np.array([abs(propagate(rho0, noise, t)[r, s]) / reference for t in times])
+        # exp(Z 0) is exactly the identity, so a t = 0 row reads exactly 1.0.
+        return np.abs(propagate(rho0, noise, times)[:, r, s]) / abs(rho0[r, s])
     return signal_model(kind, noise, times)
 
 
@@ -281,8 +285,8 @@ def cmd_tomo(args) -> int:
         warnings.simplefilter("ignore")
         state = prepare_target(args.target, system, config.epsilon, config.nu_rf)
     if args.time is not None:
-        if args.time < 0:
-            raise ConfigError("--time must be non-negative")
+        if not np.isfinite(args.time) or args.time < 0:
+            raise ConfigError(f"--time must be a finite, non-negative number of seconds, got {args.time}")
         state = propagate(state, config.require_noise(), args.time)
     records = [simulate_readout(state, s) for s in SETTINGS]
     reconstructed = reconstruct(records)

@@ -1,18 +1,22 @@
-"""Time propagation of two-spin states: matrix-exponential propagation of the
-full decoherence generator, and the closed-form decay of the zero- and
-double-quantum coherence states.  The two routes must agree and their mutual
-consistency is a core test surface.
+"""Time propagation of two-spin states by the exact closed-form exponential
+of the full decoherence generator.
+
+The generator splits into nine invariant blocks: the four ZQ/DQ elements,
+four single-quantum pairs that amplitude damping of the other spin couples,
+and the population block, the tensor product of the two single-spin
+amplitude-damping blocks.  Each block has a closed-form exponential, so
+exp(Z t) is written entry by entry.  The Pade-13 `matrix_exp` stays as the
+independent numeric reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import math
 
 import numpy as np
 
-from .channels import NoiseParams, devectorize, full_generator, vectorize
-from .states import coherence_state, validate_density_matrix
+from .channels import NoiseParams, vectorize
+from .states import validate_density_matrix
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential.
 _PADE13 = (
@@ -59,59 +63,6 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """exp(Z t) for the full generator at the given parameters."""
-
-    superop: np.ndarray
-    t: float
-    params: NoiseParams
-
-
-# lru_cache is safe for concurrent readers/writers; entries are frozen.
-@lru_cache(maxsize=512)
-def _propagator_matrix(params: NoiseParams, t: float) -> np.ndarray:
-    mat = matrix_exp(full_generator(params) * t)
-    mat.flags.writeable = False
-    return mat
-
-
-def propagator(params: NoiseParams, t: float) -> Propagator:
-    """Build (and cache) the propagator for the given rates and time."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    return Propagator(_propagator_matrix(params, float(t)), float(t), params)
-
-
-def propagate(rho0: np.ndarray, params: NoiseParams, t: float) -> np.ndarray:
-    """Evolve rho0 for time t under the full decoherence generator."""
-    rho0 = validate_density_matrix(rho0)
-    prop = propagator(params, t)
-    return validate_density_matrix(devectorize(prop.superop @ vectorize(rho0)))
-
-
-@dataclass(frozen=True)
-class AnalyticDecayState:
-    """Diagonal values and symmetric off-diagonal values of a decayed state.
-
-    The betas are ordered (0,1), (0,2), (0,3), (1,2), (1,3), (2,3); the
-    assembled matrix is real symmetric.
-    """
-
-    alpha: tuple[float, float, float, float]
-    beta: tuple[float, float, float, float, float, float]
-    t: float
-
-    _BETA_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-    def to_matrix(self) -> np.ndarray:
-        rho = np.diag(np.asarray(self.alpha, dtype=complex))
-        for value, (r, s) in zip(self.beta, self._BETA_INDEX):
-            rho[r, s] = value
-            rho[s, r] = value
-        return rho
-
-
 def coherence_decay_rate(kind: str, params: NoiseParams) -> float:
     """Decay rate (1/s) of the ZQ or DQ coherence element under the full generator."""
     base = params.gamma1 + params.gamma2 + 0.5 * (params.Gamma1 + params.Gamma2)
@@ -122,58 +73,99 @@ def coherence_decay_rate(kind: str, params: NoiseParams) -> float:
     raise ValueError(f"kind must be 'ZQ' or 'DQ', got {kind!r}")
 
 
-def _population_relaxation(params: NoiseParams, t: float, inner_start: bool) -> tuple[float, float]:
-    """Populations of (outer, inner) basis-state pairs at time t.
+# The ten distinct non-zero entries of exp(Z t), in the order _block_values
+# returns them: the population block (same/flip per spin), the single-quantum
+# pairs of each spin (same/flip of the other spin), and the ZQ and DQ elements.
+_POPULATION, _SQ1, _SQ2, _ZQ, _DQ = 0, 4, 6, 8, 9
+_N_VALUES = 10
+_COHERENT = -1
 
-    inner_start selects the initial condition: the ZQ state populates the
-    inner pair |01>,|10>; the DQ state populates the outer pair |00>,|11>.
+
+def _spin_part(out_pair: tuple[int, int], in_pair: tuple[int, int]) -> int | None:
+    """One spin's part of the entry mapping its (r, s) input pair to its output
+    pair: _COHERENT, 0 (same population), 1 (flipped population) or None (zero)."""
+    r, s = out_pair
+    if r != s:
+        return _COHERENT if in_pair == out_pair else None
+    if in_pair[0] != in_pair[1]:
+        return None
+    return int(in_pair[0] != r)
+
+
+def _entry_value(n: int, m: int) -> int | None:
+    """Index into _block_values of exp(Z t)[n, m], or None where the entry is zero.
+
+    Index n = 8 r1 + 4 r2 + 2 s1 + s2 holds rho[2 r1 + r2, 2 s1 + s2].
     """
-    relax = np.exp(-t * (params.Gamma1 + params.Gamma2))
-    if inner_start:
-        return 0.25 * (1.0 - relax), 0.25 * (1.0 + relax)
-    return 0.25 * (1.0 + relax), 0.25 * (1.0 - relax)
+    r1, r2, s1, s2 = (n >> 3) & 1, (n >> 2) & 1, (n >> 1) & 1, n & 1
+    q1, q2, p1, p2 = (m >> 3) & 1, (m >> 2) & 1, (m >> 1) & 1, m & 1
+    spin1 = _spin_part((r1, s1), (q1, p1))
+    spin2 = _spin_part((r2, s2), (q2, p2))
+    if spin1 is None or spin2 is None:
+        return None
+    if spin1 == _COHERENT and spin2 == _COHERENT:
+        return _ZQ if r1 != r2 else _DQ
+    if spin1 == _COHERENT:
+        return _SQ1 + spin2
+    if spin2 == _COHERENT:
+        return _SQ2 + spin1
+    return _POPULATION + 2 * spin1 + spin2
 
 
-def analytic_zq_state(params: NoiseParams, t: float) -> np.ndarray:
-    """Closed-form state at time t starting from the ZQ coherence state."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    outer, inner = _population_relaxation(params, t, inner_start=True)
-    zq_element = 0.5 * np.exp(-t * coherence_decay_rate("ZQ", params))
-    state = AnalyticDecayState(
-        alpha=(outer, inner, inner, outer),
-        beta=(0.0, 0.0, 0.0, zq_element, 0.0, 0.0),
-        t=float(t),
-    )
-    return state.to_matrix()
+_ENTRIES = [(16 * n + m, v) for n in range(16) for m in range(16) if (v := _entry_value(n, m)) is not None]
+_FLAT, _VALUE = (np.array(column) for column in zip(*_ENTRIES))
 
 
-def analytic_dq_state(params: NoiseParams, t: float) -> np.ndarray:
-    """Closed-form state at time t starting from the DQ coherence state."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    outer, inner = _population_relaxation(params, t, inner_start=False)
-    dq_element = 0.5 * np.exp(-t * coherence_decay_rate("DQ", params))
-    state = AnalyticDecayState(
-        alpha=(outer, inner, inner, outer),
-        beta=(0.0, 0.0, dq_element, 0.0, 0.0, 0.0),
-        t=float(t),
-    )
-    return state.to_matrix()
+def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float) -> list[float]:
+    """The ten distinct entries of exp(Z t), from six scalar exponentials.
+
+    Python floats let rate * t overflow to inf quietly, and exp(-inf) = 0.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    flip1 = -0.5 * math.expm1(-params.Gamma1 * t)
+    flip2 = -0.5 * math.expm1(-params.Gamma2 * t)
+    same1, same2 = 1.0 - flip1, 1.0 - flip2
+    sq1 = math.exp(-(params.gamma1 + 0.5 * params.Gamma1) * t)
+    sq2 = math.exp(-(params.gamma2 + 0.5 * params.Gamma2) * t)
+    return [
+        same1 * same2, same1 * flip2, flip1 * same2, flip1 * flip2,
+        sq1 * same2, sq1 * flip2,
+        sq2 * same1, sq2 * flip1,
+        math.exp(-zq_rate * t), math.exp(-dq_rate * t),
+    ]
 
 
-def analytic_state(kind: str, params: NoiseParams, t: float) -> np.ndarray:
-    """Closed-form decayed state for kind 'ZQ' or 'DQ'."""
-    if kind == "ZQ":
-        return analytic_zq_state(params, t)
-    if kind == "DQ":
-        return analytic_dq_state(params, t)
-    raise ValueError(f"kind must be 'ZQ' or 'DQ', got {kind!r}")
+def superoperator(params: NoiseParams, times) -> np.ndarray:
+    """Exact exp(Z t) of the full generator at each of a 1-D array of times,
+    as a (T, 16, 16) real stack; a scalar time gives a stack of one."""
+    times = np.array(times, dtype=float, ndmin=1)
+    if times.ndim != 1:
+        raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
+    if params.nbar != 0.5:
+        raise ValueError(
+            f"nbar = {params.nbar} is not supported: the generator models the "
+            "infinite-temperature limit nbar = 0.5"
+        )
+    zq_rate, dq_rate = coherence_decay_rate("ZQ", params), coherence_decay_rate("DQ", params)
+    values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
+    out = np.zeros((times.size, 256))
+    out[:, _FLAT] = values.reshape(times.size, _N_VALUES)[:, _VALUE]
+    return out.reshape(-1, 16, 16)
 
 
-def initial_coherence_state(kind: str) -> np.ndarray:
-    """Initial state whose decay the analytic forms describe."""
-    return coherence_state(kind)
+def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
+    """Evolve rho0 under the full decoherence generator.
+
+    A scalar t returns the (4, 4) state at t; a 1-D array of times returns
+    the (T, 4, 4) stack of states.  The input and every output state are
+    validated as density matrices.
+    """
+    rho0 = validate_density_matrix(rho0)
+    states = (superoperator(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
+    for state in states:
+        validate_density_matrix(state)
+    return states if np.ndim(t) else states[0]
 
 
 def default_time_grid(start: float = 1e-3, stop: float = 10.0, points: int = 64) -> np.ndarray:

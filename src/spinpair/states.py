@@ -38,6 +38,10 @@ def validate_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+    finite = np.isfinite(rho)
+    if not finite.all():
+        bad = [(int(r), int(s)) for r, s in np.argwhere(~finite)]
+        raise ValueError(f"density matrix has non-finite entries at {bad}")
     herm_dev = float(np.abs(rho - rho.conj().T).max())
     if herm_dev > herm_tol:
         raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")

@@ -157,6 +157,22 @@ def test_tomo_after_evolution(tmp_path):
     assert payload["fidelity_vs_target"] < 0.999
 
 
+@pytest.mark.parametrize("time", ["1e7", "1e300"])
+def test_tomo_after_long_evolution(tmp_path, time):
+    code = main(["tomo", "--preset", "btc", "--target", "DQ", "--time", time,
+                 "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "tomo_DQ.json").read_text(encoding="utf-8"))
+    # fully relaxed to the maximally mixed state
+    assert np.allclose([[v[0] for v in row] for row in payload["matrix"]], np.eye(4) / 4, atol=1e-9)
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_tomo_non_finite_time_is_config_error(capsys, time):
+    assert main(["tomo", "--preset", "btc", "--target", "DQ", f"--time={time}"]) == 2
+    assert "--time" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # fit
 # ----------------------------------------------------------------------
@@ -306,6 +322,19 @@ def test_config_overrides_preset_noise(tmp_path):
     assert np.allclose(curve.times, [0.0, 0.1, 0.2, 0.4, 0.8])
     # config noise replaced the preset's: DQ rate is 2, not 12.182
     assert np.abs(curve.signals - np.exp(-2.0 * curve.times)).max() < 1e-9
+
+
+def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        noise={"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.0, "Gamma1": 0.1, "Gamma2": 0.1,
+               "nbar": 0.05},
+    )
+    code = main(["decay", "--kind", "DQ", "--preset", "btc", "--config", config,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "nbar" in capsys.readouterr().err
+    assert not (tmp_path / "decay_DQ.csv").exists()
 
 
 def test_tomo_without_out_prints_payload(capsys):

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cp_params, random_density_matrix
-from spinpair.channels import NoiseParams, choi_matrix, trace_functional
+from spinpair.channels import (
+    NoiseParams,
+    choi_matrix,
+    devectorize,
+    full_generator,
+    trace_functional,
+    vectorize,
+)
 from spinpair.evolution import (
-    AnalyticDecayState,
-    analytic_dq_state,
-    analytic_state,
-    analytic_zq_state,
     coherence_decay_rate,
     default_time_grid,
     matrix_exp,
     propagate,
-    propagator,
+    superoperator,
 )
+from spinpair.presets import PRESETS
 from spinpair.states import coherence_state, validate_density_matrix
 
 BTC_LIKE = NoiseParams(3.741, 3.048, 5.876, 0.264, 0.255)
@@ -77,8 +83,9 @@ def test_propagate_long_time_reaches_maximally_mixed():
 
 
 def test_propagate_rejects_negative_time():
-    with pytest.raises(ValueError):
-        propagate(np.eye(4) / 4, BTC_LIKE, -0.5)
+    for t in (-0.5, np.nan, np.inf, [0.1, -0.5], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            propagate(np.eye(4) / 4, BTC_LIKE, t)
 
 
 @pytest.mark.parametrize("kind", ["ZQ", "DQ"])
@@ -87,10 +94,11 @@ def test_propagate_matches_analytic_solution(kind):
     times = np.geomspace(1e-3, 5.0, 16)
     for _ in range(10):
         params = random_cp_params(rng)
+        gen = full_generator(params)
         rho0 = coherence_state(kind)
         for t in times:
-            numeric = propagate(rho0, params, t)
-            closed_form = analytic_state(kind, params, t)
+            numeric = devectorize(matrix_exp(gen * t) @ vectorize(rho0))
+            closed_form = propagate(rho0, params, t)
             assert np.abs(numeric - closed_form).max() < 1e-10
 
 
@@ -140,40 +148,131 @@ def test_propagate_outputs_positive_states():
             assert np.linalg.eigvalsh(out).min() >= -1e-10
 
 
-def test_propagator_invariants_and_cache():
+def test_propagate_rejects_finite_temperature():
+    params = NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05)
+    with pytest.raises(ValueError, match="nbar"):
+        propagate(np.eye(4) / 4, params, 0.1)
+
+
+def test_propagate_rejects_non_finite_state():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entries at \[\(1, 2\)\]"):
+        propagate(rho, BTC_LIKE, 0.1)
+
+
+def test_propagate_batched_shape():
+    rho = coherence_state("SQ2")
+    assert propagate(rho, BTC_LIKE, 0.3).shape == (4, 4)
+    assert propagate(rho, BTC_LIKE, [0.3]).shape == (1, 4, 4)
+    assert propagate(rho, BTC_LIKE, np.linspace(0.0, 1.0, 7)).shape == (7, 4, 4)
+    with pytest.raises(ValueError, match="1-D"):
+        propagate(rho, BTC_LIKE, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("t", [1e4, 1e8])
+def test_propagate_exact_at_long_times(t):
+    # Every preset and target: the trace stays 1 within 1e-12 and the state
+    # is a Hermitian, positive semidefinite matrix at I/4.
+    for preset in PRESETS.values():
+        for kind in ("ZQ", "DQ", "SQ1", "SQ2"):
+            out = propagate(coherence_state(kind), preset.noise, t)
+            assert abs(np.trace(out) - 1.0) <= 1e-12
+            assert np.abs(out - out.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh(out).min() >= -1e-12
+            assert np.abs(out - np.eye(4) / 4).max() < 1e-12
+
+
+def test_superoperator_invariants():
     params = NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3)
-    prop_a = propagator(params, 0.4)
-    prop_b = propagator(params, 0.4)
-    assert prop_a.superop is prop_b.superop  # cached
-    assert not prop_a.superop.flags.writeable
+    superop = superoperator(params, 0.4)[0]
     w = trace_functional(4)
-    assert np.abs(w @ prop_a.superop - w).max() < 1e-12
-    choi = choi_matrix(prop_a.superop)
+    assert np.abs(w @ superop - w).max() < 1e-12
+    choi = choi_matrix(superop)
     assert np.linalg.eigvalsh(choi).min() >= -1e-10
 
 
+def test_superoperator_assembly():
+    # The closed-form entries sit exactly where exp(Z t) is non-zero: 16 in
+    # the population block, 4 in each of the four single-quantum pairs and
+    # the 4 ZQ/DQ diagonal entries.
+    params = NoiseParams(1.3, 0.7, 0.4, 0.9, 1.6)
+    superop = superoperator(params, [0.0, 0.5])
+    assert superop.shape == (2, 16, 16)
+    assert np.array_equal(superop[0], np.eye(16))
+    numeric = scipy.linalg.expm(full_generator(params) * 0.5)
+    assert np.array_equal(superop[1] != 0, np.abs(numeric) > 1e-14)
+    assert np.count_nonzero(superop[1]) == 36
+
+
 # ----------------------------------------------------------------------
-# Closed-form decay states
+# Property tests over admissible rates and times in [0, 1e8] s
+# ----------------------------------------------------------------------
+
+params_strategy = st.integers(0, 2**32 - 1).map(lambda seed: random_cp_params(np.random.default_rng(seed)))
+states_strategy = st.integers(0, 2**32 - 1).map(lambda seed: random_density_matrix(np.random.default_rng(seed)))
+times_strategy = st.floats(0.0, 1e8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params_strategy, states_strategy, times_strategy)
+def test_property_trace_hermiticity_positivity(params, rho, t):
+    out = propagate(rho, params, t)
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.abs(out - out.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-10
+    superop = superoperator(params, t)[0]
+    w = trace_functional(4)
+    assert np.abs(w @ superop - w).max() <= 1e-12
+    assert np.linalg.eigvalsh(choi_matrix(superop)).min() >= -1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(params_strategy, states_strategy, times_strategy, times_strategy)
+def test_property_semigroup(params, rho, t1, t2):
+    once = propagate(rho, params, t1 + t2)
+    twice = propagate(propagate(rho, params, t1), params, t2)
+    assert np.abs(once - twice).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_strategy, states_strategy, st.lists(times_strategy, min_size=1, max_size=8))
+def test_property_batched_equals_scalar(params, rho, times):
+    batched = propagate(rho, params, np.array(times))
+    assert batched.shape == (len(times), 4, 4)
+    for k, t in enumerate(times):
+        assert np.array_equal(batched[k], propagate(rho, params, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params_strategy, states_strategy, st.floats(0.0, 100.0))
+def test_property_matches_scipy_expm(params, rho, t):
+    reference = devectorize(scipy.linalg.expm(full_generator(params) * t) @ vectorize(rho))
+    assert np.abs(propagate(rho, params, t) - reference).max() <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# Closed-form decay of the ZQ and DQ states
 # ----------------------------------------------------------------------
 
 
 def test_analytic_states_at_zero_time():
-    assert np.allclose(analytic_zq_state(BTC_LIKE, 0.0), coherence_state("ZQ"), atol=1e-14)
-    assert np.allclose(analytic_dq_state(BTC_LIKE, 0.0), coherence_state("DQ"), atol=1e-14)
+    for kind in ("ZQ", "DQ"):
+        assert np.allclose(propagate(coherence_state(kind), BTC_LIKE, 0.0), coherence_state(kind), atol=1e-14)
 
 
 def test_analytic_zq_with_damping_off_freezes_populations():
     params = NoiseParams(1.4, 0.9, 0.7, 0.0, 0.0)
     t = 0.8
-    rho = analytic_zq_state(params, t)
+    rho = propagate(coherence_state("ZQ"), params, t)
     assert np.allclose(np.diag(rho).real, [0.0, 0.5, 0.5, 0.0], atol=1e-14)
     expected = 0.5 * np.exp(-t * (params.gamma1 + params.gamma2 - params.gamma3))
     assert rho[1, 2].real == pytest.approx(expected, abs=1e-14)
 
 
 def test_analytic_states_long_time_limit():
-    for fn in (analytic_zq_state, analytic_dq_state):
-        assert np.abs(fn(BTC_LIKE, 1e4) - np.eye(4) / 4).max() < 1e-12
+    for kind in ("ZQ", "DQ"):
+        assert np.abs(propagate(coherence_state(kind), BTC_LIKE, 1e4) - np.eye(4) / 4).max() < 1e-12
 
 
 def test_analytic_rate_difference_is_twice_gamma3():
@@ -181,8 +280,8 @@ def test_analytic_rate_difference_is_twice_gamma3():
     for _ in range(10):
         params = random_cp_params(rng)
         t = rng.uniform(0.1, 1.0)
-        zq = analytic_zq_state(params, t)[1, 2].real
-        dq = analytic_dq_state(params, t)[0, 3].real
+        zq = propagate(coherence_state("ZQ"), params, t)[1, 2].real
+        dq = propagate(coherence_state("DQ"), params, t)[0, 3].real
         assert np.log(zq / dq) == pytest.approx(2.0 * params.gamma3 * t, rel=1e-9, abs=1e-9)
 
 
@@ -190,25 +289,16 @@ def test_analytic_states_are_valid_density_matrices():
     rng = np.random.default_rng(30)
     for _ in range(5):
         params = random_cp_params(rng)
-        for t in (0.0, 0.3, 2.5):
-            for fn in (analytic_zq_state, analytic_dq_state):
-                validate_density_matrix(fn(params, t))
-
-
-def test_analytic_decay_state_assembly():
-    state = AnalyticDecayState(alpha=(0.1, 0.4, 0.4, 0.1), beta=(0, 0, 0, 0.25, 0, 0), t=1.0)
-    rho = state.to_matrix()
-    assert rho[1, 2] == 0.25
-    assert rho[2, 1] == 0.25
-    assert np.trace(rho).real == pytest.approx(1.0)
-    assert np.allclose(rho, rho.conj().T)
+        for kind in ("ZQ", "DQ"):
+            for rho in propagate(coherence_state(kind), params, [0.0, 0.3, 2.5]):
+                validate_density_matrix(rho)
 
 
 def test_analytic_state_rejects_negative_time_and_bad_kind():
     with pytest.raises(ValueError):
-        analytic_zq_state(BTC_LIKE, -1.0)
+        propagate(coherence_state("ZQ"), BTC_LIKE, -1.0)
     with pytest.raises(ValueError):
-        analytic_state("SQ1", BTC_LIKE, 0.1)
+        coherence_decay_rate("SQ1", BTC_LIKE)
 
 
 # ----------------------------------------------------------------------
