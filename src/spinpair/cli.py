@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -73,6 +74,24 @@ class RunConfig:
         return self.time_grid if self.time_grid is not None else default_time_grid()
 
 
+def _number(value, field: str) -> float:
+    """A config number, which must be finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: must be finite, got {number}")
+    return number
+
+
+def _integer(value, field: str) -> int:
+    """A config integer: a JSON integer, not a float or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_system(value) -> SpinSystem:
     if isinstance(value, str):
         if value not in PRESETS:
@@ -119,20 +138,17 @@ def _parse_noise(value) -> NoiseParams:
 
 def _parse_time_grid(value) -> np.ndarray:
     if isinstance(value, dict):
+        start = _number(value.get("start", 1e-3), "time_grid.start")
+        stop = _number(value.get("stop", 10.0), "time_grid.stop")
+        points = _integer(value.get("points", 64), "time_grid.points")
         try:
-            grid = default_time_grid(
-                start=float(value.get("start", 1e-3)),
-                stop=float(value.get("stop", 10.0)),
-                points=int(value.get("points", 64)),
-            )
-        except (TypeError, ValueError) as exc:
+            return default_time_grid(start=start, stop=stop, points=points)
+        except ValueError as exc:
             raise ConfigError(f"time_grid: {exc}") from None
-        return grid
-    try:
-        grid = np.asarray([float(v) for v in value], dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("time_grid: expected a list of seconds or {start, stop, points}") from None
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
+    if not isinstance(value, list):
+        raise ConfigError("time_grid: expected a list of seconds or {start, stop, points}")
+    grid = np.array([_number(v, f"time_grid[{i}]") for i, v in enumerate(value)], dtype=float)
+    if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ConfigError("time_grid: must be a strictly increasing list of non-negative seconds")
     return grid
 
@@ -165,23 +181,25 @@ def load_config(args) -> RunConfig:
         if "noise" in raw:
             config.noise = _parse_noise(raw["noise"])
         if "epsilon" in raw:
-            config.epsilon = float(raw["epsilon"])
+            config.epsilon = _number(raw["epsilon"], "epsilon")
             if not 0.0 <= config.epsilon <= 1.0:
                 raise ConfigError("epsilon: must lie in [0, 1]")
         if "nu_rf" in raw and raw["nu_rf"] is not None:
-            config.nu_rf = float(raw["nu_rf"])
+            config.nu_rf = _number(raw["nu_rf"], "nu_rf")
         if "time_grid" in raw:
             config.time_grid = _parse_time_grid(raw["time_grid"])
         if "seed" in raw:
-            config.seed = int(raw["seed"])
+            config.seed = _integer(raw["seed"], "seed")
         if "noise_sigma" in raw:
-            config.noise_sigma = float(raw["noise_sigma"])
+            config.noise_sigma = _number(raw["noise_sigma"], "noise_sigma")
             if config.noise_sigma < 0:
                 raise ConfigError("noise_sigma: must be non-negative")
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
+    if config.seed < 0:
+        raise ConfigError(f"seed: must be non-negative, got {config.seed}")
     if getattr(args, "nu_rf", None) is not None:
-        config.nu_rf = args.nu_rf
+        config.nu_rf = _number(args.nu_rf, "--nu-rf")
     return config
 
 

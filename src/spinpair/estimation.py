@@ -70,6 +70,8 @@ class DecayCurve:
         object.__setattr__(self, "signals", np.asarray(self.signals, dtype=float))
         if self.times.ndim != 1 or self.times.shape != self.signals.shape:
             raise DataError("times and signals must be 1-d arrays of equal length")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.signals).all()):
+            raise DataError("times and signals must be finite")
         if np.any(np.diff(self.times) <= 0):
             bad = int(np.flatnonzero(np.diff(self.times) <= 0)[0]) + 1
             raise DataError(f"times must be strictly increasing (violated at sample {bad})")
@@ -77,6 +79,8 @@ class DecayCurve:
             object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=float))
             if self.sigmas.shape != self.times.shape:
                 raise DataError("sigmas must match times in length")
+            if not np.isfinite(self.sigmas).all():
+                raise DataError("sigmas must be finite")
             if np.any(self.sigmas <= 0):
                 raise DataError("sigmas must be positive")
 
@@ -534,9 +538,13 @@ def load_curve(path, kind: str) -> DecayCurve:
                     f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
                 )
             try:
-                rows.append((lineno, [float(f) for f in fields]))
+                values = [float(f) for f in fields]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            for name, value in zip(header, values):
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: {name} must be finite, got {value}")
+            rows.append((lineno, values))
     if header is None or not rows:
         raise DataError(f"{path}: no data rows")
 

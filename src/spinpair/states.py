@@ -34,21 +34,32 @@ def validate_density_matrix(
     trace_tol: float = 1e-12,
     eig_floor: float = -1e-10,
 ) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity; return as complex array."""
+    """Validate finiteness, Hermiticity, unit trace, and positivity; return as
+    complex array.
+
+    One pass: a nan or inf entry makes the Hermiticity deviation non-finite,
+    so finiteness is scanned only once that check fails (an inf entry may
+    also emit numpy's "invalid value" RuntimeWarning on the way).  An
+    exactly Hermitian rho equals its Hermitian part bit for bit and goes to
+    eigvalsh as it is.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    finite = np.isfinite(rho)
-    if not finite.all():
-        bad = [(int(r), int(s)) for r, s in np.argwhere(~finite)]
-        raise ValueError(f"density matrix has non-finite entries at {bad}")
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
-    if herm_dev > herm_tol:
+    rho_h = rho.conj().T
+    herm_dev = float(np.abs(rho - rho_h).max())
+    if not herm_dev <= herm_tol:
+        finite = np.isfinite(rho)
+        if not finite.all():
+            bad = [(int(r), int(s)) for r, s in np.argwhere(~finite)]
+            raise ValueError(f"density matrix has non-finite entries at {bad}")
         raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
-    trace_dev = abs(rho.trace() - 1.0)
+    # Summed pairwise, in the order ndarray.trace adds four entries.
+    trace_dev = abs((rho[0, 0] + rho[1, 1]) + (rho[2, 2] + rho[3, 3]) - 1.0)
     if trace_dev > trace_tol:
         raise ValueError(f"density matrix trace != 1 (deviation {trace_dev:.3e})")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    hermitian = rho if herm_dev == 0.0 else 0.5 * (rho + rho_h)
+    min_eig = float(np.linalg.eigvalsh(hermitian)[0])
     if min_eig < eig_floor:
         raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
     return rho

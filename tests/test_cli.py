@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +336,45 @@ def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "nbar" in capsys.readouterr().err
     assert not (tmp_path / "decay_DQ.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, flags, name",
+    [
+        ({"seed": "abc"}, [], "seed"),
+        ({"epsilon": "abc"}, [], "epsilon"),
+        ({"nu_rf": "x"}, [], "nu_rf"),
+        ({"time_grid": [0.0, float("nan"), 1.0]}, [], "time_grid[1]"),
+        ({"time_grid": {"stop": float("inf")}}, [], "time_grid.stop"),
+        ({"seed": 1.5}, [], "seed"),
+        ({"seed": True}, [], "seed"),
+        ({"noise_sigma": float("nan")}, [], "noise_sigma"),
+        ({"time_grid": {"points": 8.7}}, [], "time_grid.points"),
+        ({"noise_sigma": 0.1}, ["--seed", "-1"], "seed"),
+        ({}, ["--nu-rf", "nan"], "--nu-rf"),
+    ],
+)
+def test_bad_config_value_is_config_error(tmp_path, capsys, fields, flags, name):
+    # json.dumps writes nan and inf as the NaN and Infinity that json.loads reads.
+    config = write_config(tmp_path, **fields)
+    code = main(["decay", "--kind", "DQ", "--preset", "btc", "--config", config,
+                 "--out", str(tmp_path), *flags])
+    assert code == 2
+    assert f"config error: {name}:" in capsys.readouterr().err
+    assert not (tmp_path / "decay_DQ.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_non_finite_csv_value_is_data_error(tmp_path, capsys, value):
+    paths = measured_rate_curves(tmp_path)
+    zq = Path(paths[KIND_ZQ])
+    lines = zq.read_text(encoding="utf-8").splitlines()
+    lines[4] = lines[4].split(",")[0] + f",{value}"  # line 5, the third data row
+    zq.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["fit", "--mode", "difference", "--curve", f"ZQ={zq}",
+                 "--curve", f"DQ={paths[KIND_DQ]}", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"{zq}:5: signal must be finite" in capsys.readouterr().err
 
 
 def test_tomo_without_out_prints_payload(capsys):

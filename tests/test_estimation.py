@@ -96,6 +96,16 @@ def test_decay_curve_rejects_bad_sigmas():
         DecayCurve(KIND_ZQ, [0.0, 0.1, 0.2, 0.3], [1.0, 0.9, 0.8, 0.7], [0.1, -0.1, 0.1, 0.1])
 
 
+@pytest.mark.parametrize("column", ["times", "signals", "sigmas"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_decay_curve_rejects_non_finite_values(column, value):
+    arrays = {"times": [0.0, 0.1, 0.2, 0.3], "signals": [1.0, 0.9, 0.8, 0.7],
+              "sigmas": [0.1, 0.1, 0.1, 0.1]}
+    arrays[column][3] = value
+    with pytest.raises(DataError, match="must be finite"):
+        DecayCurve(KIND_ZQ, arrays["times"], arrays["signals"], arrays["sigmas"])
+
+
 def test_decay_curve_rejects_unknown_kind():
     with pytest.raises(DataError, match="kind"):
         DecayCurve("TQ", [0.0, 0.1], [1.0, 0.9])

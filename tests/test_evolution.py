@@ -161,6 +161,17 @@ def test_propagate_rejects_non_finite_state():
         propagate(rho, BTC_LIKE, 0.1)
 
 
+def test_propagate_output_check_stays_live():
+    # Admissible rates outside the strictly CP region (gamma3^2 > 4 gamma1
+    # gamma2) drive |++><++| out of the positive cone: only the check of
+    # each output state catches it.
+    params = NoiseParams(1.0, 0.01, 1.0, 0.0, 0.0)
+    assert not params.is_completely_positive()
+    plus = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        propagate(np.outer(plus, plus.conj()), params, 1.0)
+
+
 def test_propagate_batched_shape():
     rho = coherence_state("SQ2")
     assert propagate(rho, BTC_LIKE, 0.3).shape == (4, 4)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix
 from spinpair.spinops import SpinSystem, pulse
@@ -153,3 +155,99 @@ def test_validate_density_matrix_rejections():
         validate_density_matrix(np.diag([1.1, -0.1, 0.0, 0.0]))
     with pytest.raises(ValueError, match="4x4"):
         validate_density_matrix(np.eye(2) / 2)
+
+
+def _reference_validate_density_matrix(
+    rho: np.ndarray,
+    *,
+    herm_tol: float = 1e-12,
+    trace_tol: float = 1e-12,
+    eig_floor: float = -1e-10,
+) -> np.ndarray:
+    """Validate Hermiticity, unit trace, and positivity; return as complex array."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+    finite = np.isfinite(rho)
+    if not finite.all():
+        bad = [(int(r), int(s)) for r, s in np.argwhere(~finite)]
+        raise ValueError(f"density matrix has non-finite entries at {bad}")
+    herm_dev = float(np.abs(rho - rho.conj().T).max())
+    if herm_dev > herm_tol:
+        raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
+    trace_dev = abs(rho.trace() - 1.0)
+    if trace_dev > trace_tol:
+        raise ValueError(f"density matrix trace != 1 (deviation {trace_dev:.3e})")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    if min_eig < eig_floor:
+        raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
+    return rho
+
+
+HERM_TOL, TRACE_TOL, EIG_FLOOR = 1e-12, 1e-12, -1e-10
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.nan),
+              complex(0.25, np.nan))
+
+
+@st.composite
+def validator_inputs(draw):
+    """Matrices on every side of each check the validator makes.
+
+    Entries stay within a few units, so neither validator overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["random", "hermitian", "density", "shape"]))
+    if family == "shape":
+        shape = draw(st.sampled_from([(3, 3), (4,), (16,), (2, 4, 4), (4, 5), (0,)]))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if family == "density":
+        # Eigenvalues with the smallest near the positivity floor.
+        low = EIG_FLOOR * draw(st.floats(0.0, 2.0))
+        rest = rng.dirichlet(np.ones(3)) * (1.0 - low)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        rho = (u * np.concatenate(([low], rest))) @ u.conj().T
+    else:
+        rho = rng.uniform(-2, 2, (4, 4)) + 1j * rng.uniform(-2, 2, (4, 4))
+        if family == "hermitian":
+            rho = 0.5 * (rho + rho.conj().T)
+            rho = rho / rho.trace().real
+    hermiticity = draw(st.sampled_from(["as built", "exact", "perturbed"]))
+    if hermiticity == "exact":
+        rho = 0.5 * (rho + rho.conj().T)  # the eigvalsh fast branch
+    elif hermiticity == "perturbed":
+        # Anti-Hermitian perturbation: Hermiticity deviation up to 2 herm_tol.
+        k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        k = k - k.conj().T
+        rho = rho + k * (draw(st.floats(0.0, 2.0)) * HERM_TOL / np.abs(2 * k).max())
+    if draw(st.booleans()):
+        # Trace offset near the trace tolerance, on one diagonal entry.
+        i = draw(st.integers(0, 3))
+        rho[i, i] += draw(st.floats(-2.0, 2.0)) * TRACE_TOL
+    finiteness = draw(st.sampled_from(["finite", "finite", "finite", "non-finite"]))
+    for _ in range(draw(st.integers(1, 3)) if finiteness == "non-finite" else 0):
+        r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rho[r, c] = draw(st.sampled_from(NON_FINITE))
+        if draw(st.booleans()):
+            rho[c, r] = draw(st.sampled_from(NON_FINITE))  # the mirrored entry too
+    return np.asfortranarray(rho) if draw(st.booleans()) else rho
+
+
+def _verdict(validate, rho):
+    try:
+        return "accept", validate(rho)
+    except ValueError as exc:
+        return "reject", str(exc)
+
+
+# An inf entry makes the new Hermiticity difference compute inf - inf, which
+# numpy reports as a RuntimeWarning before the ValueError is raised.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(validator_inputs())
+def test_validate_density_matrix_matches_reference(rho):
+    expected, detail = _verdict(_reference_validate_density_matrix, rho.copy())
+    verdict, got = _verdict(validate_density_matrix, rho.copy())
+    assert verdict == expected
+    if verdict == "reject":
+        assert got == detail
+    else:
+        assert np.array_equal(got, detail)
