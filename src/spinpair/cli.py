@@ -75,7 +75,9 @@ class RunConfig:
 
 
 def _number(value, field: str) -> float:
-    """A config number, which must be finite."""
+    """A config number, which must be finite and not a JSON boolean."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -101,11 +103,13 @@ def _parse_system(value) -> SpinSystem:
         raise ConfigError("system: expected a preset name or an object with nu1/nu2/j12")
     try:
         return SpinSystem(
-            nu1=float(value["nu1"]),
-            nu2=float(value["nu2"]),
-            j12=float(value["j12"]),
+            nu1=_number(value["nu1"], "system.nu1"),
+            nu2=_number(value["nu2"], "system.nu2"),
+            j12=_number(value["j12"], "system.j12"),
             name=str(value.get("name", "")),
         )
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"system: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -117,13 +121,15 @@ def _parse_noise(value) -> NoiseParams:
         raise ConfigError("noise: expected an object with gamma1..Gamma2 rates in 1/s")
     try:
         noise = NoiseParams(
-            gamma1=float(value["gamma1"]),
-            gamma2=float(value["gamma2"]),
-            gamma3=float(value["gamma3"]),
-            Gamma1=float(value["Gamma1"]),
-            Gamma2=float(value["Gamma2"]),
-            nbar=float(value.get("nbar", 0.5)),
+            gamma1=_number(value["gamma1"], "noise.gamma1"),
+            gamma2=_number(value["gamma2"], "noise.gamma2"),
+            gamma3=_number(value["gamma3"], "noise.gamma3"),
+            Gamma1=_number(value["Gamma1"], "noise.Gamma1"),
+            Gamma2=_number(value["Gamma2"], "noise.Gamma2"),
+            nbar=_number(value.get("nbar", 0.5), "noise.nbar"),
         )
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"noise: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -207,7 +213,10 @@ def _out_dir(args) -> Path | None:
     if getattr(args, "out", None) is None:
         return None
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {path} ({exc.strerror or exc})") from None
     return path
 
 
@@ -224,15 +233,22 @@ def _scaled_target(kind: str, epsilon: float) -> np.ndarray:
     return (1.0 - epsilon) * MAXIMALLY_MIXED + epsilon * coherence_state(kind)
 
 
+def _prepared_state(target: str, config: RunConfig) -> np.ndarray:
+    system = config.require_system()
+    if target in ("ZQ", "DQ") and system.j12 == 0:
+        raise ConfigError(f"system.j12: {target} preparation needs the delay 1/(2 J12), "
+                          "so J12 must be non-zero")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return prepare_target(target, system, config.epsilon, config.nu_rf)
+
+
 def cmd_prepare(args) -> int:
     config = load_config(args)
-    system = config.require_system()
+    state = _prepared_state(args.target, config)
     if config.epsilon == 0.0:
         print("warning: epsilon = 0, the deviation part is empty; "
               "comparing against the maximally mixed state", file=sys.stderr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        state = prepare_target(args.target, system, config.epsilon, config.nu_rf)
     records = [simulate_readout(state, s) for s in SETTINGS]
     reconstructed = reconstruct(records)
     fid = fidelity(reconstructed, _scaled_target(args.target, config.epsilon))
@@ -298,10 +314,7 @@ def cmd_decay(args) -> int:
 
 def cmd_tomo(args) -> int:
     config = load_config(args)
-    system = config.require_system()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        state = prepare_target(args.target, system, config.epsilon, config.nu_rf)
+    state = _prepared_state(args.target, config)
     if args.time is not None:
         if not np.isfinite(args.time) or args.time < 0:
             raise ConfigError(f"--time must be a finite, non-negative number of seconds, got {args.time}")

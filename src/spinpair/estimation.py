@@ -520,31 +520,36 @@ def load_curve(path, kind: str) -> DecayCurve:
     path = Path(path)
     rows: list[tuple[int, list[float]]] = []
     header: list[str] | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if header is None:
-                header = [f.lower() for f in fields]
-                if header not in (["t", "signal"], ["t", "signal", "sigma"]):
-                    raise DataError(
-                        f"{path}:{lineno}: expected header 't,signal[,sigma]', got {line!r}"
-                    )
-                continue
-            if len(fields) != len(header):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the file ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if header is None:
+            header = [f.lower() for f in fields]
+            if header not in (["t", "signal"], ["t", "signal", "sigma"]):
                 raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
+                    f"{path}:{lineno}: expected header 't,signal[,sigma]', got {line!r}"
                 )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            for name, value in zip(header, values):
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{lineno}: {name} must be finite, got {value}")
-            rows.append((lineno, values))
+            continue
+        if len(fields) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
+            )
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in zip(header, values):
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: {name} must be finite, got {value}")
+        rows.append((lineno, values))
     if header is None or not rows:
         raise DataError(f"{path}: no data rows")
 

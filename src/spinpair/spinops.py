@@ -55,6 +55,11 @@ class SpinSystem:
             )
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices, bit for bit: each entry is one product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def pauli(spin: int, axis: str) -> np.ndarray:
     """Pauli operator of the given spin (1 or 2), tensored with identity."""
     if spin not in (1, 2):
@@ -62,8 +67,8 @@ def pauli(spin: int, axis: str) -> np.ndarray:
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     if spin == 1:
-        return np.kron(SIGMA[axis], _EYE2)
-    return np.kron(_EYE2, SIGMA[axis])
+        return _kron2(SIGMA[axis], _EYE2)
+    return _kron2(_EYE2, SIGMA[axis])
 
 
 def angular_momentum(spin: int, axis: str) -> np.ndarray:
@@ -112,10 +117,10 @@ def pulse(angle: float, phase_axis: str, target: str) -> np.ndarray:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     r = _single_spin_rotation(angle, phase_axis)
     if target == "spin1":
-        return np.kron(r, _EYE2)
+        return _kron2(r, _EYE2)
     if target == "spin2":
-        return np.kron(_EYE2, r)
-    return np.kron(r, r)
+        return _kron2(_EYE2, r)
+    return _kron2(r, r)
 
 
 def free_evolution(h: np.ndarray, tau: float) -> np.ndarray:

@@ -5,11 +5,12 @@ fidelity between density matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import validate_density_matrix
+from .states import MAXIMALLY_MIXED, validate_density_matrix
 from .spinops import pulse
 
 SETTINGS = ("II", "IX", "IY", "XX")
@@ -17,6 +18,7 @@ SETTINGS = ("II", "IX", "IY", "XX")
 # NMR-detectable single-quantum elements read after each setting's rotation:
 # spin-1 coherences (0,2), (1,3) and spin-2 coherences (0,1), (2,3).
 DETECTED_ELEMENTS = ((0, 2), (1, 3), (0, 1), (2, 3))
+_DETECTED_ROWS, _DETECTED_COLS = zip(*DETECTED_ELEMENTS)
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,10 @@ class TomographyRecord:
 
     setting: str
     observables: tuple[float, ...]
+
+
+def _unknown_setting(setting) -> ValueError:
+    return ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
 
 
 def readout_unitary(setting: str) -> np.ndarray:
@@ -38,17 +44,21 @@ def readout_unitary(setting: str) -> np.ndarray:
         return pulse(np.pi / 2.0, "y", "spin2")
     if setting == "XX":
         return pulse(np.pi / 2.0, "x", "both")
-    raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    raise _unknown_setting(setting)
+
+
+# Each setting's readout rotation u and its adjoint u^H, built once.
+_READOUT = {s: (u, u.conj().T) for s in SETTINGS for u in (readout_unitary(s),)}
 
 
 def _detected_observables(rho: np.ndarray, setting: str) -> list[float]:
-    u = readout_unitary(setting)
-    rotated = u @ rho @ u.conj().T
-    obs: list[float] = []
-    for r, s in DETECTED_ELEMENTS:
-        obs.append(float(rotated[r, s].real))
-        obs.append(float(rotated[r, s].imag))
-    return obs
+    try:
+        u, u_h = _READOUT[setting]
+    except (KeyError, TypeError):
+        raise _unknown_setting(setting) from None
+    rotated = u @ rho @ u_h
+    # Viewed as floats, the complex elements read re, im, re, im, ...
+    return rotated[_DETECTED_ROWS, _DETECTED_COLS].view(float).tolist()
 
 
 def simulate_readout(rho: np.ndarray, setting: str) -> TomographyRecord:
@@ -57,72 +67,56 @@ def simulate_readout(rho: np.ndarray, setting: str) -> TomographyRecord:
     return TomographyRecord(setting, tuple(_detected_observables(rho, setting)))
 
 
-def _deviation_basis() -> list[np.ndarray]:
-    """15 traceless Hermitian matrices spanning the unit-trace manifold's tangent."""
-    basis: list[np.ndarray] = []
-    for r in range(4):
-        for s in range(r + 1, 4):
-            sym = np.zeros((4, 4), dtype=complex)
-            sym[r, s] = sym[s, r] = 1.0
-            basis.append(sym)
-            antisym = np.zeros((4, 4), dtype=complex)
-            antisym[r, s] = -1j
-            antisym[s, r] = 1j
-            basis.append(antisym)
+def _deviation_basis() -> np.ndarray:
+    """15 traceless Hermitian matrices spanning the unit-trace manifold's
+    tangent, as a (15, 4, 4) stack."""
+    basis = np.zeros((15, 4, 4), dtype=complex)
+    for k, (r, s) in enumerate(itertools.combinations(range(4), 2)):
+        basis[2 * k, r, s] = basis[2 * k, s, r] = 1.0
+        basis[2 * k + 1, r, s], basis[2 * k + 1, s, r] = -1j, 1j
     for k in range(3):
-        diag = np.zeros((4, 4), dtype=complex)
-        diag[k, k] = 1.0
-        diag[k + 1, k + 1] = -1.0
-        basis.append(diag)
+        basis[12 + k, k, k], basis[12 + k, k + 1, k + 1] = 1.0, -1.0
     return basis
 
 
-def _design_matrix() -> tuple[np.ndarray, list[np.ndarray]]:
-    """Observable response of each deviation-basis element under every setting."""
+def _design_matrix() -> tuple[np.ndarray, np.ndarray]:
+    """Observable response of each deviation-basis element under every setting.
+
+    Row pair (re, im) per setting and detected element (r, s): the element
+    (u b u^H)[r, s] is row r*4 + s of kron(u, conj(u)) applied to vec(b).
+    """
     basis = _deviation_basis()
-    rows = []
-    for setting in SETTINGS:
-        u = readout_unitary(setting)
-        for r, s in DETECTED_ELEMENTS:
-            row_re = np.empty(len(basis))
-            row_im = np.empty(len(basis))
-            for k, b in enumerate(basis):
-                element = (u @ b @ u.conj().T)[r, s]
-                row_re[k] = element.real
-                row_im[k] = element.imag
-            rows.append(row_re)
-            rows.append(row_im)
-    return np.vstack(rows), basis
+    u = np.stack([_READOUT[s][0] for s in SETTINGS])
+    rows = [4 * r + s for r, s in DETECTED_ELEMENTS]
+    kron = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 16, 16)
+    response = kron[:, rows].reshape(-1, 16) @ basis.reshape(15, 16).T
+    return np.stack([response.real, response.imag], axis=1).reshape(-1, 15), basis
 
 
-_DESIGN_CACHE: tuple[np.ndarray, list[np.ndarray]] | None = None
+def _reconstruction_map() -> np.ndarray:
+    """The (16, 32) map from observables to the flattened deviation from I/4:
+    B (D^T D)^-1 D^T, with the basis matrices as the columns of B."""
+    design, basis = _design_matrix()
+    return basis.reshape(15, 16).T @ np.linalg.solve(design.T @ design, design.T)
+
+
+_RECONSTRUCTION = _reconstruction_map()
 
 
 def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
     """Least-squares reconstruction of the state from all four setting records.
 
     Solves for the 15 real degrees of freedom of a unit-trace Hermitian
-    matrix from the collected observables, then symmetrizes and
-    trace-normalizes the result.
+    matrix from the collected observables with a precomputed linear map,
+    then symmetrizes and trace-normalizes the result.
     """
     by_setting = {rec.setting: rec for rec in records}
     if set(by_setting) != set(SETTINGS):
         missing = sorted(set(SETTINGS) - set(by_setting))
         raise ValueError(f"need one record per setting; missing {missing}")
 
-    global _DESIGN_CACHE
-    if _DESIGN_CACHE is None:
-        _DESIGN_CACHE = _design_matrix()
-    design, basis = _DESIGN_CACHE
-
-    observed = np.concatenate([np.asarray(by_setting[s].observables) for s in SETTINGS])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, observed, rcond=None)
-    if rank < len(basis):
-        raise ValueError(f"tomography design matrix is rank deficient (rank {rank} < {len(basis)})")
-
-    rho = np.eye(4, dtype=complex) / 4.0
-    for c, b in zip(coeffs, basis):
-        rho = rho + c * b
+    observed = np.array([v for s in SETTINGS for v in by_setting[s].observables])
+    rho = MAXIMALLY_MIXED + (_RECONSTRUCTION @ observed).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / rho.trace().real
 

@@ -377,6 +377,58 @@ def test_fit_non_finite_csv_value_is_data_error(tmp_path, capsys, value):
     assert f"{zq}:5: signal must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", ["missing", "directory", "not UTF-8"])
+def test_fit_unreadable_csv_is_data_error(tmp_path, capsys, problem):
+    paths = measured_rate_curves(tmp_path)
+    zq = tmp_path / "zq_bad.csv"
+    if problem == "directory":
+        zq.mkdir()
+    elif problem == "not UTF-8":
+        zq.write_bytes(b"t,signal\n0,1\n1,\xff\xfe\n")
+    code = main(["fit", "--mode", "difference", "--curve", f"ZQ={zq}",
+                 "--curve", f"DQ={paths[KIND_DQ]}", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"data error: {zq}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit_report.json").exists()
+
+
+UNCOUPLED = {"nu1": 100.0, "nu2": 400.0, "j12": 0}
+NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0.1}
+
+
+@pytest.mark.parametrize(
+    "argv, fields, name",
+    [
+        (["prepare", "--target", "ZQ"], {"system": UNCOUPLED}, "system.j12"),
+        (["tomo", "--target", "DQ"], {"system": UNCOUPLED}, "system.j12"),
+        (["prepare", "--target", "SQ1", "--out", "/dev/null/x"], {}, "--out"),
+        (["tomo", "--target", "SQ1", "--out", "{tmp}/file"], {}, "--out"),
+        (["prepare", "--target", "SQ2", "--out", "{tmp}/file/sub"], {}, "--out"),
+        (["prepare", "--target", "DQ"], {"epsilon": True}, "epsilon"),
+        (["tomo", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": True}}, "system.j12"),
+        (["tomo", "--target", "DQ"], {"system": {**UNCOUPLED, "nu1": False}}, "system.nu1"),
+        (["tomo", "--target", "DQ", "--time", "1"], {"noise": {**NOISE, "gamma3": True}},
+         "noise.gamma3"),
+        (["tomo", "--target", "DQ"], {"noise": {**NOISE, "nbar": True}}, "noise.nbar"),
+        (["tomo", "--target", "DQ"], {"time_grid": {"start": True}}, "time_grid.start"),
+    ],
+)
+def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    config = write_config(tmp_path, **fields)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = main([*argv, "--preset", "btc", "--config", config])
+    assert code == 2
+    assert f"config error: {name}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["SQ1", "SQ2"])
+def test_sq_preparation_needs_no_coupling(tmp_path, target):
+    config = write_config(tmp_path, system=UNCOUPLED)
+    assert main(["prepare", "--target", target, "--config", config, "--out", str(tmp_path)]) == 0
+    assert main(["tomo", "--target", target, "--config", config, "--out", str(tmp_path)]) == 0
+
+
 def test_tomo_without_out_prints_payload(capsys):
     code = main(["tomo", "--preset", "btc", "--target", "SQ2"])
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 
 from spinpair.spinops import (
     SpinSystem,
+    _kron2,
     angular_momentum,
     free_evolution,
     hamiltonian,
@@ -11,6 +12,13 @@ from spinpair.spinops import (
     pulse,
 )
 from spinpair.states import pseudopure_00
+
+
+def test_kron2_equals_np_kron_bit_for_bit():
+    rng = np.random.default_rng(48)
+    for _ in range(500):
+        a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        assert _kron2(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 def test_pauli_z_diagonals():

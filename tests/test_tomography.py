@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix
-from spinpair.spinops import pulse
-from spinpair.states import coherence_state
+from spinpair.spinops import _EYE2, _single_spin_rotation, pulse
+from spinpair.states import coherence_state, validate_density_matrix
 from spinpair.tomography import (
+    DETECTED_ELEMENTS,
     SETTINGS,
     TomographyRecord,
     _design_matrix,
     fidelity,
+    readout_unitary,
     reconstruct,
     simulate_readout,
 )
@@ -85,6 +89,137 @@ def test_reconstruct_requires_all_settings():
     records = records_for(np.eye(4) / 4)[:3]
     with pytest.raises(ValueError, match="missing"):
         reconstruct(records)
+
+
+# ----------------------------------------------------------------------
+# The constant readout and reconstruction maps against the earlier
+# per-call implementation, kept here verbatim as the reference
+# (its design-matrix cache replaced by a module constant).
+# ----------------------------------------------------------------------
+
+
+def _reference_readout_unitary(setting: str) -> np.ndarray:
+    """The readout rotations built with np.kron."""
+    x, y = (_single_spin_rotation(np.pi / 2.0, axis) for axis in ("x", "y"))
+    unitaries = {"II": np.eye(4, dtype=complex), "IX": np.kron(_EYE2, x),
+                 "IY": np.kron(_EYE2, y), "XX": np.kron(x, x)}
+    return unitaries[setting]
+
+
+def _reference_detected_observables(rho: np.ndarray, setting: str) -> list[float]:
+    u = _reference_readout_unitary(setting)
+    rotated = u @ rho @ u.conj().T
+    obs: list[float] = []
+    for r, s in DETECTED_ELEMENTS:
+        obs.append(float(rotated[r, s].real))
+        obs.append(float(rotated[r, s].imag))
+    return obs
+
+
+def _reference_deviation_basis() -> list[np.ndarray]:
+    """15 traceless Hermitian matrices spanning the unit-trace manifold's tangent."""
+    basis: list[np.ndarray] = []
+    for r in range(4):
+        for s in range(r + 1, 4):
+            sym = np.zeros((4, 4), dtype=complex)
+            sym[r, s] = sym[s, r] = 1.0
+            basis.append(sym)
+            antisym = np.zeros((4, 4), dtype=complex)
+            antisym[r, s] = -1j
+            antisym[s, r] = 1j
+            basis.append(antisym)
+    for k in range(3):
+        diag = np.zeros((4, 4), dtype=complex)
+        diag[k, k] = 1.0
+        diag[k + 1, k + 1] = -1.0
+        basis.append(diag)
+    return basis
+
+
+def _reference_design_matrix() -> tuple[np.ndarray, list[np.ndarray]]:
+    """Observable response of each deviation-basis element under every setting."""
+    basis = _reference_deviation_basis()
+    rows = []
+    for setting in SETTINGS:
+        u = _reference_readout_unitary(setting)
+        for r, s in DETECTED_ELEMENTS:
+            row_re = np.empty(len(basis))
+            row_im = np.empty(len(basis))
+            for k, b in enumerate(basis):
+                element = (u @ b @ u.conj().T)[r, s]
+                row_re[k] = element.real
+                row_im[k] = element.imag
+            rows.append(row_re)
+            rows.append(row_im)
+    return np.vstack(rows), basis
+
+
+_REFERENCE_DESIGN = _reference_design_matrix()
+
+
+def _reference_reconstruct(records: list[TomographyRecord]) -> np.ndarray:
+    by_setting = {rec.setting: rec for rec in records}
+    if set(by_setting) != set(SETTINGS):
+        missing = sorted(set(SETTINGS) - set(by_setting))
+        raise ValueError(f"need one record per setting; missing {missing}")
+
+    design, basis = _REFERENCE_DESIGN
+
+    observed = np.concatenate([np.asarray(by_setting[s].observables) for s in SETTINGS])
+    coeffs, _, rank, _ = np.linalg.lstsq(design, observed, rcond=None)
+    if rank < len(basis):
+        raise ValueError(f"tomography design matrix is rank deficient (rank {rank} < {len(basis)})")
+
+    rho = np.eye(4, dtype=complex) / 4.0
+    for c, b in zip(coeffs, basis):
+        rho = rho + c * b
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
+
+
+@st.composite
+def tomography_states(draw):
+    """Mixed, pure and scaled-coherence density matrices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["mixed", "pure", "scaled coherence"]))
+    if family == "mixed":
+        return random_density_matrix(rng)
+    if family == "pure":
+        ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    epsilon = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["ZQ", "DQ", "SQ1", "SQ2"]))
+    return (1.0 - epsilon) * np.eye(4) / 4.0 + epsilon * coherence_state(kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tomography_states(), st.floats(0.0, 1e-3), st.integers(0, 2**32 - 1))
+def test_readout_and_reconstruction_match_reference(rho, noise, seed):
+    records = records_for(rho)
+    validated = validate_density_matrix(rho)
+    for record in records:
+        expected = _reference_detected_observables(validated, record.setting)
+        assert np.asarray(record.observables).tobytes() == np.asarray(expected).tobytes()
+        assert all(type(v) is float for v in record.observables)
+    assert np.abs(reconstruct(records) - _reference_reconstruct(records)).max() <= 2e-15
+
+    rng = np.random.default_rng(seed)
+    noisy = [TomographyRecord(rec.setting, tuple(np.asarray(rec.observables) + noise * rng.uniform(-1, 1, 8)))
+             for rec in records]
+    assert np.abs(reconstruct(noisy) - _reference_reconstruct(noisy)).max() <= 2e-15
+
+
+def test_unknown_and_missing_setting_messages():
+    message = "setting must be one of ('II', 'IX', 'IY', 'XX'), got 'YY'"
+    with pytest.raises(ValueError) as exc:
+        simulate_readout(np.eye(4) / 4, "YY")
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        readout_unitary("YY")
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        reconstruct([rec for rec in records_for(np.eye(4) / 4) if rec.setting != "IX"])
+    assert str(exc.value) == "need one record per setting; missing ['IX']"
 
 
 # ----------------------------------------------------------------------
