@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +26,19 @@ from .estimation import (
     ConvergenceError,
     DataError,
     DecayCurve,
+    RateEstimate,
     fit_exponential,
     fit_noise_model,
     gamma3_difference,
     load_curve,
+    model_consistency,
     save_curve,
     signal_model,
 )
 from .evolution import default_time_grid, propagate
 from .plotting import Series, render_decay_plot
 from .presets import PRESETS, get_preset
-from .spinops import SpinSystem
+from .spinops import SpinSystem, hamiltonian
 from .states import MAXIMALLY_MIXED, coherence_state, prepare_target
 from .tomography import SETTINGS, fidelity, reconstruct, simulate_readout
 
@@ -44,6 +46,10 @@ PREPARE_TARGETS = ("ZQ", "DQ", "SQ1", "SQ2")
 
 # Density-matrix element whose magnitude is each coherence kind's signal.
 CHARACTERISTIC_ELEMENT = {"ZQ": (1, 2), "DQ": (0, 3), "SQ1": (0, 2), "SQ2": (0, 1)}
+
+# Most times one config may ask for: superoperator's (T, 16, 16) float stack
+# then takes about 200 MB.
+MAX_TIME_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -139,6 +145,10 @@ def _parse_noise(value) -> NoiseParams:
             f"noise: nbar = {noise.nbar} is not supported; the generator models "
             "the infinite-temperature limit nbar = 0.5"
         )
+    # Complete positivity keeps propagated states positive; square roots do not underflow.
+    if abs(noise.gamma3) > 2.0 * math.sqrt(noise.gamma1) * math.sqrt(noise.gamma2):
+        raise ConfigError(f"noise.gamma3: |gamma3| = {abs(noise.gamma3):g} exceeds 2 sqrt(gamma1 "
+                          "gamma2), so the generator is not completely positive")
     return noise
 
 
@@ -147,12 +157,16 @@ def _parse_time_grid(value) -> np.ndarray:
         start = _number(value.get("start", 1e-3), "time_grid.start")
         stop = _number(value.get("stop", 10.0), "time_grid.stop")
         points = _integer(value.get("points", 64), "time_grid.points")
+        if points > MAX_TIME_POINTS:
+            raise ConfigError(f"time_grid.points: at most {MAX_TIME_POINTS}, got {points}")
         try:
             return default_time_grid(start=start, stop=stop, points=points)
         except ValueError as exc:
             raise ConfigError(f"time_grid: {exc}") from None
     if not isinstance(value, list):
         raise ConfigError("time_grid: expected a list of seconds or {start, stop, points}")
+    if len(value) > MAX_TIME_POINTS:
+        raise ConfigError(f"time_grid: at most {MAX_TIME_POINTS} times, got {len(value)}")
     grid = np.array([_number(v, f"time_grid[{i}]") for i, v in enumerate(value)], dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ConfigError("time_grid: must be a strictly increasing list of non-negative seconds")
@@ -235,9 +249,18 @@ def _scaled_target(kind: str, epsilon: float) -> np.ndarray:
 
 def _prepared_state(target: str, config: RunConfig) -> np.ndarray:
     system = config.require_system()
-    if target in ("ZQ", "DQ") and system.j12 == 0:
-        raise ConfigError(f"system.j12: {target} preparation needs the delay 1/(2 J12), "
-                          "so J12 must be non-zero")
+    if target in ("ZQ", "DQ"):
+        # The largest phase that each half of the 1/(2 |J12|) delay turns,
+        # computed as the preparation computes it: inf or nan for J12 = 0.
+        nu_rf = config.nu_rf if config.nu_rf is not None else 0.5 * (system.nu1 + system.nu2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            half_delay = np.float64(1.0) / (2.0 * abs(system.j12)) / 2.0
+            energies = np.diag(hamiltonian(system, nu_rf)) if math.isfinite(nu_rf) else np.inf
+            phase = np.abs(energies).max() * half_delay
+        if not np.isfinite(phase):
+            raise ConfigError(f"system.j12: {target} preparation evolves freely for 1/(2 |J12|) and the "
+                              f"phase must stay finite (J12 = {system.j12:g}, nu1 = {system.nu1:g}, "
+                              f"nu2 = {system.nu2:g} Hz)")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return prepare_target(target, system, config.epsilon, config.nu_rf)
@@ -400,25 +423,23 @@ def cmd_fit(args) -> int:
             payload[f"{kind}_amplitude"] = est.amplitude
         if config.noise is not None:
             context = config.noise
-            base = context.gamma1 + context.gamma2 + 0.5 * (context.Gamma1 + context.Gamma2)
+            c = model_consistency(estimates["ZQ"], estimates["DQ"], context)
             payload.update(
                 gamma1=context.gamma1,
                 gamma2=context.gamma2,
                 Gamma1=context.Gamma1,
                 Gamma2=context.Gamma2,
-                zq_rate_predicted=base - diff.rate,
-                dq_rate_predicted=base + diff.rate,
-                zq_rate_mismatch=base - diff.rate - estimates["ZQ"].rate,
-                dq_rate_mismatch=base + diff.rate - estimates["DQ"].rate,
+                zq_rate_predicted=c.zq_rate_predicted,
+                dq_rate_predicted=c.dq_rate_predicted,
+                zq_rate_mismatch=c.zq_rate_mismatch,
+                dq_rate_mismatch=c.dq_rate_mismatch,
             )
         fitted_rates = {kind: est.rate for kind, est in estimates.items()}
         fitted_amplitudes = {kind: est.amplitude for kind, est in estimates.items()}
         print(f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} 1/s (difference estimator)")
     else:
         fixed: dict[str, float] = {}
-        needed = {"SQ1": "gamma1", "SQ2": "gamma2",
-                  estimation.KIND_T1_SPIN1: "Gamma1", estimation.KIND_T1_SPIN2: "Gamma2"}
-        for kind, name in needed.items():
+        for name, kind in estimation.PINNING_KIND.items():
             if kind not in curves:
                 if config.noise is None:
                     raise DataError(
@@ -452,23 +473,20 @@ def cmd_fit(args) -> int:
 def _report_entry(name: str) -> dict:
     preset = get_preset(name)
     rates = preset.rates
-    gamma3 = rates.gamma3
-    stderr = 0.5 * float(np.hypot(rates.zq_rate_err, rates.dq_rate_err))
     # Model prediction with the measured 1/T2 dephasing and 1/T1 damping rates.
-    base = rates.t2_rate_1 + rates.t2_rate_2 + 0.5 * (rates.Gamma1 + rates.Gamma2)
-    zq_predicted = base - gamma3
-    dq_predicted = base + gamma3
+    measured_model = NoiseParams(rates.t2_rate_1, rates.t2_rate_2, rates.gamma3,
+                                 rates.Gamma1, rates.Gamma2)
+    consistency = asdict(model_consistency(
+        RateEstimate(rates.zq_rate, rates.zq_rate_err, 0.0),
+        RateEstimate(rates.dq_rate, rates.dq_rate_err, 0.0),
+        measured_model,
+    ))
     return {
         "preset": name,
         "molecule": preset.system.name,
-        "gamma3": gamma3,
-        "gamma3_stderr": stderr,
-        "zq_rate_measured": rates.zq_rate,
-        "dq_rate_measured": rates.dq_rate,
-        "zq_rate_predicted": zq_predicted,
-        "dq_rate_predicted": dq_predicted,
-        "zq_rate_mismatch": zq_predicted - rates.zq_rate,
-        "dq_rate_mismatch": dq_predicted - rates.dq_rate,
+        "gamma3": consistency.pop("gamma3_difference"),
+        "gamma3_stderr": consistency.pop("gamma3_difference_stderr"),
+        **consistency,
         "noise": preset.noise.as_dict(),
     }
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channels import NoiseParams
-from .evolution import coherence_decay_rate
 
 KIND_T1_SPIN1 = "T1_inversion_recovery_spin1"
 KIND_T1_SPIN2 = "T1_inversion_recovery_spin2"
@@ -30,15 +29,23 @@ CURVE_KINDS = (KIND_T1_SPIN1, KIND_T1_SPIN2, KIND_SQ1, KIND_SQ2, KIND_ZQ, KIND_D
 RECOVERY_KINDS = (KIND_T1_SPIN1, KIND_T1_SPIN2)
 COHERENCE_CURVE_KINDS = (KIND_SQ1, KIND_SQ2, KIND_ZQ, KIND_DQ)
 
-# Rate parameter pinned by each single-rate experiment kind.
-_KIND_PARAM = {
-    KIND_SQ1: "gamma1",
-    KIND_SQ2: "gamma2",
-    KIND_T1_SPIN1: "Gamma1",
-    KIND_T1_SPIN2: "Gamma2",
+RATE_NAMES = ("gamma1", "gamma2", "gamma3", "Gamma1", "Gamma2")
+
+# The decay rate each curve kind probes, as coefficients of RATE_NAMES:
+# R_ZQ/DQ = gamma1 + gamma2 -/+ gamma3 + (Gamma1 + Gamma2) / 2.
+RATE_TABLE = {
+    KIND_SQ1: (1.0, 0.0, 0.0, 0.0, 0.0),
+    KIND_SQ2: (0.0, 1.0, 0.0, 0.0, 0.0),
+    KIND_T1_SPIN1: (0.0, 0.0, 0.0, 1.0, 0.0),
+    KIND_T1_SPIN2: (0.0, 0.0, 0.0, 0.0, 1.0),
+    KIND_ZQ: (1.0, 1.0, -1.0, 0.5, 0.5),
+    KIND_DQ: (1.0, 1.0, 1.0, 0.5, 0.5),
 }
 
-_RATE_NAMES = ("gamma1", "gamma2", "gamma3", "Gamma1", "Gamma2")
+# Each rate that a single curve kind probes alone, with that pinning kind.
+PINNING_KIND = {
+    RATE_NAMES[row.index(1.0)]: kind for kind, row in RATE_TABLE.items() if row.count(0.0) == 4
+}
 
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
@@ -134,8 +141,8 @@ class FitReport:
     converged: bool
     convergence_reason: str
     iterations: int
+    consistency: ModelConsistency
     fixed: tuple[str, ...] = ()
-    consistency: ModelConsistency | None = None
 
     def to_dict(self) -> dict:
         """Flat JSON-ready view of the report."""
@@ -150,28 +157,25 @@ class FitReport:
         out["convergence_reason"] = self.convergence_reason
         out["iterations"] = self.iterations
         out["fixed"] = sorted(self.fixed)
-        if self.consistency is not None:
-            c = self.consistency
-            out.update(
-                gamma3_difference=c.gamma3_difference,
-                gamma3_difference_stderr=c.gamma3_difference_stderr,
-                zq_rate_measured=c.zq_rate_measured,
-                dq_rate_measured=c.dq_rate_measured,
-                zq_rate_predicted=c.zq_rate_predicted,
-                dq_rate_predicted=c.dq_rate_predicted,
-                zq_rate_mismatch=c.zq_rate_mismatch,
-                dq_rate_mismatch=c.dq_rate_mismatch,
-            )
+        out.update(asdict(self.consistency))
         return out
 
 
+def _table_rates(coeffs, rates):
+    """RATE_TABLE coefficients (one row, or five columns) applied to the five
+    rates, in RATE_NAMES order.  The grouping makes a ZQ/DQ row bit for bit
+    gamma1 + gamma2 + 0.5 * (Gamma1 + Gamma2) -/+ gamma3."""
+    c1, c2, c3, d1, d2 = coeffs
+    gamma1, gamma2, gamma3, big_gamma1, big_gamma2 = rates
+    return (c1 * gamma1 + c2 * gamma2) + (d1 * big_gamma1 + d2 * big_gamma2) + c3 * gamma3
+
+
 def rate_for_kind(kind: str, params: NoiseParams) -> float:
-    """Model decay rate probed by the experiment kind."""
-    if kind == KIND_ZQ or kind == KIND_DQ:
-        return coherence_decay_rate(kind, params)
-    if kind in _KIND_PARAM:
-        return getattr(params, _KIND_PARAM[kind])
-    raise ValueError(f"unknown curve kind {kind!r}")
+    """Model decay rate (1/s) probed by the experiment kind: its RATE_TABLE row."""
+    if kind not in RATE_TABLE:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    rates = (params.gamma1, params.gamma2, params.gamma3, params.Gamma1, params.Gamma2)
+    return _table_rates(RATE_TABLE[kind], rates)
 
 
 def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
@@ -296,7 +300,11 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
             rate = math.log(ratio) / (t[1] - t[0])
     rate = float(np.clip(rate, *RATE_GUESS_BOUNDS))
     if curve.kind not in RECOVERY_KINDS and t[0] > 0:
-        amplitude = float(s[0] * math.exp(rate * t[0]))
+        try:
+            amplitude = float(s[0] * math.exp(rate * t[0]))
+        except OverflowError:
+            raise ConvergenceError(f"{curve.kind}: the amplitude extrapolated to t = 0 overflows; "
+                                   "cannot start the fit") from None
     return float(amplitude), rate
 
 
@@ -354,23 +362,28 @@ def gamma3_difference(r_zq: RateEstimate, r_dq: RateEstimate) -> RateEstimate:
     )
 
 
+def model_consistency(zq: RateEstimate, dq: RateEstimate, rates: NoiseParams) -> ModelConsistency:
+    """The ZQ/DQ rates of the RATE_TABLE model at `rates`, with gamma3 replaced
+    by the difference estimate from `zq` and `dq`, against the measured ones."""
+    difference = gamma3_difference(zq, dq)
+    values = (rates.gamma1, rates.gamma2, difference.rate, rates.Gamma1, rates.Gamma2)
+    zq_predicted = _table_rates(RATE_TABLE[KIND_ZQ], values)
+    dq_predicted = _table_rates(RATE_TABLE[KIND_DQ], values)
+    return ModelConsistency(
+        gamma3_difference=difference.rate,
+        gamma3_difference_stderr=difference.stderr,
+        zq_rate_measured=zq.rate,
+        dq_rate_measured=dq.rate,
+        zq_rate_predicted=zq_predicted,
+        dq_rate_predicted=dq_predicted,
+        zq_rate_mismatch=zq_predicted - zq.rate,
+        dq_rate_mismatch=dq_predicted - dq.rate,
+    )
+
+
 # ----------------------------------------------------------------------
 # Joint noise-model fit
 # ----------------------------------------------------------------------
-
-
-def _rate_partials(kind: str) -> dict[str, float]:
-    """d(rate)/d(param) for the kind's model decay rate."""
-    if kind == KIND_ZQ:
-        return {"gamma1": 1.0, "gamma2": 1.0, "gamma3": -1.0, "Gamma1": 0.5, "Gamma2": 0.5}
-    if kind == KIND_DQ:
-        return {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 1.0, "Gamma1": 0.5, "Gamma2": 0.5}
-    return {_KIND_PARAM[kind]: 1.0}
-
-
-def _rate_from_values(kind: str, values: dict[str, float]) -> float:
-    partials = _rate_partials(kind)
-    return sum(coeff * values[name] for name, coeff in partials.items())
 
 
 def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = None) -> FitReport:
@@ -397,10 +410,9 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
     difference = gamma3_difference(individual[KIND_ZQ], individual[KIND_DQ])
 
-    free: list[str] = []
-    values: dict[str, float] = {}
-    for name in ("gamma1", "gamma2", "Gamma1", "Gamma2"):
-        pinning = next(k for k, p in _KIND_PARAM.items() if p == name)
+    free: list[str] = []  # fitted besides gamma3, which is always fitted
+    values = {"gamma3": difference.rate}
+    for name, pinning in PINNING_KIND.items():
         if name in fixed:
             values[name] = float(fixed[name])
         elif pinning in by_kind:
@@ -410,18 +422,24 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
             raise DataError(
                 f"rate {name!r} has no curve of kind {pinning!r} and no fixed value"
             )
-    free.append("gamma3")
-    values["gamma3"] = difference.rate
 
     kinds = [kind for kind in CURVE_KINDS if kind in by_kind]
-    n_rates = len(free)
+    # The fit vector x holds the square roots of the free rates, then gamma3,
+    # then one amplitude per kind.
+    fitted = (*free, "gamma3")
+    n_rates = len(fitted)
+    fitted_at = [RATE_NAMES.index(name) for name in fitted]
+    start = np.array([values[name] for name in RATE_NAMES])
+    # The table's columns for the fitted kinds, and each kind's coefficients
+    # of the fitted rates, which are its rate's partial derivatives.
+    columns = np.array([RATE_TABLE[kind] for kind in kinds]).T
+    fitted_coeffs = columns[fitted_at].T
 
     def unpack(x):
-        rates = dict(values)
-        for i, name in enumerate(free):
-            rates[name] = x[i] ** 2 if name != "gamma3" else x[i]
-        amplitudes = {kind: x[n_rates + j] for j, kind in enumerate(kinds)}
-        return rates, amplitudes
+        """The five rates in RATE_NAMES order."""
+        rates = start.copy()
+        rates[fitted_at] = np.append(x[: n_rates - 1] ** 2, x[n_rates - 1])
+        return rates
 
     weights = {
         kind: (1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c)))
@@ -430,50 +448,32 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     all_weighted = all(by_kind[k].sigmas is not None for k in kinds)
 
     def residual_jac(x):
-        rates, amplitudes = unpack(x)
+        kind_rates = _table_rates(columns, unpack(x))
+        chain = np.append(2.0 * x[: n_rates - 1], 1.0)
         blocks_r, blocks_j = [], []
         for j, kind in enumerate(kinds):
             curve = by_kind[kind]
-            rate = _rate_from_values(kind, rates)
-            vals, d_amp, d_rate = _curve_model(kind, curve.times, amplitudes[kind], rate)
+            vals, d_amp, d_rate = _curve_model(kind, curve.times, x[n_rates + j], kind_rates[j])
             w = weights[kind]
             blocks_r.append((vals - curve.signals) * w)
             jac = np.zeros((len(curve), n_rates + len(kinds)))
-            partials = _rate_partials(kind)
-            for i, name in enumerate(free):
-                if name not in partials:
-                    continue
-                chain = 1.0 if name == "gamma3" else 2.0 * x[i]
-                jac[:, i] = d_rate * partials[name] * chain * w
+            jac[:, :n_rates] = np.outer(d_rate, fitted_coeffs[j] * chain) * w[:, None]
             jac[:, n_rates + j] = d_amp * w
             blocks_j.append(jac)
         return np.concatenate(blocks_r), np.vstack(blocks_j)
 
-    x0 = np.empty(n_rates + len(kinds))
-    for i, name in enumerate(free):
-        x0[i] = values[name] if name == "gamma3" else math.sqrt(values[name])
-    for j, kind in enumerate(kinds):
-        x0[n_rates + j] = individual[kind].amplitude
-
+    x0 = np.concatenate((np.sqrt(start[fitted_at[:-1]]), [difference.rate],
+                         [individual[kind].amplitude for kind in kinds]))
     x, r, jac, converged, reason, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
 
-    rates, amplitudes = unpack(x)
     cov = _parameter_covariance(r, jac, weighted=all_weighted)
-    stderr: dict[str, float] = {}
-    for i, name in enumerate(free):
-        chain = 1.0 if name == "gamma3" else 2.0 * abs(x[i])
-        stderr[name] = float(np.sqrt(max(cov[i, i], 0.0)) * chain)
+    scale = np.append(2.0 * np.abs(x[: n_rates - 1]), 1.0)
+    stderr = dict(zip(fitted, (np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)) * scale).tolist()))
 
     try:
-        params = NoiseParams(
-            gamma1=rates["gamma1"],
-            gamma2=rates["gamma2"],
-            gamma3=rates["gamma3"],
-            Gamma1=rates["Gamma1"],
-            Gamma2=rates["Gamma2"],
-        )
+        params = NoiseParams(**dict(zip(RATE_NAMES, unpack(x).tolist())))
     except ValueError as exc:
         raise ConvergenceError(f"fitted rates violate positivity constraints: {exc}") from exc
 
@@ -484,29 +484,16 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         per_curve[kind] = float(np.linalg.norm(r[offset : offset + n]))
         offset += n
 
-    predicted = dict(rates)
-    predicted["gamma3"] = difference.rate
-    consistency = ModelConsistency(
-        gamma3_difference=difference.rate,
-        gamma3_difference_stderr=difference.stderr,
-        zq_rate_measured=individual[KIND_ZQ].rate,
-        dq_rate_measured=individual[KIND_DQ].rate,
-        zq_rate_predicted=_rate_from_values(KIND_ZQ, predicted),
-        dq_rate_predicted=_rate_from_values(KIND_DQ, predicted),
-        zq_rate_mismatch=_rate_from_values(KIND_ZQ, predicted) - individual[KIND_ZQ].rate,
-        dq_rate_mismatch=_rate_from_values(KIND_DQ, predicted) - individual[KIND_DQ].rate,
-    )
-
     return FitReport(
         params=params,
         stderr=stderr,
-        amplitudes=amplitudes,
+        amplitudes={kind: x[n_rates + j] for j, kind in enumerate(kinds)},
         per_curve_residuals=per_curve,
         converged=converged,
         convergence_reason=reason,
         iterations=iterations,
         fixed=tuple(sorted(fixed)),
-        consistency=consistency,
+        consistency=model_consistency(individual[KIND_ZQ], individual[KIND_DQ], params),
     )
 
 

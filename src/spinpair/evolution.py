@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .channels import NoiseParams, vectorize
+from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from .states import validate_density_matrix
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential.
@@ -61,16 +62,6 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
-
-
-def coherence_decay_rate(kind: str, params: NoiseParams) -> float:
-    """Decay rate (1/s) of the ZQ or DQ coherence element under the full generator."""
-    base = params.gamma1 + params.gamma2 + 0.5 * (params.Gamma1 + params.Gamma2)
-    if kind == "ZQ":
-        return base - params.gamma3
-    if kind == "DQ":
-        return base + params.gamma3
-    raise ValueError(f"kind must be 'ZQ' or 'DQ', got {kind!r}")
 
 
 # The ten distinct non-zero entries of exp(Z t), in the order _block_values
@@ -147,7 +138,7 @@ def superoperator(params: NoiseParams, times) -> np.ndarray:
             f"nbar = {params.nbar} is not supported: the generator models the "
             "infinite-temperature limit nbar = 0.5"
         )
-    zq_rate, dq_rate = coherence_decay_rate("ZQ", params), coherence_decay_rate("DQ", params)
+    zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
     values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
     out = np.zeros((times.size, 256))
     out[:, _FLAT] = values.reshape(times.size, _N_VALUES)[:, _VALUE]

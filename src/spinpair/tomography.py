@@ -108,7 +108,9 @@ def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
 
     Solves for the 15 real degrees of freedom of a unit-trace Hermitian
     matrix from the collected observables with a precomputed linear map,
-    then symmetrizes and trace-normalizes the result.
+    then trace-normalizes the result.  The result is exactly Hermitian: the
+    map's rows for entries (r, s) and (s, r) are exact complex conjugates,
+    since the basis entries are 0, +-1 and +-i.
     """
     by_setting = {rec.setting: rec for rec in records}
     if set(by_setting) != set(SETTINGS):
@@ -117,7 +119,6 @@ def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
 
     observed = np.array([v for s in SETTINGS for v in by_setting[s].observables])
     rho = MAXIMALLY_MIXED + (_RECONSTRUCTION @ observed).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
     return rho / rho.trace().real
 
 

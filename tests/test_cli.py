@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_cp_params
 from spinpair.channels import NoiseParams
-from spinpair.cli import main
+from spinpair.cli import MAX_TIME_POINTS, _report_entry, main
 from spinpair.estimation import (
     KIND_DQ,
     KIND_SQ1,
@@ -16,9 +17,11 @@ from spinpair.estimation import (
     fit_exponential,
     load_curve,
     suggested_times,
+    rate_for_kind,
     synthetic_curve,
     save_curve,
 )
+from spinpair.presets import PRESETS, MeasuredRates, Preset
 
 ALL_KINDS = (KIND_T1_SPIN1, KIND_T1_SPIN2, KIND_SQ1, KIND_SQ2, KIND_ZQ, KIND_DQ)
 
@@ -243,6 +246,18 @@ def test_fit_rejects_unknown_kind(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_overflowing_start_is_fit_error(tmp_path, capsys):
+    # The first two samples give a steep decay, which extrapolated from t = 1 s
+    # back to t = 0 overflows the starting amplitude.
+    paths = measured_rate_curves(tmp_path)
+    zq = tmp_path / "steep.csv"
+    zq.write_text("t,signal\n1.0,1e300\n4.2,5e-324\n400,1\n1e300,0.5\n", encoding="utf-8")
+    code = main(["fit", "--curve", f"ZQ={zq}", "--curve", f"DQ={paths[KIND_DQ]}",
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "fit error: ZQ: the amplitude extrapolated to t = 0 overflows" in capsys.readouterr().err
+
+
 def test_fit_non_convergence_exit_code(tmp_path, capsys, monkeypatch):
     import spinpair.cli as cli_module
     from spinpair.estimation import ConvergenceError
@@ -280,6 +295,42 @@ def test_report_csv_format(tmp_path):
     lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("preset,molecule,gamma3")
     assert len(lines) == 4
+
+
+def test_report_entry_matches_hand_written_formula(monkeypatch):
+    # The report's diagnostic, written out by hand as it was before it came
+    # from the shared rate table.  np.hypot and math.hypot may round the
+    # stderr differently in the last bit.
+    rng = np.random.default_rng(62)
+    for _ in range(50):
+        params = random_cp_params(rng)
+        errs = rng.uniform(0.001, 0.5, 6)
+        rates = MeasuredRates(
+            Gamma1=params.Gamma1, Gamma1_err=errs[0], Gamma2=params.Gamma2, Gamma2_err=errs[1],
+            t2_rate_1=params.gamma1, t2_rate_1_err=errs[2],
+            t2_rate_2=params.gamma2, t2_rate_2_err=errs[3],
+            zq_rate=rate_for_kind(KIND_ZQ, params) * rng.uniform(0.9, 1.1), zq_rate_err=errs[4],
+            dq_rate=rate_for_kind(KIND_DQ, params) * rng.uniform(0.9, 1.1), dq_rate_err=errs[5],
+        )
+        monkeypatch.setitem(PRESETS, "random", Preset(PRESETS["btc"].system, rates, params))
+        entry = _report_entry("random")
+        base = rates.t2_rate_1 + rates.t2_rate_2 + 0.5 * (rates.Gamma1 + rates.Gamma2)
+        expected = {
+            "preset": "random",
+            "molecule": "BTC acid",
+            "gamma3": rates.gamma3,
+            "zq_rate_measured": rates.zq_rate,
+            "dq_rate_measured": rates.dq_rate,
+            "zq_rate_predicted": base - rates.gamma3,
+            "dq_rate_predicted": base + rates.gamma3,
+            "zq_rate_mismatch": base - rates.gamma3 - rates.zq_rate,
+            "dq_rate_mismatch": base + rates.gamma3 - rates.dq_rate,
+            "noise": params.as_dict(),
+        }
+        stderr = entry.pop("gamma3_stderr")
+        assert entry == expected
+        assert stderr == pytest.approx(0.5 * float(np.hypot(rates.zq_rate_err, rates.dq_rate_err)),
+                                       rel=3e-16, abs=0.0)
 
 
 def test_unknown_preset_is_config_error(capsys):
@@ -352,6 +403,8 @@ def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
         ({"time_grid": {"points": 8.7}}, [], "time_grid.points"),
         ({"noise_sigma": 0.1}, ["--seed", "-1"], "seed"),
         ({}, ["--nu-rf", "nan"], "--nu-rf"),
+        ({"time_grid": {"points": MAX_TIME_POINTS + 1}}, [], "time_grid.points"),
+        ({"time_grid": [float(t) for t in range(MAX_TIME_POINTS + 1)]}, [], "time_grid"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, fields, flags, name):
@@ -411,6 +464,21 @@ NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0
          "noise.gamma3"),
         (["tomo", "--target", "DQ"], {"noise": {**NOISE, "nbar": True}}, "noise.nbar"),
         (["tomo", "--target", "DQ"], {"time_grid": {"start": True}}, "time_grid.start"),
+        # A tiny J12 overflows the free-evolution phase over the 1/(2 |J12|) delay.
+        (["prepare", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": 1e-308}}, "system.j12"),
+        (["tomo", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": 1e-308}}, "system.j12"),
+        (["prepare", "--target", "ZQ"], {"system": {**UNCOUPLED, "j12": 5e-324}}, "system.j12"),
+        (["tomo", "--target", "ZQ"], {"system": {"nu1": 1e9, "nu2": 2e9, "j12": 1e-300}},
+         "system.j12"),
+        # The default frame frequency, the shift midpoint, overflows.
+        (["prepare", "--target", "ZQ"], {"system": {"nu1": 1.7e308, "nu2": 1.6e308, "j12": 4.2}},
+         "system.j12"),
+        # Rates outside the completely positive region drive this state out of
+        # the positive cone.
+        (["tomo", "--target", "ZQ", "--time=1e300"],
+         {"system": {"nu1": 0, "nu2": 5e-324, "j12": 1e-308},
+          "noise": {"gamma1": 0, "gamma2": 1e300, "gamma3": 1e300, "Gamma1": 0, "Gamma2": 1e-308}},
+         "noise.gamma3"),
     ],
 )
 def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):

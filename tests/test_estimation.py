@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_cp_params
-from spinpair.channels import NoiseParams
+from spinpair.channels import NoiseParams, full_generator
 from spinpair.estimation import (
+    CURVE_KINDS,
     KIND_DQ,
     KIND_SQ1,
     KIND_SQ2,
     KIND_T1_SPIN1,
     KIND_T1_SPIN2,
     KIND_ZQ,
+    PINNING_KIND,
+    RATE_TABLE,
     ConvergenceError,
     DataError,
     DecayCurve,
@@ -79,6 +82,48 @@ def test_rate_for_kind_mapping():
     assert rate_for_kind(KIND_T1_SPIN2, BTC_LIKE) == BTC_LIKE.Gamma2
     zq = BTC_LIKE.gamma1 + BTC_LIKE.gamma2 - BTC_LIKE.gamma3 + 0.5 * (BTC_LIKE.Gamma1 + BTC_LIKE.Gamma2)
     assert rate_for_kind(KIND_ZQ, BTC_LIKE) == pytest.approx(zq)
+
+
+def test_rate_for_kind_examples():
+    zero = NoiseParams(0, 0, 0, 0, 0)
+    assert rate_for_kind(KIND_ZQ, zero) == 0.0
+    assert rate_for_kind(KIND_DQ, zero) == 0.0
+    ones = NoiseParams(1, 1, 1, 0, 0)
+    assert rate_for_kind(KIND_ZQ, ones) == pytest.approx(1.0)
+    assert rate_for_kind(KIND_DQ, ones) == pytest.approx(3.0)
+    for bad in ("XQ", "zq", None):
+        with pytest.raises(ValueError, match="unknown curve kind"):
+            rate_for_kind(bad, ones)
+
+
+def test_rate_for_kind_difference_identity():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        params = random_cp_params(rng)
+        diff = rate_for_kind(KIND_DQ, params) - rate_for_kind(KIND_ZQ, params)
+        assert diff == pytest.approx(2.0 * params.gamma3, rel=1e-12, abs=1e-12)
+
+
+def test_rate_table_matches_generator():
+    # The ZQ/DQ rows are minus the generator's diagonal at the vec entries of
+    # rho[1, 2] and rho[0, 3] (row-major), and bit for bit the closed form
+    # gamma1 + gamma2 + (Gamma1 + Gamma2) / 2 -/+ gamma3; every other row
+    # returns the one rate its kind pins.
+    assert set(RATE_TABLE) == set(CURVE_KINDS)
+    assert PINNING_KIND == {"gamma1": KIND_SQ1, "gamma2": KIND_SQ2,
+                            "Gamma1": KIND_T1_SPIN1, "Gamma2": KIND_T1_SPIN2}
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        params = random_cp_params(rng)
+        diagonal = np.diag(full_generator(params))
+        base = params.gamma1 + params.gamma2 + 0.5 * (params.Gamma1 + params.Gamma2)
+        for kind, (r, s), closed_form in ((KIND_ZQ, (1, 2), base - params.gamma3),
+                                          (KIND_DQ, (0, 3), base + params.gamma3)):
+            rate = rate_for_kind(kind, params)
+            assert abs(rate + diagonal[4 * r + s]) <= 1e-12
+            assert rate == closed_form
+        for name, kind in PINNING_KIND.items():
+            assert rate_for_kind(kind, params) == getattr(params, name)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ from spinpair.channels import (
     trace_functional,
     vectorize,
 )
+from spinpair.estimation import rate_for_kind
 from spinpair.evolution import (
-    coherence_decay_rate,
     default_time_grid,
     matrix_exp,
     propagate,
@@ -309,29 +309,7 @@ def test_analytic_state_rejects_negative_time_and_bad_kind():
     with pytest.raises(ValueError):
         propagate(coherence_state("ZQ"), BTC_LIKE, -1.0)
     with pytest.raises(ValueError):
-        coherence_decay_rate("SQ1", BTC_LIKE)
-
-
-# ----------------------------------------------------------------------
-# Decay rates
-# ----------------------------------------------------------------------
-
-
-def test_coherence_decay_rate_examples():
-    zero = NoiseParams(0, 0, 0, 0, 0)
-    assert coherence_decay_rate("ZQ", zero) == 0.0
-    assert coherence_decay_rate("DQ", zero) == 0.0
-    ones = NoiseParams(1, 1, 1, 0, 0)
-    assert coherence_decay_rate("ZQ", ones) == pytest.approx(1.0)
-    assert coherence_decay_rate("DQ", ones) == pytest.approx(3.0)
-
-
-def test_coherence_decay_rate_difference_identity():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        params = random_cp_params(rng)
-        diff = coherence_decay_rate("DQ", params) - coherence_decay_rate("ZQ", params)
-        assert diff == pytest.approx(2.0 * params.gamma3, rel=1e-12, abs=1e-12)
+        rate_for_kind("XQ", BTC_LIKE)
 
 
 def test_default_time_grid():

@@ -201,12 +201,13 @@ def test_readout_and_reconstruction_match_reference(rho, noise, seed):
         expected = _reference_detected_observables(validated, record.setting)
         assert np.asarray(record.observables).tobytes() == np.asarray(expected).tobytes()
         assert all(type(v) is float for v in record.observables)
-    assert np.abs(reconstruct(records) - _reference_reconstruct(records)).max() <= 2e-15
-
     rng = np.random.default_rng(seed)
     noisy = [TomographyRecord(rec.setting, tuple(np.asarray(rec.observables) + noise * rng.uniform(-1, 1, 8)))
              for rec in records]
-    assert np.abs(reconstruct(noisy) - _reference_reconstruct(noisy)).max() <= 2e-15
+    for observed in (records, noisy):
+        rho_hat = reconstruct(observed)
+        assert np.abs(rho_hat - _reference_reconstruct(observed)).max() <= 2e-15
+        assert np.array_equal(rho_hat, rho_hat.conj().T)
 
 
 def test_unknown_and_missing_setting_messages():
