@@ -9,6 +9,7 @@ vec(rho)[4 r + s] = rho[r, s]; single-spin generators use the analogous
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +55,6 @@ class NoiseParams:
                 "completely positive"
             )
 
-    def is_completely_positive(self) -> bool:
-        """Strict complete-positivity of the dephasing part: gamma3^2 <= 4 g1 g2.
-
-        This is the positive-semidefiniteness of the 2x2 dephasing rate
-        matrix, strictly stronger than the non-negative-diagonal condition
-        enforced by the constructor.
-        """
-        return self.gamma3**2 <= 4.0 * self.gamma1 * self.gamma2 + 1e-15
-
     def as_dict(self) -> dict[str, float]:
         return {
             "gamma1": self.gamma1,
@@ -72,6 +64,20 @@ class NoiseParams:
             "Gamma2": self.Gamma2,
             "nbar": self.nbar,
         }
+
+
+def check_completely_positive(params: NoiseParams) -> None:
+    """Raise ValueError unless the generator is completely positive:
+    |gamma3| <= 2 sqrt(gamma1) sqrt(gamma2).
+
+    This is the positive-semidefiniteness of the 2x2 dephasing rate matrix,
+    strictly stronger than the non-negative-diagonal condition the
+    constructor enforces.  Two square roots, rather than gamma3^2 <= 4 gamma1
+    gamma2, so rates near 1e-308 do not underflow and 1e300 does not overflow.
+    """
+    if abs(params.gamma3) > 2.0 * math.sqrt(params.gamma1) * math.sqrt(params.gamma2):
+        raise ValueError(f"|gamma3| = {abs(params.gamma3):g} exceeds 2 sqrt(gamma1 gamma2), "
+                         "so the generator is not completely positive")
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,8 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 
 def apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     """Apply the operator-sum map sum_k E_k rho E_k+ after checking completeness."""
+    if np.ndim(rho) != 2:
+        raise ValueError(f"density matrix must be 4x4, got shape {np.shape(rho)}")
     rho = validate_density_matrix(rho)
     _check_completeness(kraus, rho.shape[0])
     out = np.zeros_like(rho)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation
-from .channels import NoiseParams
+from .channels import NoiseParams, check_completely_positive
 from .estimation import (
     COHERENCE_CURVE_KINDS,
     CURVE_KINDS,
@@ -38,7 +38,7 @@ from .estimation import (
 from .evolution import default_time_grid, propagate
 from .plotting import Series, render_decay_plot
 from .presets import PRESETS, get_preset
-from .spinops import SpinSystem, hamiltonian
+from .spinops import SpinSystem
 from .states import MAXIMALLY_MIXED, coherence_state, prepare_target
 from .tomography import SETTINGS, fidelity, reconstruct, simulate_readout
 
@@ -145,10 +145,10 @@ def _parse_noise(value) -> NoiseParams:
             f"noise: nbar = {noise.nbar} is not supported; the generator models "
             "the infinite-temperature limit nbar = 0.5"
         )
-    # Complete positivity keeps propagated states positive; square roots do not underflow.
-    if abs(noise.gamma3) > 2.0 * math.sqrt(noise.gamma1) * math.sqrt(noise.gamma2):
-        raise ConfigError(f"noise.gamma3: |gamma3| = {abs(noise.gamma3):g} exceeds 2 sqrt(gamma1 "
-                          "gamma2), so the generator is not completely positive")
+    try:
+        check_completely_positive(noise)
+    except ValueError as exc:
+        raise ConfigError(f"noise.gamma3: {exc}") from None
     return noise
 
 
@@ -249,21 +249,14 @@ def _scaled_target(kind: str, epsilon: float) -> np.ndarray:
 
 def _prepared_state(target: str, config: RunConfig) -> np.ndarray:
     system = config.require_system()
-    if target in ("ZQ", "DQ"):
-        # The largest phase that each half of the 1/(2 |J12|) delay turns,
-        # computed as the preparation computes it: inf or nan for J12 = 0.
-        nu_rf = config.nu_rf if config.nu_rf is not None else 0.5 * (system.nu1 + system.nu2)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            half_delay = np.float64(1.0) / (2.0 * abs(system.j12)) / 2.0
-            energies = np.diag(hamiltonian(system, nu_rf)) if math.isfinite(nu_rf) else np.inf
-            phase = np.abs(energies).max() * half_delay
-        if not np.isfinite(phase):
-            raise ConfigError(f"system.j12: {target} preparation evolves freely for 1/(2 |J12|) and the "
-                              f"phase must stay finite (J12 = {system.j12:g}, nu1 = {system.nu1:g}, "
-                              f"nu2 = {system.nu2:g} Hz)")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return prepare_target(target, system, config.epsilon, config.nu_rf)
+        try:
+            return prepare_target(target, system, config.epsilon, config.nu_rf)
+        except ValueError as exc:
+            # Targets and epsilon are checked already: only the ZQ/DQ delay's
+            # finite-phase rule is left to fail.
+            raise ConfigError(f"system.j12: {exc}") from None
 
 
 def cmd_prepare(args) -> int:

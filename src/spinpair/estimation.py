@@ -285,27 +285,34 @@ def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.
 
 def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     """Amplitude and rate seed from the first two samples (asymptote-transformed
-    for recovery kinds, whose raw signal changes sign)."""
+    for recovery kinds, whose raw signal changes sign).
+
+    The arithmetic is on Python floats, which overflow to inf quietly where
+    numpy scalars would print a RuntimeWarning.
+    """
     t, s = curve.times, curve.signals
     if curve.kind in RECOVERY_KINDS:
-        amplitude = s[-1] if s[-1] > 0 else 1.0
-        transformed = (amplitude - s) / 2.0
+        amplitude = float(s[-1]) if s[-1] > 0 else 1.0
+        y0, y1 = (amplitude - float(s[0])) / 2.0, (amplitude - float(s[1])) / 2.0
     else:
-        amplitude = s[0] if s[0] > 0 else max(float(np.abs(s).max()), 1.0)
-        transformed = s
+        amplitude = float(s[0]) if s[0] > 0 else max(float(np.abs(s).max()), 1.0)
+        y0, y1 = float(s[0]), float(s[1])
+    t0, t1 = float(t[0]), float(t[1])
     rate = 1.0
-    if transformed[0] > 0 and transformed[1] > 0 and t[1] > t[0]:
-        ratio = transformed[0] / transformed[1]
+    if y0 > 0 and y1 > 0 and t1 > t0:
+        ratio = y0 / y1
         if ratio > 0:
-            rate = math.log(ratio) / (t[1] - t[0])
+            rate = math.log(ratio) / (t1 - t0)
     rate = float(np.clip(rate, *RATE_GUESS_BOUNDS))
-    if curve.kind not in RECOVERY_KINDS and t[0] > 0:
+    if curve.kind not in RECOVERY_KINDS and t0 > 0:
         try:
-            amplitude = float(s[0] * math.exp(rate * t[0]))
+            amplitude = float(s[0]) * math.exp(rate * t0)
         except OverflowError:
+            amplitude = math.inf
+        if math.isinf(amplitude):
             raise ConvergenceError(f"{curve.kind}: the amplitude extrapolated to t = 0 overflows; "
-                                   "cannot start the fit") from None
-    return float(amplitude), rate
+                                   "cannot start the fit")
+    return amplitude, rate
 
 
 def _curve_model(kind: str, t: np.ndarray, amplitude: float, rate: float):

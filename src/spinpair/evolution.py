@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channels import NoiseParams, vectorize
+from .channels import NoiseParams, check_completely_positive, vectorize
 from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from .states import validate_density_matrix
 
@@ -103,8 +103,11 @@ def _entry_value(n: int, m: int) -> int | None:
     return _POPULATION + 2 * spin1 + spin2
 
 
-_ENTRIES = [(16 * n + m, v) for n in range(16) for m in range(16) if (v := _entry_value(n, m)) is not None]
-_FLAT, _VALUE = (np.array(column) for column in zip(*_ENTRIES))
+# _BASIS[v, 16 n + m] is 1 where exp(Z t)[n, m] takes the v-th value, else 0
+# (a zero entry's None becomes nan, which equals no index).  Every value is
+# finite and >= 0, so values @ _BASIS places each one bit for bit.
+_INDEX = np.array([_entry_value(n, m) for n in range(16) for m in range(16)], dtype=float)
+_BASIS = (np.arange(_N_VALUES)[:, None] == _INDEX).astype(float)
 
 
 def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float) -> list[float]:
@@ -140,23 +143,30 @@ def superoperator(params: NoiseParams, times) -> np.ndarray:
         )
     zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
     values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
-    out = np.zeros((times.size, 256))
-    out[:, _FLAT] = values.reshape(times.size, _N_VALUES)[:, _VALUE]
-    return out.reshape(-1, 16, 16)
+    return (values.reshape(times.size, _N_VALUES) @ _BASIS).reshape(-1, 16, 16)
 
 
 def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     """Evolve rho0 under the full decoherence generator.
 
-    A scalar t returns the (4, 4) state at t; a 1-D array of times returns
-    the (T, 4, 4) stack of states.  The input and every output state are
-    validated as density matrices.
+    A scalar t returns the (4, 4) state at t; a 1-D array of T times returns
+    the (T, 4, 4) stack of states.  Both are views into one (T + 1, 4, 4)
+    buffer whose index 0 holds rho0, validated in one call: a bad rho0 is
+    reported as "state 0: ..." and a bad output state k as "state k + 1:
+    ...".  Checks fail in this order: the shape of rho0, complete positivity
+    of the rates (channels.check_completely_positive), t and nbar, then the
+    states.
     """
-    rho0 = validate_density_matrix(rho0)
-    states = (superoperator(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
-    for state in states:
-        validate_density_matrix(state)
-    return states if np.ndim(t) else states[0]
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got shape {rho0.shape}")
+    check_completely_positive(params)
+    superops = superoperator(params, t)
+    states = np.empty((len(superops) + 1, 4, 4), dtype=complex)
+    states[0] = rho0
+    states[1:] = (superops @ vectorize(rho0)).reshape(-1, 4, 4)
+    validate_density_matrix(states)
+    return states[1:] if np.ndim(t) else states[1]
 
 
 def default_time_grid(start: float = 1e-3, stop: float = 10.0, points: int = 64) -> np.ndarray:

@@ -5,6 +5,7 @@ echo-based preparation sequence under ideal pulses.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -37,13 +38,23 @@ def validate_density_matrix(
     """Validate finiteness, Hermiticity, unit trace, and positivity; return as
     complex array.
 
-    One pass: a nan or inf entry makes the Hermiticity deviation non-finite,
+    rho is one (4, 4) matrix or an (N, 4, 4) stack of them.  One matrix takes
+    one pass: a nan or inf entry makes the Hermiticity deviation non-finite,
     so finiteness is scanned only once that check fails (an inf entry may
     also emit numpy's "invalid value" RuntimeWarning on the way).  An
     exactly Hermitian rho equals its Hermitian part bit for bit and goes to
     eigvalsh as it is.
+
+    A stack is accepted in one vectorized pass of the same checks, with one
+    eigvalsh call for all N states, exactly when each state would be
+    accepted on its own.  On any failure the states are checked one by one,
+    and the error of the first failing state k reads "state k: " plus its
+    single-matrix message.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 3 and rho.shape[1:] == (4, 4):
+        _validate_stack(rho, herm_tol, trace_tol, eig_floor)
+        return rho
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
     rho_h = rho.conj().T
@@ -63,6 +74,36 @@ def validate_density_matrix(
     if min_eig < eig_floor:
         raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
     return rho
+
+
+def _validate_stack(rho: np.ndarray, herm_tol: float, trace_tol: float, eig_floor: float) -> None:
+    """The checks of validate_density_matrix over an (N, 4, 4) stack.
+
+    The pass accepts only when every state passes each check with the
+    single-matrix arithmetic (a nan fails every comparison here); anything
+    else is settled state by state, so the verdict is always the per-state one.
+    """
+    if not len(rho):
+        return
+    rho_h = rho.conj().transpose(0, 2, 1)
+    herm_dev = np.abs(rho - rho_h)
+    herm_max = herm_dev.max()
+    # The single check's arithmetic: ndarray.trace adds left to right on a
+    # non-contiguous stack, and np.abs of a complex array may round the
+    # modulus differently from abs of one complex scalar, which is hypot.
+    trace_dev = ((rho[:, 0, 0] + rho[:, 1, 1]) + (rho[:, 2, 2] + rho[:, 3, 3])) - 1.0
+    if herm_max <= herm_tol and np.hypot(trace_dev.real, trace_dev.imag).max() <= trace_tol:
+        hermitian = rho
+        if herm_max != 0.0:
+            exact = herm_dev.max(axis=(1, 2), keepdims=True) == 0.0
+            hermitian = np.where(exact, rho, 0.5 * (rho + rho_h))
+        if np.linalg.eigvalsh(hermitian).min() >= eig_floor:
+            return
+    for k, state in enumerate(rho):
+        try:
+            validate_density_matrix(state, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
+        except ValueError as exc:
+            raise ValueError(f"state {k}: {exc}") from None
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -104,6 +145,8 @@ def coherence_spectrum(rho: np.ndarray) -> dict[int, float]:
     Element (r, s) contributes |rho_rs|^2 to the order M[r] - M[s]; the
     diagonal falls in order 0.
     """
+    if np.ndim(rho) != 2:
+        raise ValueError(f"density matrix must be 4x4, got shape {np.shape(rho)}")
     rho = validate_density_matrix(rho)
     weights = {n: 0.0 for n in (-2, -1, 0, 1, 2)}
     for r in range(4):
@@ -125,17 +168,23 @@ def prepare_via_sequence(
 
     nu_rf is the rotating-frame frequency (Hz); the default is the midpoint
     of the two shifts.  The echo makes the prepared state independent of it.
+    The largest phase each half of the delay turns must be finite, which
+    rules out J12 = 0, a tiny J12 and an overflowing frame frequency.
     """
     if target not in ("ZQ", "DQ"):
         raise ValueError(f"target must be 'ZQ' or 'DQ', got {target!r}")
-    if system.j12 == 0:
-        raise ValueError("preparation delay 1/(2 J12) undefined for J12 = 0")
-    epsilon = _check_epsilon(epsilon)
-
     if nu_rf is None:
         nu_rf = 0.5 * (system.nu1 + system.nu2)
-    h = hamiltonian(system, nu_rf)
-    tau = 1.0 / (2.0 * abs(system.j12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hamiltonian(system, nu_rf) if math.isfinite(nu_rf) else np.full((4, 4), np.inf)
+        largest = float(np.abs(h).max())
+    tau = 1.0 / (2.0 * abs(system.j12)) if system.j12 else math.inf
+    # Python floats overflow to inf quietly, and 0 * inf is nan.
+    if not math.isfinite(largest * (tau / 2.0)):
+        raise ValueError(f"{target} preparation evolves freely for 1/(2 |J12|) and the phase must stay "
+                         f"finite (J12 = {system.j12:g}, nu1 = {system.nu1:g}, nu2 = {system.nu2:g} Hz)")
+    epsilon = _check_epsilon(epsilon)
+
     half_delay = free_evolution(h, tau / 2.0)
     refocus = pulse(np.pi, "x", "both")
     excite = pulse(np.pi / 2.0, "y", "both")

@@ -63,6 +63,8 @@ def _detected_observables(rho: np.ndarray, setting: str) -> list[float]:
 
 def simulate_readout(rho: np.ndarray, setting: str) -> TomographyRecord:
     """Expectation values observable in one tomography experiment."""
+    if np.ndim(rho) != 2:
+        raise ValueError(f"density matrix must be 4x4, got shape {np.shape(rho)}")
     rho = validate_density_matrix(rho)
     return TomographyRecord(setting, tuple(_detected_observables(rho, setting)))
 

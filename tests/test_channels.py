@@ -7,6 +7,7 @@ from spinpair.channels import (
     NoiseParams,
     TemperatureParams,
     apply_kraus,
+    check_completely_positive,
     choi_matrix,
     correlated_dephasing_generator,
     correlated_mixture,
@@ -81,13 +82,19 @@ def test_noise_params_gamma3_bounds():
 
 
 def test_noise_params_strict_cp_condition():
-    assert NoiseParams(1.0, 1.0, 1.9, 0.0, 0.0).is_completely_positive()
+    check_completely_positive(NoiseParams(1.0, 1.0, 1.9, 0.0, 0.0))
+    check_completely_positive(NoiseParams(1.0, 1.0, -2.0, 0.0, 0.0))  # on the boundary
     # Diagonal-rate condition holds but the dephasing rate matrix is indefinite.
-    assert not NoiseParams(4.0, 0.25, 3.0, 0.0, 0.0).is_completely_positive()
+    with pytest.raises(ValueError, match="not completely positive"):
+        check_completely_positive(NoiseParams(4.0, 0.25, 3.0, 0.0, 0.0))
+    # Square roots: gamma3^2 and 4 gamma1 gamma2 would both underflow to 0.
+    check_completely_positive(NoiseParams(1e-300, 1e-300, 2e-300, 0.0, 0.0))
+    with pytest.raises(ValueError, match="gamma3"):
+        check_completely_positive(NoiseParams(1e-300, 1e-300, 2.1e-300, 0.0, 0.0))
     for name in ("btc", "cytosine", "coumarin"):
         from spinpair.presets import get_preset
 
-        assert get_preset(name).noise.is_completely_positive()
+        check_completely_positive(get_preset(name).noise)
 
 
 # ----------------------------------------------------------------------

@@ -246,16 +246,41 @@ def test_fit_rejects_unknown_kind(tmp_path, capsys):
     assert code == 2
 
 
-def test_fit_overflowing_start_is_fit_error(tmp_path, capsys):
-    # The first two samples give a steep decay, which extrapolated from t = 1 s
-    # back to t = 0 overflows the starting amplitude.
+def _fit_steep_zq(tmp_path, rows):
+    """Run `fit` on a ZQ CSV of the given rows and a well-behaved DQ curve."""
     paths = measured_rate_curves(tmp_path)
     zq = tmp_path / "steep.csv"
-    zq.write_text("t,signal\n1.0,1e300\n4.2,5e-324\n400,1\n1e300,0.5\n", encoding="utf-8")
-    code = main(["fit", "--curve", f"ZQ={zq}", "--curve", f"DQ={paths[KIND_DQ]}",
+    zq.write_text("t,signal\n" + rows, encoding="utf-8")
+    return main(["fit", "--curve", f"ZQ={zq}", "--curve", f"DQ={paths[KIND_DQ]}",
                  "--out", str(tmp_path / "out")])
-    assert code == 4
-    assert "fit error: ZQ: the amplitude extrapolated to t = 0 overflows" in capsys.readouterr().err
+
+
+OVERFLOW_LINE = "fit error: ZQ: the amplitude extrapolated to t = 0 overflows; cannot start the fit\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_overflowing_start_is_fit_error(tmp_path, capsys):
+    # The first two samples give a steep decay, which extrapolated from t = 1 s
+    # back to t = 0 overflows the starting amplitude.  No numpy warning may
+    # fire on the way: stderr holds the documented line alone.
+    assert _fit_steep_zq(tmp_path, "1.0,1e300\n4.2,5e-324\n400,1\n1e300,0.5\n") == 4
+    assert capsys.readouterr().err == OVERFLOW_LINE
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_overflowing_start_product_is_fit_error(tmp_path, capsys):
+    # A gentle decay from a huge first sample: exp(R t0) is finite, but its
+    # product with the first sample is not.
+    assert _fit_steep_zq(tmp_path, "0.1,1e308\n1,1e300\n2,1e299\n3,1e298\n") == 4
+    assert capsys.readouterr().err == OVERFLOW_LINE
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_start_rate_overflow_is_quiet(tmp_path, capsys):
+    # log(s0 / s1) / (t1 - t0) overflows for a 5e-324 s first step; the seed
+    # rate is clipped to its bound without a numpy warning.
+    code = _fit_steep_zq(tmp_path, "0,1\n5e-324,1e-300\n1,0.5\n2,0.25\n")
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 def test_fit_non_convergence_exit_code(tmp_path, capsys, monkeypatch):

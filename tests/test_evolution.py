@@ -161,15 +161,43 @@ def test_propagate_rejects_non_finite_state():
         propagate(rho, BTC_LIKE, 0.1)
 
 
-def test_propagate_output_check_stays_live():
-    # Admissible rates outside the strictly CP region (gamma3^2 > 4 gamma1
-    # gamma2) drive |++><++| out of the positive cone: only the check of
-    # each output state catches it.
-    params = NoiseParams(1.0, 0.01, 1.0, 0.0, 0.0)
-    assert not params.is_completely_positive()
-    plus = np.full(4, 0.5, dtype=complex)
-    with pytest.raises(ValueError, match="not positive semidefinite"):
-        propagate(np.outer(plus, plus.conj()), params, 1.0)
+# Rates the constructor admits but outside the strictly CP region (gamma3^2 >
+# 4 gamma1 gamma2): their map drives |++><++| out of the positive cone.
+NON_CP = NoiseParams(1.0, 0.01, 1.0, 0.0, 0.0)
+PLUS = np.full((4, 4), 0.25, dtype=complex)
+
+
+def test_propagate_rejects_non_cp_rates_at_entry():
+    for rho, t in ((PLUS, 1.0), (coherence_state("ZQ"), 0.0), (PLUS, [0.5, 1.0])):
+        with pytest.raises(ValueError, match="not completely positive"):
+            propagate(rho, NON_CP, t)
+
+
+def test_propagate_output_check_stays_live(monkeypatch):
+    # The entry check turns NON_CP away, so hand propagate its map under CP
+    # rates: only the check of the output states catches the result.
+    import spinpair.evolution as evolution
+
+    bad = superoperator(NON_CP, [0.0, 1.0])
+    monkeypatch.setattr(evolution, "superoperator", lambda params, t: bad)
+    with pytest.raises(ValueError, match=r"^state 2: density matrix not positive semidefinite"):
+        propagate(PLUS, BTC_LIKE, [0.0, 1.0])
+
+
+def test_propagate_check_order():
+    # The shape of rho0, complete positivity, t and nbar, then the states:
+    # rho0 is state 0 of the one stack that is validated.
+    bad = np.eye(4, dtype=complex) / 2
+    with pytest.raises(ValueError, match=r"must be 4x4, got shape \(2, 2\)"):
+        propagate(np.eye(2) / 2, NON_CP, -1.0)
+    with pytest.raises(ValueError, match="not completely positive"):
+        propagate(bad, NON_CP, -1.0)
+    with pytest.raises(ValueError, match="t must be finite"):
+        propagate(bad, BTC_LIKE, -1.0)
+    with pytest.raises(ValueError, match="nbar"):
+        propagate(bad, NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05), 0.1)
+    with pytest.raises(ValueError, match=r"^state 0: density matrix trace != 1"):
+        propagate(bad, BTC_LIKE, [0.5, 1.0])
 
 
 def test_propagate_batched_shape():
