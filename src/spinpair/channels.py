@@ -80,6 +80,13 @@ def check_completely_positive(params: NoiseParams) -> None:
                          "so the generator is not completely positive")
 
 
+def check_infinite_temperature(params: NoiseParams) -> None:
+    """Raise ValueError unless nbar = 1/2, the only temperature the generator models."""
+    if params.nbar != 0.5:
+        raise ValueError(f"nbar = {params.nbar} is not supported: the generator models the "
+                         "infinite-temperature limit nbar = 0.5")
+
+
 @dataclass(frozen=True)
 class TemperatureParams:
     """Energy splitting (J) and reservoir temperature (K) for the nbar map."""
@@ -274,6 +281,7 @@ def correlated_dephasing_generator(gamma1: float, gamma2: float, gamma3: float) 
 def full_generator(params: NoiseParams) -> np.ndarray:
     """Full two-spin decoherence generator: correlated dephasing plus
     independent infinite-temperature amplitude damping on each spin."""
+    check_infinite_temperature(params)
     return (
         correlated_dephasing_generator(params.gamma1, params.gamma2, params.gamma3)
         + gad_generator(params.Gamma1, 1)

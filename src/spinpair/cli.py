@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation
-from .channels import NoiseParams, check_completely_positive
+from .channels import NoiseParams, check_completely_positive, check_infinite_temperature
 from .estimation import (
     COHERENCE_CURVE_KINDS,
     CURVE_KINDS,
@@ -108,18 +108,23 @@ def _parse_system(value) -> SpinSystem:
     if not isinstance(value, dict):
         raise ConfigError("system: expected a preset name or an object with nu1/nu2/j12")
     try:
-        return SpinSystem(
-            nu1=_number(value["nu1"], "system.nu1"),
-            nu2=_number(value["nu2"], "system.nu2"),
-            j12=_number(value["j12"], "system.j12"),
-            name=str(value.get("name", "")),
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            system = SpinSystem(
+                nu1=_number(value["nu1"], "system.nu1"),
+                nu2=_number(value["nu2"], "system.nu2"),
+                j12=_number(value["j12"], "system.j12"),
+                name=str(value.get("name", "")),
+            )
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"system: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"system: {exc}") from None
+    for warning in caught:
+        print(f"warning: system: {warning.message}", file=sys.stderr)
+    return system
 
 
 def _parse_noise(value) -> NoiseParams:
@@ -134,17 +139,13 @@ def _parse_noise(value) -> NoiseParams:
             Gamma2=_number(value["Gamma2"], "noise.Gamma2"),
             nbar=_number(value.get("nbar", 0.5), "noise.nbar"),
         )
+        check_infinite_temperature(noise)
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"noise: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"noise: {exc}") from None
-    if noise.nbar != 0.5:
-        raise ConfigError(
-            f"noise: nbar = {noise.nbar} is not supported; the generator models "
-            "the infinite-temperature limit nbar = 0.5"
-        )
     try:
         check_completely_positive(noise)
     except ValueError as exc:
@@ -168,7 +169,7 @@ def _parse_time_grid(value) -> np.ndarray:
     if len(value) > MAX_TIME_POINTS:
         raise ConfigError(f"time_grid: at most {MAX_TIME_POINTS} times, got {len(value)}")
     grid = np.array([_number(v, f"time_grid[{i}]") for i, v in enumerate(value)], dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
+    if grid.size < 2 or np.any(grid[1:] <= grid[:-1]) or grid[0] < 0:
         raise ConfigError("time_grid: must be a strictly increasing list of non-negative seconds")
     return grid
 
@@ -176,13 +177,13 @@ def _parse_time_grid(value) -> np.ndarray:
 def load_config(args) -> RunConfig:
     """Resolve the run configuration from preset, config file, and flags."""
     config = RunConfig()
-    if getattr(args, "preset", None):
+    if args.preset:
         preset = PRESETS.get(args.preset)
         if preset is None:
             raise ConfigError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
         config.system = preset.system
         config.noise = preset.noise
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -224,7 +225,7 @@ def load_config(args) -> RunConfig:
 
 
 def _out_dir(args) -> Path | None:
-    if getattr(args, "out", None) is None:
+    if args.out is None:
         return None
     path = Path(args.out)
     try:
@@ -521,40 +522,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--preset", help=f"built-in molecule preset: {', '.join(sorted(PRESETS))}")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--nu-rf", type=float, dest="nu_rf",
-                       help="rotating-frame frequency in Hz (default: shift midpoint)")
+    flags = {
+        "--config": dict(help="JSON run configuration"),
+        "--preset": dict(help=f"built-in molecule preset: {', '.join(sorted(PRESETS))}"),
+        "--out": dict(help="output directory"),
+        "--seed": dict(type=int, help="random seed override"),
+        "--nu-rf": dict(type=float, help="rotating-frame frequency in Hz (default: shift midpoint)"),
+    }
+
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_prepare = sub.add_parser("prepare", help="simulate state preparation and report fidelity")
-    add_common(p_prepare)
+    add_flags(p_prepare, "--config", "--preset", "--out", "--nu-rf")
     p_prepare.add_argument("--target", choices=PREPARE_TARGETS, required=True)
     p_prepare.set_defaults(func=cmd_prepare)
 
     p_decay = sub.add_parser("decay", help="sweep a decay curve and write CSV")
-    add_common(p_decay)
+    add_flags(p_decay, "--config", "--preset", "--out", "--seed")
     p_decay.add_argument("--kind", choices=CURVE_KINDS, required=True)
     p_decay.add_argument("--format", choices=("csv", "json"), default="csv")
     p_decay.set_defaults(func=cmd_decay)
 
     p_tomo = sub.add_parser("tomo", help="simulate tomography of a prepared state")
-    add_common(p_tomo)
+    add_flags(p_tomo, "--config", "--preset", "--out", "--nu-rf")
     p_tomo.add_argument("--target", choices=PREPARE_TARGETS, required=True)
     p_tomo.add_argument("--time", type=float, help="evolve under the noise model before readout")
     p_tomo.set_defaults(func=cmd_tomo)
 
     p_fit = sub.add_parser("fit", help="estimate noise rates from decay-curve CSVs")
-    add_common(p_fit)
+    add_flags(p_fit, "--config", "--preset", "--out")
     p_fit.add_argument("--curve", action="append", default=[], metavar="KIND=PATH",
                        help="decay curve CSV (repeatable)")
     p_fit.add_argument("--mode", choices=("difference", "joint"), default="difference")
     p_fit.set_defaults(func=cmd_fit)
 
     p_report = sub.add_parser("report", help="per-molecule correlated-dephasing report")
-    add_common(p_report)
+    add_flags(p_report, "--preset", "--out")
     p_report.add_argument("--format", choices=("json", "csv"), default="json")
     p_report.set_defaults(func=cmd_report)
 

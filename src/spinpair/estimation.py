@@ -79,9 +79,9 @@ class DecayCurve:
             raise DataError("times and signals must be 1-d arrays of equal length")
         if not (np.isfinite(self.times).all() and np.isfinite(self.signals).all()):
             raise DataError("times and signals must be finite")
-        if np.any(np.diff(self.times) <= 0):
-            bad = int(np.flatnonzero(np.diff(self.times) <= 0)[0]) + 1
-            raise DataError(f"times must be strictly increasing (violated at sample {bad})")
+        bad = np.flatnonzero(self.times[1:] <= self.times[:-1])
+        if bad.size:
+            raise DataError(f"times must be strictly increasing (violated at sample {bad[0] + 1})")
         if self.sigmas is not None:
             object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=float))
             if self.sigmas.shape != self.times.shape:
@@ -222,6 +222,9 @@ def synthetic_curve(
 # ----------------------------------------------------------------------
 
 
+# Residuals near 1e300 overflow the cost, so no damped step lowers it and the
+# fit reports non-convergence; numpy's overflow warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def _levenberg_marquardt(residual_jac, x0):
     """Minimize 0.5 ||r(x)||^2 with adaptive damping and analytic Jacobians.
 
@@ -548,7 +551,7 @@ def load_curve(path, kind: str) -> DecayCurve:
         raise DataError(f"{path}: no data rows")
 
     times = np.array([r[1][0] for r in rows])
-    bad = np.flatnonzero(np.diff(times) <= 0)
+    bad = np.flatnonzero(times[1:] <= times[:-1])
     if bad.size:
         lineno = rows[int(bad[0]) + 1][0]
         raise DataError(f"{path}:{lineno}: times must be strictly increasing")

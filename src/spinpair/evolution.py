@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channels import NoiseParams, check_completely_positive, vectorize
+from .channels import NoiseParams, check_completely_positive, check_infinite_temperature, vectorize
 from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from .states import validate_density_matrix
 
@@ -136,11 +136,7 @@ def superoperator(params: NoiseParams, times) -> np.ndarray:
     times = np.array(times, dtype=float, ndmin=1)
     if times.ndim != 1:
         raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
-    if params.nbar != 0.5:
-        raise ValueError(
-            f"nbar = {params.nbar} is not supported: the generator models the "
-            "infinite-temperature limit nbar = 0.5"
-        )
+    check_infinite_temperature(params)
     zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
     values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
     return (values.reshape(times.size, _N_VALUES) @ _BASIS).reshape(-1, 16, 16)

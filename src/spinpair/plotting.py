@@ -16,6 +16,7 @@ MARGIN_TOP = 32
 MARGIN_BOTTOM = 48
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+X_TICKS = 6
 
 
 @dataclass
@@ -32,40 +33,29 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _x_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
 def _decade_ticks(lo: float, hi: float) -> list[float]:
     low = math.floor(math.log10(lo))
     high = math.ceil(math.log10(hi))
     return [10.0**k for k in range(low, high + 1)]
 
 
-def render_decay_plot(series: list[Series], title: str = "", x_label: str = "time (s)",
-                      y_label: str = "signal", log_y: bool = True) -> str:
+def render_decay_plot(series: list[Series], title: str = "", y_label: str = "signal") -> str:
     """Render data points and fitted curves to an SVG document string.
 
-    With log_y, non-positive y values are dropped from the plot (decayed
-    signals at the noise floor); axes show decade ticks.
+    The y axis is logarithmic with decade ticks: non-positive y values are
+    dropped from the plot (decayed signals at the noise floor).  The x axis
+    is time in seconds.
     """
     xs = [float(v) for s in series for v in s.x]
-    ys = [float(v) for s in series for v in s.y if (not log_y or v > 0)]
+    ys = [float(v) for s in series for v in s.y if v > 0]
     if not xs or not ys:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if log_y:
-        y_lo_log, y_hi_log = math.log10(y_lo), math.log10(y_hi)
-        if y_hi_log - y_lo_log < 1e-9:
-            y_lo_log -= 0.5
-            y_hi_log += 0.5
-    elif y_hi - y_lo < 1e-12:
-        y_lo -= 0.5
-        y_hi += 0.5
+    y_lo_log, y_hi_log = math.log10(min(ys)), math.log10(max(ys))
+    if y_hi_log - y_lo_log < 1e-9:
+        y_lo_log -= 0.5
+        y_hi_log += 0.5
+    y_lo, y_hi = 10.0**y_lo_log, 10.0**y_hi_log
     if x_hi - x_lo < 1e-12:
         x_hi = x_lo + 1.0
 
@@ -74,10 +64,7 @@ def render_decay_plot(series: list[Series], title: str = "", x_label: str = "tim
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         px = MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
-        if log_y:
-            frac = (math.log10(y) - y_lo_log) / (y_hi_log - y_lo_log)
-        else:
-            frac = (y - y_lo) / (y_hi - y_lo)
+        frac = (math.log10(y) - y_lo_log) / (y_hi_log - y_lo_log)
         return px, MARGIN_TOP + (1.0 - frac) * plot_h
 
     parts = [
@@ -94,8 +81,9 @@ def render_decay_plot(series: list[Series], title: str = "", x_label: str = "tim
         )
 
     bottom = MARGIN_TOP + plot_h
-    for tick in _x_ticks(x_lo, x_hi):
-        px, _ = to_px(tick, y_hi if not log_y else 10.0**y_hi_log)
+    x_step = (x_hi - x_lo) / (X_TICKS - 1)
+    for tick in (x_lo + i * x_step for i in range(X_TICKS)):
+        px, _ = to_px(tick, y_hi)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{bottom}" x2="{_fmt(px)}" y2="{bottom + 5}" stroke="black"/>'
         )
@@ -103,9 +91,8 @@ def render_decay_plot(series: list[Series], title: str = "", x_label: str = "tim
             f'<text x="{_fmt(px)}" y="{bottom + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
-    y_ticks = _decade_ticks(10.0**y_lo_log, 10.0**y_hi_log) if log_y else _x_ticks(y_lo, y_hi, 5)
-    for tick in y_ticks:
-        if log_y and not (10.0**y_lo_log <= tick <= 10.0**y_hi_log * 1.0001):
+    for tick in _decade_ticks(y_lo, y_hi):
+        if not y_lo <= tick <= y_hi * 1.0001:
             continue
         _, py = to_px(x_lo, tick)
         parts.append(
@@ -117,7 +104,7 @@ def render_decay_plot(series: list[Series], title: str = "", x_label: str = "tim
         )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">time (s)</text>'
     )
     parts.append(
         f'<text x="16" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
@@ -128,11 +115,7 @@ def render_decay_plot(series: list[Series], title: str = "", x_label: str = "tim
     legend_y = MARGIN_TOP + 14
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = [
-            to_px(float(x), float(y))
-            for x, y in zip(s.x, s.y)
-            if (not log_y or float(y) > 0)
-        ]
+        points = [to_px(float(x), float(y)) for x, y in zip(s.x, s.y) if float(y) > 0]
         if not points:
             continue
         if s.style == "points":

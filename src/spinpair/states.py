@@ -27,14 +27,12 @@ _KET = {
 
 MAXIMALLY_MIXED = np.eye(4, dtype=complex) / 4.0
 
+HERM_TOL = 1e-12
+TRACE_TOL = 1e-12
+EIG_FLOOR = -1e-10
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace, and positivity; return as
     complex array.
 
@@ -53,13 +51,13 @@ def validate_density_matrix(
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim == 3 and rho.shape[1:] == (4, 4):
-        _validate_stack(rho, herm_tol, trace_tol, eig_floor)
+        _validate_stack(rho)
         return rho
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
     rho_h = rho.conj().T
     herm_dev = float(np.abs(rho - rho_h).max())
-    if not herm_dev <= herm_tol:
+    if not herm_dev <= HERM_TOL:
         finite = np.isfinite(rho)
         if not finite.all():
             bad = [(int(r), int(s)) for r, s in np.argwhere(~finite)]
@@ -67,16 +65,16 @@ def validate_density_matrix(
         raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
     # Summed pairwise, in the order ndarray.trace adds four entries.
     trace_dev = abs((rho[0, 0] + rho[1, 1]) + (rho[2, 2] + rho[3, 3]) - 1.0)
-    if trace_dev > trace_tol:
+    if trace_dev > TRACE_TOL:
         raise ValueError(f"density matrix trace != 1 (deviation {trace_dev:.3e})")
     hermitian = rho if herm_dev == 0.0 else 0.5 * (rho + rho_h)
     min_eig = float(np.linalg.eigvalsh(hermitian)[0])
-    if min_eig < eig_floor:
+    if min_eig < EIG_FLOOR:
         raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
     return rho
 
 
-def _validate_stack(rho: np.ndarray, herm_tol: float, trace_tol: float, eig_floor: float) -> None:
+def _validate_stack(rho: np.ndarray) -> None:
     """The checks of validate_density_matrix over an (N, 4, 4) stack.
 
     The pass accepts only when every state passes each check with the
@@ -92,16 +90,16 @@ def _validate_stack(rho: np.ndarray, herm_tol: float, trace_tol: float, eig_floo
     # non-contiguous stack, and np.abs of a complex array may round the
     # modulus differently from abs of one complex scalar, which is hypot.
     trace_dev = ((rho[:, 0, 0] + rho[:, 1, 1]) + (rho[:, 2, 2] + rho[:, 3, 3])) - 1.0
-    if herm_max <= herm_tol and np.hypot(trace_dev.real, trace_dev.imag).max() <= trace_tol:
+    if herm_max <= HERM_TOL and np.hypot(trace_dev.real, trace_dev.imag).max() <= TRACE_TOL:
         hermitian = rho
         if herm_max != 0.0:
             exact = herm_dev.max(axis=(1, 2), keepdims=True) == 0.0
             hermitian = np.where(exact, rho, 0.5 * (rho + rho_h))
-        if np.linalg.eigvalsh(hermitian).min() >= eig_floor:
+        if np.linalg.eigvalsh(hermitian).min() >= EIG_FLOOR:
             return
     for k, state in enumerate(rho):
         try:
-            validate_density_matrix(state, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
+            validate_density_matrix(state)
         except ValueError as exc:
             raise ValueError(f"state {k}: {exc}") from None
 

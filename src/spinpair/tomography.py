@@ -124,12 +124,15 @@ def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
     return rho / rho.trace().real
 
 
-def _psd_sqrt(rho: np.ndarray, clamp_tol: float = 1e-12) -> np.ndarray:
+PSD_CLAMP_TOL = 1e-12
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root with small negative eigenvalues clamped to zero."""
     eigvals, eigvecs = np.linalg.eigh(rho)
     if eigvals.min() < -1e-8:
         raise ValueError(f"matrix is significantly non-PSD (min eig {eigvals.min():.3e})")
-    clamped = np.where(eigvals > clamp_tol, eigvals, 0.0)
+    clamped = np.where(eigvals > PSD_CLAMP_TOL, eigvals, 0.0)
     return (eigvecs * np.sqrt(clamped)) @ eigvecs.conj().T
 
 

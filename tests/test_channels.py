@@ -27,7 +27,7 @@ from spinpair.channels import (
     trace_functional,
     vectorize,
 )
-from spinpair.evolution import matrix_exp
+from spinpair.evolution import matrix_exp, superoperator
 from spinpair.spinops import SIGMA, pauli
 
 
@@ -344,6 +344,16 @@ def test_correlated_dephasing_matches_lindblad_decomposition():
 
 def test_full_generator_zero_rates():
     assert np.allclose(full_generator(NoiseParams(0, 0, 0, 0, 0)), np.zeros((16, 16)))
+
+
+def test_full_generator_rejects_finite_temperature():
+    params = NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05)
+    with pytest.raises(ValueError) as generator_error:
+        full_generator(params)
+    with pytest.raises(ValueError) as superoperator_error:
+        superoperator(params, 0.1)
+    assert str(generator_error.value) == str(superoperator_error.value)
+    assert "nbar = 0.05 is not supported" in str(generator_error.value)
 
 
 def test_full_generator_pure_gad_stationary():

@@ -283,6 +283,31 @@ def test_fit_start_rate_overflow_is_quiet(tmp_path, capsys):
     assert (code, capsys.readouterr().err) == (0, "")
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_overflowing_residuals_are_fit_error(tmp_path, capsys):
+    # Residuals near 1e300 overflow the least-squares cost: the fit does not
+    # converge, and no numpy warning reaches stderr.
+    assert _fit_steep_zq(tmp_path, "1,1e300\n2,1e295\n3,1e290\n4,1e285\n") == 4
+    assert capsys.readouterr().err == "fit error: ZQ: fit did not converge in 1 iterations\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("-1e308,1\n1e308,0.5\n", "ZQ: need at least 4 samples to fit, got 2"),
+        ("1e308,1\n-1e308,0.5\n", "{zq}:3: times must be strictly increasing"),
+    ],
+    ids=["increasing", "decreasing"],
+)
+def test_fit_extreme_times_are_data_error(tmp_path, capsys, rows, message):
+    # Neighbouring times are compared, not subtracted, so 1e308 - -1e308
+    # never overflows.
+    assert _fit_steep_zq(tmp_path, rows) == 3
+    zq = tmp_path / "steep.csv"
+    assert capsys.readouterr().err == f"data error: {message.format(zq=zq)}\n"
+
+
 def test_fit_non_convergence_exit_code(tmp_path, capsys, monkeypatch):
     import spinpair.cli as cli_module
     from spinpair.estimation import ConvergenceError
@@ -427,11 +452,14 @@ def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
         ({"noise_sigma": float("nan")}, [], "noise_sigma"),
         ({"time_grid": {"points": 8.7}}, [], "time_grid.points"),
         ({"noise_sigma": 0.1}, ["--seed", "-1"], "seed"),
-        ({}, ["--nu-rf", "nan"], "--nu-rf"),
+        ({"seed": -1}, [], "seed"),
         ({"time_grid": {"points": MAX_TIME_POINTS + 1}}, [], "time_grid.points"),
         ({"time_grid": [float(t) for t in range(MAX_TIME_POINTS + 1)]}, [], "time_grid"),
+        # Neighbouring times are compared, not subtracted, so this does not overflow.
+        ({"time_grid": [1e308, -1e308]}, [], "time_grid"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_config_value_is_config_error(tmp_path, capsys, fields, flags, name):
     # json.dumps writes nan and inf as the NaN and Infinity that json.loads reads.
     config = write_config(tmp_path, **fields)
@@ -504,6 +532,8 @@ NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0
          {"system": {"nu1": 0, "nu2": 5e-324, "j12": 1e-308},
           "noise": {"gamma1": 0, "gamma2": 1e300, "gamma3": 1e300, "Gamma1": 0, "Gamma2": 1e-308}},
          "noise.gamma3"),
+        (["prepare", "--target", "DQ", "--nu-rf", "nan"], {}, "--nu-rf"),
+        (["tomo", "--target", "DQ", "--nu-rf", "nan"], {}, "--nu-rf"),
     ],
 )
 def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
@@ -513,6 +543,47 @@ def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
     code = main([*argv, "--preset", "btc", "--config", config])
     assert code == 2
     assert f"config error: {name}:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_weak_coupling_is_a_warning_line(tmp_path, capsys):
+    config = write_config(tmp_path, system={"nu1": 100, "nu2": 101, "j12": 4.2})
+    assert main(["prepare", "--target", "SQ1", "--config", config]) == 0
+    assert capsys.readouterr().err == (
+        "warning: system: |nu1 - nu2| = 1 Hz is not large compared to J12 = 4.2 Hz; "
+        "the weak-coupling Hamiltonian may be inaccurate\n"
+    )
+
+
+# Each subcommand declares only the flags it reads; these pairs are not declared.
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("prepare", "--seed 5"),
+        ("tomo", "--seed 5"),
+        ("decay", "--nu-rf 3"),
+        ("fit", "--seed 5"),
+        ("fit", "--nu-rf 3"),
+        ("report", "--config /nonexistent"),
+        ("report", "--seed 5"),
+        ("report", "--nu-rf 3"),
+    ],
+)
+def test_undeclared_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, flag):
+    paths = measured_rate_curves(tmp_path)
+    argv = {
+        "prepare": ["prepare", "--target", "DQ"],
+        "tomo": ["tomo", "--target", "DQ"],
+        "decay": ["decay", "--kind", "DQ"],
+        "fit": ["fit", "--curve", f"ZQ={paths[KIND_ZQ]}", "--curve", f"DQ={paths[KIND_DQ]}"],
+        "report": ["report"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--preset", "btc", "--out", str(out), *flag.split()])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["SQ1", "SQ2"])

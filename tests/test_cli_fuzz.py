@@ -1,5 +1,6 @@
 """Fuzz the CLI boundary: configs built from edge numbers and wrong types,
-and small CSV files, must end in a documented exit code, never a traceback."""
+and small CSV files, must end in a documented exit code, never a traceback
+or a numpy RuntimeWarning."""
 
 import contextlib
 import io
@@ -69,7 +70,7 @@ csv_text = st.one_of(
 
 def run(argv, fields, csvs, use_preset):
     """Exit code of main() on argv with the config and CSV files written to a
-    temporary directory."""
+    temporary directory; a RuntimeWarning raises."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "config.json").write_text(json.dumps(fields), encoding="utf-8")
@@ -82,14 +83,17 @@ def run(argv, fields, csvs, use_preset):
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("ignore")
+            warnings.simplefilter("error", RuntimeWarning)
             return main(argv)
 
 
 @st.composite
 def state_commands(draw):
-    """An argv of prepare or tomo, with or without a --time."""
+    """An argv of prepare or tomo, with or without a --nu-rf and a --time."""
     command = draw(st.sampled_from(["prepare", "tomo"]))
     argv = [command, "--target", draw(st.sampled_from(["ZQ", "DQ", "SQ1", "SQ2"]))]
+    if draw(st.booleans()):
+        argv.append(f"--nu-rf={draw(number)!r}")
     if command == "tomo" and draw(st.booleans()):
         argv.append(f"--time={draw(number)!r}")
     return argv

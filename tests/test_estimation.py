@@ -136,6 +136,13 @@ def test_decay_curve_rejects_non_monotone_times():
         DecayCurve(KIND_ZQ, [0.0, 0.2, 0.2, 0.4], [1.0, 0.9, 0.8, 0.7])
 
 
+@pytest.mark.filterwarnings("error")
+def test_decay_curve_compares_extreme_times_without_overflow():
+    assert len(DecayCurve(KIND_ZQ, [-1e308, 1e308], [1.0, 0.5])) == 2
+    with pytest.raises(DataError, match=r"violated at sample 1\)"):
+        DecayCurve(KIND_ZQ, [1e308, -1e308], [1.0, 0.5])
+
+
 def test_decay_curve_rejects_bad_sigmas():
     with pytest.raises(DataError, match="sigmas"):
         DecayCurve(KIND_ZQ, [0.0, 0.1, 0.2, 0.3], [1.0, 0.9, 0.8, 0.7], [0.1, -0.1, 0.1, 0.1])

@@ -33,13 +33,6 @@ def test_render_drops_non_positive_values_on_log_axis():
     assert svg.count("<circle") == 3
 
 
-def test_render_linear_axis_accepts_negative_values():
-    t = [0.0, 1.0, 2.0]
-    series = [Series("recovery", t, [-1.0, 0.2, 0.8], style="line")]
-    svg = render_decay_plot(series, log_y=False, y_label="signal")
-    assert "<polyline" in svg
-
-
 def test_render_rejects_empty_plot():
     with pytest.raises(ValueError, match="nothing to plot"):
         render_decay_plot([Series("void", [0.0], [-1.0], style="points")])

@@ -1,9 +1,12 @@
-"""The README's Python quickstart runs as written against the package."""
+"""The README's Python quickstart and CLI block run as written against the package."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from spinpair.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,13 @@ def test_readme_quickstart_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert float(capsys.readouterr().out) == pytest.approx(5.876, abs=1e-6)  # the printed gamma3
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block, "README has no CLI block"
+    commands = block.group(1).replace("\\\n", " ").splitlines()
+    assert commands and all(line.startswith("spinpair ") for line in commands)
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
