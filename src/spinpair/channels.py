@@ -17,9 +17,11 @@ import numpy as np
 from .spinops import SIGMA
 from .states import validate_density_matrix
 
-BOLTZMANN_J_PER_K = 1.380649e-23
-
 KRAUS_COMPLETENESS_TOL = 1e-10
+
+
+class NotCompletelyPositive(ValueError):
+    """Rates whose dephasing rate matrix is indefinite: |gamma3| > 2 sqrt(gamma1 gamma2)."""
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,11 @@ class NoiseParams:
     gamma1/gamma2 are the independent dephasing rates, gamma3 the correlated
     dephasing rate (may be negative), Gamma1/Gamma2 the amplitude-damping
     rates of each spin.  nbar is the reservoir temperature parameter; the
-    two-spin generator uses the infinite-temperature limit nbar = 1/2.
+    two-spin generator models only the infinite-temperature limit nbar = 1/2.
+
+    The constructor is the one place that decides which rates are
+    admissible: finite, non-negative damping and independent dephasing
+    rates, nbar = 1/2, and a completely positive generator.
     """
 
     gamma1: float
@@ -46,14 +52,29 @@ class NoiseParams:
         for name in ("gamma1", "gamma2", "Gamma1", "Gamma2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"NoiseParams.{name} must be non-negative")
-        if not 0.0 <= self.nbar <= 1.0:
-            raise ValueError("NoiseParams.nbar must lie in [0, 1]")
+        if self.nbar != 0.5:
+            raise ValueError(f"nbar = {self.nbar} is not supported: the generator models the "
+                             "infinite-temperature limit nbar = 0.5")
+        # Implied by the rule below in exact arithmetic, but not in floating
+        # point: at gamma1 = gamma2 = 2, 2 sqrt(2) sqrt(2) = 4.000000000000001.
         if self.gamma1 + self.gamma2 - self.gamma3 < 0 or self.gamma1 + self.gamma2 + self.gamma3 < 0:
             raise ValueError(
                 "correlated dephasing rate gamma3 yields a negative diagonal "
                 "decay rate (|gamma3| > gamma1 + gamma2): generator is not "
                 "completely positive"
             )
+        # Complete positivity: the 2x2 dephasing rate matrix is positive
+        # semidefinite.  Two square roots, rather than gamma3^2 <= 4 gamma1
+        # gamma2, so rates near 1e-308 do not underflow and 1e300 does not
+        # overflow.  Tiny rates are first scaled by 2**600, which is exact and
+        # leaves the homogeneous rule unchanged, so that a subnormal bound is
+        # not rounded to the coarse subnormal grid.
+        g1, g2, g3 = self.gamma1, self.gamma2, abs(self.gamma3)
+        if max(g1, g2, g3) < 2.0**-400:
+            g1, g2, g3 = g1 * 2.0**600, g2 * 2.0**600, g3 * 2.0**600
+        if g3 > 2.0 * math.sqrt(g1) * math.sqrt(g2):
+            raise NotCompletelyPositive(f"|gamma3| = {abs(self.gamma3):g} exceeds 2 sqrt(gamma1 gamma2), "
+                                        "so the generator is not completely positive")
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -64,39 +85,6 @@ class NoiseParams:
             "Gamma2": self.Gamma2,
             "nbar": self.nbar,
         }
-
-
-def check_completely_positive(params: NoiseParams) -> None:
-    """Raise ValueError unless the generator is completely positive:
-    |gamma3| <= 2 sqrt(gamma1) sqrt(gamma2).
-
-    This is the positive-semidefiniteness of the 2x2 dephasing rate matrix,
-    strictly stronger than the non-negative-diagonal condition the
-    constructor enforces.  Two square roots, rather than gamma3^2 <= 4 gamma1
-    gamma2, so rates near 1e-308 do not underflow and 1e300 does not overflow.
-    """
-    if abs(params.gamma3) > 2.0 * math.sqrt(params.gamma1) * math.sqrt(params.gamma2):
-        raise ValueError(f"|gamma3| = {abs(params.gamma3):g} exceeds 2 sqrt(gamma1 gamma2), "
-                         "so the generator is not completely positive")
-
-
-def check_infinite_temperature(params: NoiseParams) -> None:
-    """Raise ValueError unless nbar = 1/2, the only temperature the generator models."""
-    if params.nbar != 0.5:
-        raise ValueError(f"nbar = {params.nbar} is not supported: the generator models the "
-                         "infinite-temperature limit nbar = 0.5")
-
-
-@dataclass(frozen=True)
-class TemperatureParams:
-    """Energy splitting (J) and reservoir temperature (K) for the nbar map."""
-
-    delta_e: float
-    temperature: float
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -204,14 +192,6 @@ def gad_apply(rho: np.ndarray, rate: float, nbar: float, t: float) -> np.ndarray
     return out
 
 
-def nbar_from_temperature(tp: TemperatureParams) -> float:
-    """Temperature parameter nbar = 1 / (1 + exp(delta_e / (kB T)))."""
-    x = tp.delta_e / (BOLTZMANN_J_PER_K * tp.temperature)
-    if x > 0:  # overflow-safe for large splittings
-        return float(np.exp(-x) / (1.0 + np.exp(-x)))
-    return float(1.0 / (1.0 + np.exp(x)))
-
-
 def gad_generator_single(rate: float) -> np.ndarray:
     """Infinite-temperature amplitude-damping generator on one spin's 4-vector."""
     if rate < 0:
@@ -281,7 +261,6 @@ def correlated_dephasing_generator(gamma1: float, gamma2: float, gamma3: float) 
 def full_generator(params: NoiseParams) -> np.ndarray:
     """Full two-spin decoherence generator: correlated dephasing plus
     independent infinite-temperature amplitude damping on each spin."""
-    check_infinite_temperature(params)
     return (
         correlated_dephasing_generator(params.gamma1, params.gamma2, params.gamma3)
         + gad_generator(params.Gamma1, 1)

@@ -9,6 +9,7 @@ and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation
-from .channels import NoiseParams, check_completely_positive, check_infinite_temperature
+from .channels import NoiseParams, NotCompletelyPositive
 from .estimation import (
     COHERENCE_CURVE_KINDS,
     CURVE_KINDS,
@@ -131,7 +132,7 @@ def _parse_noise(value) -> NoiseParams:
     if not isinstance(value, dict):
         raise ConfigError("noise: expected an object with gamma1..Gamma2 rates in 1/s")
     try:
-        noise = NoiseParams(
+        return NoiseParams(
             gamma1=_number(value["gamma1"], "noise.gamma1"),
             gamma2=_number(value["gamma2"], "noise.gamma2"),
             gamma3=_number(value["gamma3"], "noise.gamma3"),
@@ -139,18 +140,14 @@ def _parse_noise(value) -> NoiseParams:
             Gamma2=_number(value["Gamma2"], "noise.Gamma2"),
             nbar=_number(value.get("nbar", 0.5), "noise.nbar"),
         )
-        check_infinite_temperature(noise)
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"noise: missing field {exc.args[0]!r}") from None
+    except NotCompletelyPositive as exc:
+        raise ConfigError(f"noise.gamma3: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"noise: {exc}") from None
-    try:
-        check_completely_positive(noise)
-    except ValueError as exc:
-        raise ConfigError(f"noise.gamma3: {exc}") from None
-    return noise
 
 
 def _parse_time_grid(value) -> np.ndarray:
@@ -248,21 +245,27 @@ def _scaled_target(kind: str, epsilon: float) -> np.ndarray:
     return (1.0 - epsilon) * MAXIMALLY_MIXED + epsilon * coherence_state(kind)
 
 
-def _prepared_state(target: str, config: RunConfig) -> np.ndarray:
+def _prepared_state(args, config: RunConfig) -> np.ndarray:
     system = config.require_system()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return prepare_target(target, system, config.epsilon, config.nu_rf)
+            return prepare_target(args.target, system, config.epsilon, config.nu_rf)
         except ValueError as exc:
             # Targets and epsilon are checked already: only the ZQ/DQ delay's
-            # finite-phase rule is left to fail.
-            raise ConfigError(f"system.j12: {exc}") from None
+            # phase rule is left to fail.  A frame frequency is to blame when
+            # the default frame passes.
+            field = "system.j12"
+            if config.nu_rf is not None:
+                with contextlib.suppress(ValueError):
+                    prepare_target(args.target, system, config.epsilon)
+                    field = "nu_rf" if args.nu_rf is None else "--nu-rf"
+            raise ConfigError(f"{field}: {exc}") from None
 
 
 def cmd_prepare(args) -> int:
     config = load_config(args)
-    state = _prepared_state(args.target, config)
+    state = _prepared_state(args, config)
     if config.epsilon == 0.0:
         print("warning: epsilon = 0, the deviation part is empty; "
               "comparing against the maximally mixed state", file=sys.stderr)
@@ -331,7 +334,7 @@ def cmd_decay(args) -> int:
 
 def cmd_tomo(args) -> int:
     config = load_config(args)
-    state = _prepared_state(args.target, config)
+    state = _prepared_state(args, config)
     if args.time is not None:
         if not np.isfinite(args.time) or args.time < 0:
             raise ConfigError(f"--time must be a finite, non-negative number of seconds, got {args.time}")
@@ -417,7 +420,8 @@ def cmd_fit(args) -> int:
             payload[f"{kind}_amplitude"] = est.amplitude
         if config.noise is not None:
             context = config.noise
-            c = model_consistency(estimates["ZQ"], estimates["DQ"], context)
+            c = model_consistency(estimates["ZQ"], estimates["DQ"], context.gamma1, context.gamma2,
+                                  context.Gamma1, context.Gamma2)
             payload.update(
                 gamma1=context.gamma1,
                 gamma2=context.gamma2,
@@ -468,12 +472,10 @@ def _report_entry(name: str) -> dict:
     preset = get_preset(name)
     rates = preset.rates
     # Model prediction with the measured 1/T2 dephasing and 1/T1 damping rates.
-    measured_model = NoiseParams(rates.t2_rate_1, rates.t2_rate_2, rates.gamma3,
-                                 rates.Gamma1, rates.Gamma2)
     consistency = asdict(model_consistency(
         RateEstimate(rates.zq_rate, rates.zq_rate_err, 0.0),
         RateEstimate(rates.dq_rate, rates.dq_rate_err, 0.0),
-        measured_model,
+        rates.t2_rate_1, rates.t2_rate_2, rates.Gamma1, rates.Gamma2,
     ))
     return {
         "preset": name,

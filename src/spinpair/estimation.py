@@ -372,11 +372,14 @@ def gamma3_difference(r_zq: RateEstimate, r_dq: RateEstimate) -> RateEstimate:
     )
 
 
-def model_consistency(zq: RateEstimate, dq: RateEstimate, rates: NoiseParams) -> ModelConsistency:
-    """The ZQ/DQ rates of the RATE_TABLE model at `rates`, with gamma3 replaced
-    by the difference estimate from `zq` and `dq`, against the measured ones."""
+def model_consistency(zq: RateEstimate, dq: RateEstimate, gamma1: float, gamma2: float,
+                      Gamma1: float, Gamma2: float) -> ModelConsistency:
+    """The ZQ/DQ rates of the RATE_TABLE model at the four given rates, with
+    gamma3 the difference estimate from `zq` and `dq`, against the measured
+    ones.  The rates are plain numbers, not NoiseParams: measured 1/T2 rates
+    with the difference estimate need not be completely positive."""
     difference = gamma3_difference(zq, dq)
-    values = (rates.gamma1, rates.gamma2, difference.rate, rates.Gamma1, rates.Gamma2)
+    values = (gamma1, gamma2, difference.rate, Gamma1, Gamma2)
     zq_predicted = _table_rates(RATE_TABLE[KIND_ZQ], values)
     dq_predicted = _table_rates(RATE_TABLE[KIND_DQ], values)
     return ModelConsistency(
@@ -503,7 +506,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         convergence_reason=reason,
         iterations=iterations,
         fixed=tuple(sorted(fixed)),
-        consistency=model_consistency(individual[KIND_ZQ], individual[KIND_DQ], params),
+        consistency=model_consistency(individual[KIND_ZQ], individual[KIND_DQ], params.gamma1,
+                                      params.gamma2, params.Gamma1, params.Gamma2),
     )
 
 

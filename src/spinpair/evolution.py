@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channels import NoiseParams, check_completely_positive, check_infinite_temperature, vectorize
+from .channels import NoiseParams, vectorize
 from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from .states import validate_density_matrix
 
@@ -136,7 +136,6 @@ def superoperator(params: NoiseParams, times) -> np.ndarray:
     times = np.array(times, dtype=float, ndmin=1)
     if times.ndim != 1:
         raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
-    check_infinite_temperature(params)
     zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
     values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
     return (values.reshape(times.size, _N_VALUES) @ _BASIS).reshape(-1, 16, 16)
@@ -149,14 +148,13 @@ def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     the (T, 4, 4) stack of states.  Both are views into one (T + 1, 4, 4)
     buffer whose index 0 holds rho0, validated in one call: a bad rho0 is
     reported as "state 0: ..." and a bad output state k as "state k + 1:
-    ...".  Checks fail in this order: the shape of rho0, complete positivity
-    of the rates (channels.check_completely_positive), t and nbar, then the
-    states.
+    ...".  Checks fail in this order: the shape of rho0, t, then the states.
+    The rates need no check: NoiseParams admits only completely positive
+    rates at nbar = 1/2.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho0.shape}")
-    check_completely_positive(params)
     superops = superoperator(params, t)
     states = np.empty((len(superops) + 1, 4, 4), dtype=complex)
     states[0] = rho0

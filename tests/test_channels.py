@@ -1,13 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cp_params, random_density_matrix
 from spinpair.channels import (
-    BOLTZMANN_J_PER_K,
     NoiseParams,
-    TemperatureParams,
+    NotCompletelyPositive,
     apply_kraus,
-    check_completely_positive,
     choi_matrix,
     correlated_dephasing_generator,
     correlated_mixture,
@@ -20,14 +23,13 @@ from spinpair.channels import (
     is_trace_preserving_generator,
     lift_single_spin_superop,
     lindblad_generator,
-    nbar_from_temperature,
     phase_damping_apply,
     phase_damping_generator,
     preserves_hermiticity,
     trace_functional,
     vectorize,
 )
-from spinpair.evolution import matrix_exp, superoperator
+from spinpair.evolution import matrix_exp
 from spinpair.spinops import SIGMA, pauli
 
 
@@ -82,19 +84,80 @@ def test_noise_params_gamma3_bounds():
 
 
 def test_noise_params_strict_cp_condition():
-    check_completely_positive(NoiseParams(1.0, 1.0, 1.9, 0.0, 0.0))
-    check_completely_positive(NoiseParams(1.0, 1.0, -2.0, 0.0, 0.0))  # on the boundary
+    NoiseParams(1.0, 1.0, 1.9, 0.0, 0.0)
+    NoiseParams(1.0, 1.0, -2.0, 0.0, 0.0)  # on the boundary
     # Diagonal-rate condition holds but the dephasing rate matrix is indefinite.
-    with pytest.raises(ValueError, match="not completely positive"):
-        check_completely_positive(NoiseParams(4.0, 0.25, 3.0, 0.0, 0.0))
+    with pytest.raises(NotCompletelyPositive, match=r"^\|gamma3\| = 3 exceeds 2 sqrt\(gamma1 gamma2\), "
+                       "so the generator is not completely positive$"):
+        NoiseParams(4.0, 0.25, 3.0, 0.0, 0.0)
     # Square roots: gamma3^2 and 4 gamma1 gamma2 would both underflow to 0.
-    check_completely_positive(NoiseParams(1e-300, 1e-300, 2e-300, 0.0, 0.0))
+    NoiseParams(1e-300, 1e-300, 2e-300, 0.0, 0.0)
     with pytest.raises(ValueError, match="gamma3"):
-        check_completely_positive(NoiseParams(1e-300, 1e-300, 2.1e-300, 0.0, 0.0))
+        NoiseParams(1e-300, 1e-300, 2.1e-300, 0.0, 0.0)
+    NoiseParams(1e-300, 4e-300, 4e-300, 0.0, 0.0)
+    with pytest.raises(NotCompletelyPositive, match="gamma3"):
+        NoiseParams(1e-300, 4e-300, 4.1e-300, 0.0, 0.0)
+    # Subnormal rates: 2 sqrt(1) sqrt(3) = 3.46 units of 5e-324 would round to 4.
+    with pytest.raises(NotCompletelyPositive):
+        NoiseParams(5e-324, 3 * 5e-324, 4 * 5e-324, 0.0, 0.0)
+    NoiseParams(5e-324, 3 * 5e-324, 3 * 5e-324, 0.0, 0.0)
     for name in ("btc", "cytosine", "coumarin"):
         from spinpair.presets import get_preset
 
-        check_completely_positive(get_preset(name).noise)
+        NoiseParams(**get_preset(name).noise.as_dict())
+
+
+def test_noise_params_diagonal_clause_guards_rounding():
+    # 2 sqrt(2) sqrt(2) rounds to 4.000000000000001, so gamma3 at that value
+    # passes the square-root test while gamma1 + gamma2 - gamma3 < 0; without
+    # the diagonal clause the generator would then raise.
+    g3 = 2.0 * np.sqrt(2.0) * np.sqrt(2.0)
+    assert g3 > 4.0 and 2.0 + 2.0 - g3 < 0
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError, match="negative diagonal decay rate"):
+            NoiseParams(2.0, 2.0, sign * g3, 0.0, 0.0)
+    # The boundary itself is admissible and builds a generator.
+    assert full_generator(NoiseParams(2.0, 2.0, 4.0, 0.0, 0.0)).real.max() == 0.0
+
+
+# Dephasing rates from subnormals through 1e-300 to 1e300.
+_rate = st.one_of(
+    st.just(0.0),
+    st.integers(1, 2**20).map(lambda k: k * 5e-324),  # subnormal
+    st.floats(0.5, 2.0).map(lambda x: x * 1e-300),
+    st.floats(0.0, 1e300, allow_subnormal=True),
+    st.floats(0.5, 2.0).map(lambda x: x * 1e300),
+)
+
+
+@st.composite
+def _dephasing_rates(draw):
+    """(gamma1, gamma2, gamma3) with gamma3 often near the CP boundary."""
+    g1, g2 = draw(_rate), draw(_rate)
+    bound = 2.0 * math.sqrt(g1) * math.sqrt(g2)
+    near = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9]) | st.floats(0.5, 1.5)
+    g3 = draw(st.one_of(_rate, near.map(lambda f: f * bound)))
+    return g1, g2, -g3 if draw(st.booleans()) else g3
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_dephasing_rates())
+def test_noise_params_cp_verdict_matches_exact_oracle(rates):
+    # Exact rational arithmetic: gamma3^2 <= 4 gamma1 gamma2 and
+    # gamma1 + gamma2 >= |gamma3|.  Verdicts may differ only within 1e-12
+    # relative of the boundary |gamma3| = 2 sqrt(gamma1 gamma2).
+    g1, g2, g3 = (Fraction(r) for r in rates)
+    square, bound_square = g3 * g3, 4 * g1 * g2
+    exact = square <= bound_square and g1 + g2 >= abs(g3)
+    margin = Fraction(1e-12)
+    if (1 - margin) ** 2 * bound_square <= square <= (1 + margin) ** 2 * bound_square:
+        return
+    try:
+        NoiseParams(*rates, 0.0, 0.0)
+        admitted = True
+    except ValueError:
+        admitted = False
+    assert admitted == exact
 
 
 # ----------------------------------------------------------------------
@@ -229,16 +292,6 @@ def test_gad_apply_preserves_trace_and_hermiticity():
         assert np.abs(out - out.conj().T).max() < 1e-12
 
 
-def test_nbar_from_temperature():
-    assert nbar_from_temperature(TemperatureParams(0.0, 300.0)) == pytest.approx(0.5)
-    t = 250.0
-    delta_e = np.log(3.0) * BOLTZMANN_J_PER_K * t
-    assert nbar_from_temperature(TemperatureParams(delta_e, t)) == pytest.approx(0.25, abs=1e-12)
-    assert nbar_from_temperature(TemperatureParams(1e-19, 1.0)) < 1e-10
-    with pytest.raises(ValueError):
-        TemperatureParams(1e-21, -5.0)
-
-
 def test_gad_generator_single_matrix():
     expected = -1.0 * np.array(
         [
@@ -347,13 +400,12 @@ def test_full_generator_zero_rates():
 
 
 def test_full_generator_rejects_finite_temperature():
-    params = NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05)
-    with pytest.raises(ValueError) as generator_error:
-        full_generator(params)
-    with pytest.raises(ValueError) as superoperator_error:
-        superoperator(params, 0.1)
-    assert str(generator_error.value) == str(superoperator_error.value)
-    assert "nbar = 0.05 is not supported" in str(generator_error.value)
+    # The constructor is the one nbar check, so no generator, superoperator
+    # or propagation is ever built at nbar != 1/2.
+    for nbar in (0.05, 0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match=rf"^nbar = {nbar} is not supported: the generator "
+                                             r"models the infinite-temperature limit nbar = 0\.5$"):
+            full_generator(NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=nbar))
 
 
 def test_full_generator_pure_gad_stationary():

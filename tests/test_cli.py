@@ -426,6 +426,22 @@ def test_config_overrides_preset_noise(tmp_path):
     assert np.abs(curve.signals - np.exp(-2.0 * curve.times)).max() < 1e-9
 
 
+def test_joint_fit_outside_cp_region_is_fit_error(tmp_path, capsys):
+    # gamma1 = 4 and gamma2 = 0.25 fixed; the ZQ/DQ curves pin gamma3 = 3,
+    # which meets |gamma3| <= gamma1 + gamma2 but exceeds 2 sqrt(gamma1 gamma2) = 2.
+    paths = measured_rate_curves(tmp_path, zq_rate=4.25 - 3.0, dq_rate=4.25 + 3.0)
+    config = write_config(tmp_path, noise={"gamma1": 4.0, "gamma2": 0.25, "gamma3": 0.0,
+                                           "Gamma1": 0.0, "Gamma2": 0.0})
+    code = main(["fit", "--mode", "joint", "--config", config, "--curve", f"ZQ={paths[KIND_ZQ]}",
+                 "--curve", f"DQ={paths[KIND_DQ]}", "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "fit error: fitted rates violate positivity constraints: |gamma3| = 3 exceeds "
+        "2 sqrt(gamma1 gamma2), so the generator is not completely positive\n"
+    )
+    assert not (tmp_path / "out" / "fit_report.json").exists()
+
+
 def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -435,8 +451,25 @@ def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
     code = main(["decay", "--kind", "DQ", "--preset", "btc", "--config", config,
                  "--out", str(tmp_path)])
     assert code == 2
-    assert "nbar" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: noise: nbar = 0.05 is not supported: the generator models the "
+        "infinite-temperature limit nbar = 0.5\n"
+    )
     assert not (tmp_path / "decay_DQ.csv").exists()
+
+
+@pytest.mark.parametrize("rates, message", [
+    ((4.0, 0.25, 3.0), "noise.gamma3: |gamma3| = 3 exceeds 2 sqrt(gamma1 gamma2), so the "
+                       "generator is not completely positive"),
+    ((1.0, 1.0, -2.5), "noise: correlated dephasing rate gamma3 yields a negative diagonal decay "
+                       "rate (|gamma3| > gamma1 + gamma2): generator is not completely positive"),
+    ((-1.0, 1.0, 0.0), "noise: NoiseParams.gamma1 must be non-negative"),
+])
+def test_inadmissible_noise_config_message(tmp_path, capsys, rates, message):
+    noise = dict(zip(("gamma1", "gamma2", "gamma3"), rates), Gamma1=0.1, Gamma2=0.1)
+    config = write_config(tmp_path, noise=noise)
+    assert main(["tomo", "--target", "ZQ", "--time", "1", "--config", config]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -534,6 +567,17 @@ NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0
          "noise.gamma3"),
         (["prepare", "--target", "DQ", "--nu-rf", "nan"], {}, "--nu-rf"),
         (["tomo", "--target", "DQ", "--nu-rf", "nan"], {}, "--nu-rf"),
+        # A large frame frequency: the echo would cancel the shift phases only
+        # down to their rounding error.  The default frame passes, so the
+        # frame frequency is named, by the flag or the config field that set it.
+        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {}, "--nu-rf"),
+        (["prepare", "--target", "DQ", "--nu-rf", "1e300"], {}, "--nu-rf"),
+        (["tomo", "--target", "ZQ", "--nu-rf", "1e16", "--time", "0.1"], {}, "--nu-rf"),
+        (["tomo", "--target", "ZQ"], {"nu_rf": 1e16}, "nu_rf"),
+        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"nu_rf": 0.0}, "--nu-rf"),
+        # The default frame fails too: the tiny J12 is to blame.
+        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"system": {**UNCOUPLED, "j12": 1e-308}},
+         "system.j12"),
     ],
 )
 def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
@@ -543,6 +587,15 @@ def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
     code = main([*argv, "--preset", "btc", "--config", config])
     assert code == 2
     assert f"config error: {name}:" in capsys.readouterr().err
+
+
+def test_large_frame_frequency_names_the_flag(capsys):
+    # J12 = 4.2 is fine: the overflowing input is the frame frequency.
+    assert main(["prepare", "--preset", "btc", "--target", "DQ", "--nu-rf", "1e308"]) == 2
+    assert capsys.readouterr() == ("", (
+        "config error: --nu-rf: DQ preparation evolves freely for 1/(2 |J12|) and the phase of "
+        "each half must be at most 1048576 rad (J12 = 4.2, nu1 = 4602.4, nu2 = 4287, "
+        "nu_rf = 1e+308 Hz)\n"))
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from conftest import random_cp_params, random_density_matrix
 from spinpair.channels import (
     NoiseParams,
+    NotCompletelyPositive,
     choi_matrix,
+    correlated_dephasing_generator,
     devectorize,
     full_generator,
     trace_functional,
@@ -149,9 +151,9 @@ def test_propagate_outputs_positive_states():
 
 
 def test_propagate_rejects_finite_temperature():
-    params = NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05)
-    with pytest.raises(ValueError, match="nbar"):
-        propagate(np.eye(4) / 4, params, 0.1)
+    # The rates are turned away when they are built, before propagate runs.
+    with pytest.raises(ValueError, match=r"^nbar = 0\.05 is not supported"):
+        propagate(np.eye(4) / 4, NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05), 0.1)
 
 
 def test_propagate_rejects_non_finite_state():
@@ -161,41 +163,43 @@ def test_propagate_rejects_non_finite_state():
         propagate(rho, BTC_LIKE, 0.1)
 
 
-# Rates the constructor admits but outside the strictly CP region (gamma3^2 >
-# 4 gamma1 gamma2): their map drives |++><++| out of the positive cone.
-NON_CP = NoiseParams(1.0, 0.01, 1.0, 0.0, 0.0)
+# Rates outside the completely positive region (gamma3^2 > 4 gamma1 gamma2),
+# though inside |gamma3| <= gamma1 + gamma2: their map drives |++><++| out of
+# the positive cone.
+NON_CP = (1.0, 0.01, 1.0, 0.0, 0.0)
 PLUS = np.full((4, 4), 0.25, dtype=complex)
 
 
 def test_propagate_rejects_non_cp_rates_at_entry():
+    # The rejection happens when the rates are built, before propagate runs.
     for rho, t in ((PLUS, 1.0), (coherence_state("ZQ"), 0.0), (PLUS, [0.5, 1.0])):
-        with pytest.raises(ValueError, match="not completely positive"):
-            propagate(rho, NON_CP, t)
+        with pytest.raises(NotCompletelyPositive, match="not completely positive"):
+            propagate(rho, NoiseParams(*NON_CP), t)
 
 
 def test_propagate_output_check_stays_live(monkeypatch):
-    # The entry check turns NON_CP away, so hand propagate its map under CP
-    # rates: only the check of the output states catches the result.
+    # No NoiseParams holds NON_CP, so hand propagate the map of its dephasing
+    # generator under CP rates: only the check of the output states catches
+    # the result.
     import spinpair.evolution as evolution
 
-    bad = superoperator(NON_CP, [0.0, 1.0])
+    generator = correlated_dephasing_generator(*NON_CP[:3])
+    bad = np.stack([np.eye(16), matrix_exp(generator)])
     monkeypatch.setattr(evolution, "superoperator", lambda params, t: bad)
     with pytest.raises(ValueError, match=r"^state 2: density matrix not positive semidefinite"):
         propagate(PLUS, BTC_LIKE, [0.0, 1.0])
 
 
 def test_propagate_check_order():
-    # The shape of rho0, complete positivity, t and nbar, then the states:
-    # rho0 is state 0 of the one stack that is validated.
+    # The rates are checked when they are built; then the shape of rho0, t,
+    # then the states: rho0 is state 0 of the one stack that is validated.
     bad = np.eye(4, dtype=complex) / 2
+    with pytest.raises(NotCompletelyPositive):
+        propagate(np.eye(2) / 2, NoiseParams(*NON_CP), -1.0)
     with pytest.raises(ValueError, match=r"must be 4x4, got shape \(2, 2\)"):
-        propagate(np.eye(2) / 2, NON_CP, -1.0)
-    with pytest.raises(ValueError, match="not completely positive"):
-        propagate(bad, NON_CP, -1.0)
+        propagate(np.eye(2) / 2, BTC_LIKE, -1.0)
     with pytest.raises(ValueError, match="t must be finite"):
         propagate(bad, BTC_LIKE, -1.0)
-    with pytest.raises(ValueError, match="nbar"):
-        propagate(bad, NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=0.05), 0.1)
     with pytest.raises(ValueError, match=r"^state 0: density matrix trace != 1"):
         propagate(bad, BTC_LIKE, [0.5, 1.0])
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_density_matrix
 from spinpair.spinops import SpinSystem, pulse
 from spinpair.states import (
+    MAX_HALF_DELAY_PHASE,
     coherence_spectrum,
     coherence_state,
     prepare_target,
@@ -373,7 +376,20 @@ def test_single_state_functions_reject_stacks():
     (SpinSystem(nu1=100.0, nu2=400.0, j12=5e-324), None),
     (SpinSystem(nu1=1.7e308, nu2=1.6e308, j12=4.2), None),  # the shift midpoint overflows
     (BTC, 1e308),
+    (BTC, 1e16),  # finite, but the echo leaves a rounding error of the phase
 ])
 def test_prepare_rejects_infinite_phase(target, system, nu_rf):
-    with pytest.raises(ValueError, match=r"phase must stay finite \(J12 = "):
+    with pytest.raises(ValueError, match=r"phase of each half must be at most 1048576 rad \(J12 = "
+                                         r".*, nu_rf = .* Hz\)$"):
         prepare_target(target, system, 1.0, nu_rf)
+
+
+@pytest.mark.parametrize("target", ["ZQ", "DQ"])
+def test_prepare_phase_bound_keeps_the_echo_exact(target):
+    # Just inside the bound the frame frequency moves the state by rounding only.
+    # The largest |H| entry grows by 2 pi rad/s per Hz of frame offset, over
+    # half the delay, tau / 2 = 1 / (4 J12).
+    phase_per_hz = math.pi / (2.0 * BTC.j12)
+    nu_rf = 0.5 * (BTC.nu1 + BTC.nu2) + 0.9 * MAX_HALF_DELAY_PHASE / phase_per_hz
+    moved = prepare_target(target, BTC, 1.0, nu_rf) - prepare_target(target, BTC, 1.0)
+    assert np.abs(moved).max() < 1e-10
