@@ -254,8 +254,10 @@ def _prepared_state(args, config: RunConfig) -> np.ndarray:
         except ValueError as exc:
             # Targets and epsilon are checked already: only the ZQ/DQ delay's
             # phase rule is left to fail.  A frame frequency is to blame when
-            # the default frame passes.
-            field = "system.j12"
+            # the default frame passes.  Otherwise J12 = 0 is, or with J12 != 0
+            # the system as a whole: its shift offsets relative to J12, all of
+            # which the message prints.
+            field = "system" if system.j12 else "system.j12"
             if config.nu_rf is not None:
                 with contextlib.suppress(ValueError):
                     prepare_target(args.target, system, config.epsilon)

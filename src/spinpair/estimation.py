@@ -42,6 +42,9 @@ RATE_TABLE = {
     KIND_DQ: (1.0, 1.0, 1.0, 0.5, 0.5),
 }
 
+# Each kind's signal is offset + slope * exp(-R t) at unit amplitude.
+CURVE_SHAPE = {kind: (1.0, -2.0) if kind in RECOVERY_KINDS else (0.0, 1.0) for kind in CURVE_KINDS}
+
 # Each rate that a single curve kind probes alone, with that pinning kind.
 PINNING_KIND = {
     RATE_NAMES[row.index(1.0)]: kind for kind, row in RATE_TABLE.items() if row.count(0.0) == 4
@@ -105,7 +108,7 @@ class RateEstimate:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.rate):
+        if not math.isfinite(self.rate):
             raise ValueError("rate must be finite")
         if self.stderr < 0:
             raise ValueError("stderr must be non-negative")
@@ -188,9 +191,8 @@ def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
     rate = rate_for_kind(kind, params)
-    if kind in RECOVERY_KINDS:
-        return 1.0 - 2.0 * np.exp(-rate * t)
-    return np.exp(-rate * t)
+    offset, slope = CURVE_SHAPE[kind]
+    return offset + slope * np.exp(-rate * t)
 
 
 def suggested_times(kind: str, params: NoiseParams, points: int = 24, decades: float = 3.0) -> np.ndarray:
@@ -241,12 +243,15 @@ def _levenberg_marquardt(residual_jac, x0):
         if np.abs(gradient).max() < GRADIENT_TOL:
             return x, r, jac, True, "gradient", iterations
         normal = jac.T @ jac
-        scale = np.diag(normal).copy()
-        scale[scale <= 0.0] = 1.0
+        diagonal = normal.diagonal().copy()
+        diagonal[diagonal <= 0.0] = 1.0
+        # damping * diag(d), not diag(damping * d): should damping overflow,
+        # inf * 0 puts nan off the diagonal and every trial step fails.
+        scale = np.diag(diagonal)
         step = None
         for _ in range(60):
             try:
-                candidate = np.linalg.solve(normal + damping * np.diag(scale), -gradient)
+                candidate = np.linalg.solve(normal + damping * scale, -gradient)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
@@ -263,7 +268,7 @@ def _levenberg_marquardt(residual_jac, x0):
         x = x + step
         r, jac, cost = r_new, jac_new, cost_new
         damping = max(damping / 3.0, 1e-14)
-        if np.linalg.norm(step) < STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
+        if math.sqrt(step @ step) < STEP_TOL * (math.sqrt(x @ x) + STEP_TOL):
             return x, r, jac, True, "step", iterations
     return x, r, jac, False, "max_iterations", iterations
 
@@ -306,7 +311,7 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
         ratio = y0 / y1
         if ratio > 0:
             rate = math.log(ratio) / (t1 - t0)
-    rate = float(np.clip(rate, *RATE_GUESS_BOUNDS))
+    rate = min(max(rate, RATE_GUESS_BOUNDS[0]), RATE_GUESS_BOUNDS[1])
     if curve.kind not in RECOVERY_KINDS and t0 > 0:
         try:
             amplitude = float(s[0]) * math.exp(rate * t0)
@@ -318,14 +323,12 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     return amplitude, rate
 
 
-def _curve_model(kind: str, t: np.ndarray, amplitude: float, rate: float):
-    """Model values and (d/dA, d/dR) partials for one curve kind."""
+def _curve_model(t, amplitude, rate, offset, slope):
+    """Values of amplitude * (offset + slope exp(-rate t)) and their (d/dA, d/dR)
+    partials.  The arguments broadcast: one curve's scalars or per-sample arrays."""
     decay = np.exp(-rate * t)
-    if kind in RECOVERY_KINDS:
-        values = amplitude * (1.0 - 2.0 * decay)
-        return values, 1.0 - 2.0 * decay, 2.0 * amplitude * t * decay
-    values = amplitude * decay
-    return values, decay, -amplitude * t * decay
+    d_amp = offset + slope * decay
+    return amplitude * d_amp, d_amp, -slope * amplitude * t * decay
 
 
 def fit_exponential(curve: DecayCurve) -> RateEstimate:
@@ -335,19 +338,22 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     """
     if len(curve) < 4:
         raise DataError(f"{curve.kind}: need at least 4 samples to fit, got {len(curve)}")
-    if float(np.ptp(curve.signals)) == 0.0:
+    if curve.signals.max() == curve.signals.min():
         raise DataError(f"{curve.kind}: constant signal, decay rate undetermined")
     if curve.kind not in RECOVERY_KINDS and np.any(curve.signals <= 0):
         raise DataError(f"{curve.kind}: coherence-decay signals must be positive")
 
-    weights = 1.0 / curve.sigmas if curve.sigmas is not None else np.ones(len(curve))
+    weights = None if curve.sigmas is None else 1.0 / curve.sigmas
     t, s = curve.times, curve.signals
+    offset, slope = CURVE_SHAPE[curve.kind]
 
     def residual_jac(x):
-        amplitude, rate = x
-        values, d_amp, d_rate = _curve_model(curve.kind, t, amplitude, rate)
-        r = (values - s) * weights
-        jac = np.column_stack((d_amp * weights, d_rate * weights))
+        values, d_amp, d_rate = _curve_model(t, x[0], x[1], offset, slope)
+        r, jac = values - s, np.empty((t.size, 2))
+        jac[:, 0], jac[:, 1] = d_amp, d_rate
+        if weights is not None:
+            r *= weights
+            jac *= weights[:, None]
         return r, jac
 
     x0 = np.array(_initial_guess(curve))
@@ -357,8 +363,8 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     cov = _parameter_covariance(r, jac, weighted=curve.sigmas is not None)
     return RateEstimate(
         rate=float(x[1]),
-        stderr=float(np.sqrt(max(cov[1, 1], 0.0))),
-        residual_norm=float(np.linalg.norm(r)),
+        stderr=math.sqrt(max(cov[1, 1], 0.0)),
+        residual_norm=math.sqrt(r @ r),
         amplitude=float(x[0]),
     )
 
@@ -419,6 +425,15 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
             raise DataError(f"missing mandatory curve kind {mandatory!r}")
     if "gamma3" in fixed:
         raise ValueError("gamma3 is always fitted; remove it from fixed")
+    for name, value in fixed.items():
+        if name not in PINNING_KIND:
+            raise ValueError(f"fixed rate {name!r} is unknown; expected one of {tuple(PINNING_KIND)}")
+        try:
+            admissible = 0.0 <= float(value) < math.inf
+        except (TypeError, ValueError):
+            admissible = False
+        if not admissible:
+            raise ValueError(f"fixed rate {name!r} = {value!r} must be a finite non-negative number")
 
     individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
     difference = gamma3_difference(individual[KIND_ZQ], individual[KIND_DQ])
@@ -451,29 +466,33 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     def unpack(x):
         """The five rates in RATE_NAMES order."""
         rates = start.copy()
-        rates[fitted_at] = np.append(x[: n_rates - 1] ** 2, x[n_rates - 1])
+        rates[fitted_at[:-1]] = x[: n_rates - 1] ** 2
+        rates[fitted_at[-1]] = x[n_rates - 1]
         return rates
 
-    weights = {
-        kind: (1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c)))
-        for kind, c in by_kind.items()
-    }
-    all_weighted = all(by_kind[k].sigmas is not None for k in kinds)
+    # The curves stacked once in `kinds` order, with each sample's kind, model
+    # shape, weight, amplitude column and fitted-rate coefficients, so that
+    # one pass fills the residual and the Jacobian.
+    stack = [by_kind[kind] for kind in kinds]
+    sizes = [len(c) for c in stack]
+    sample_kind = np.repeat(np.arange(len(kinds)), sizes)
+    t = np.concatenate([c.times for c in stack])
+    s = np.concatenate([c.signals for c in stack])
+    w = np.concatenate([1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c)) for c in stack])
+    offset, slope = np.array([CURVE_SHAPE[kind] for kind in kinds])[sample_kind].T
+    rows, amplitude_col = np.arange(t.size), n_rates + sample_kind
+    sample_coeffs = fitted_coeffs[sample_kind]
+    all_weighted = all(c.sigmas is not None for c in stack)
 
     def residual_jac(x):
-        kind_rates = _table_rates(columns, unpack(x))
-        chain = np.append(2.0 * x[: n_rates - 1], 1.0)
-        blocks_r, blocks_j = [], []
-        for j, kind in enumerate(kinds):
-            curve = by_kind[kind]
-            vals, d_amp, d_rate = _curve_model(kind, curve.times, x[n_rates + j], kind_rates[j])
-            w = weights[kind]
-            blocks_r.append((vals - curve.signals) * w)
-            jac = np.zeros((len(curve), n_rates + len(kinds)))
-            jac[:, :n_rates] = np.outer(d_rate, fitted_coeffs[j] * chain) * w[:, None]
-            jac[:, n_rates + j] = d_amp * w
-            blocks_j.append(jac)
-        return np.concatenate(blocks_r), np.vstack(blocks_j)
+        chain = 2.0 * x[:n_rates]
+        chain[-1] = 1.0
+        rates = _table_rates(columns, unpack(x))[sample_kind]
+        values, d_amp, d_rate = _curve_model(t, x[n_rates:][sample_kind], rates, offset, slope)
+        jac = np.zeros((t.size, x.size))
+        jac[:, :n_rates] = d_rate[:, None] * (sample_coeffs * chain) * w[:, None]
+        jac[rows, amplitude_col] = d_amp * w
+        return (values - s) * w, jac
 
     x0 = np.concatenate((np.sqrt(start[fitted_at[:-1]]), [difference.rate],
                          [individual[kind].amplitude for kind in kinds]))
@@ -490,12 +509,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     except ValueError as exc:
         raise ConvergenceError(f"fitted rates violate positivity constraints: {exc}") from exc
 
-    offset = 0
-    per_curve: dict[str, float] = {}
-    for kind in kinds:
-        n = len(by_kind[kind])
-        per_curve[kind] = float(np.linalg.norm(r[offset : offset + n]))
-        offset += n
+    segments = np.split(r, np.cumsum(sizes)[:-1])
+    per_curve = {kind: math.sqrt(seg @ seg) for kind, seg in zip(kinds, segments)}
 
     return FitReport(
         params=params,

@@ -37,6 +37,12 @@ EIG_FLOOR = -1e-10
 # presets turn 59 to 102 rad.
 MAX_HALF_DELAY_PHASE = 2.0**20
 
+# The fixed pulses of the ZQ/DQ sequence, built once: the refocusing pi and
+# exciting pi/2 pulses on both spins, and the spin-1-selective pi/2 per target.
+_REFOCUS = pulse(np.pi, "x", "both")
+_EXCITE = pulse(np.pi / 2.0, "y", "both")
+_SELECT = {"ZQ": pulse(np.pi / 2.0, "-x", "spin1"), "DQ": pulse(np.pi / 2.0, "x", "spin1")}
+
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace, and positivity; return as
@@ -193,11 +199,7 @@ def prepare_via_sequence(
     epsilon = _check_epsilon(epsilon)
 
     half_delay = free_evolution(h, tau / 2.0)
-    refocus = pulse(np.pi, "x", "both")
-    excite = pulse(np.pi / 2.0, "y", "both")
-    select = pulse(np.pi / 2.0, "-x" if target == "ZQ" else "x", "spin1")
-
-    u = select @ refocus @ half_delay @ refocus @ half_delay @ excite
+    u = _SELECT[target] @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
     rho = pseudopure_00(epsilon)
     return u @ rho @ u.conj().T
 

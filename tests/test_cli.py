@@ -550,15 +550,16 @@ NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0
          "noise.gamma3"),
         (["tomo", "--target", "DQ"], {"noise": {**NOISE, "nbar": True}}, "noise.nbar"),
         (["tomo", "--target", "DQ"], {"time_grid": {"start": True}}, "time_grid.start"),
-        # A tiny J12 overflows the free-evolution phase over the 1/(2 |J12|) delay.
-        (["prepare", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": 1e-308}}, "system.j12"),
-        (["tomo", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": 1e-308}}, "system.j12"),
-        (["prepare", "--target", "ZQ"], {"system": {**UNCOUPLED, "j12": 5e-324}}, "system.j12"),
+        # With J12 != 0 the phase over the 1/(2 |J12|) delay comes from the shift
+        # offsets relative to J12, so the system is named: a tiny J12 overflows
+        # it, and so does a shift midpoint (the default frame) that overflows.
+        (["prepare", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": 1e-308}}, "system"),
+        (["tomo", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": 1e-308}}, "system"),
+        (["prepare", "--target", "ZQ"], {"system": {**UNCOUPLED, "j12": 5e-324}}, "system"),
         (["tomo", "--target", "ZQ"], {"system": {"nu1": 1e9, "nu2": 2e9, "j12": 1e-300}},
-         "system.j12"),
-        # The default frame frequency, the shift midpoint, overflows.
+         "system"),
         (["prepare", "--target", "ZQ"], {"system": {"nu1": 1.7e308, "nu2": 1.6e308, "j12": 4.2}},
-         "system.j12"),
+         "system"),
         # Rates outside the completely positive region drive this state out of
         # the positive cone.
         (["tomo", "--target", "ZQ", "--time=1e300"],
@@ -575,9 +576,13 @@ NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0
         (["tomo", "--target", "ZQ", "--nu-rf", "1e16", "--time", "0.1"], {}, "--nu-rf"),
         (["tomo", "--target", "ZQ"], {"nu_rf": 1e16}, "nu_rf"),
         (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"nu_rf": 0.0}, "--nu-rf"),
-        # The default frame fails too: the tiny J12 is to blame.
+        # The default frame fails too: the system is to blame, or J12 = 0.
         (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"system": {**UNCOUPLED, "j12": 1e-308}},
-         "system.j12"),
+         "system"),
+        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"system": UNCOUPLED}, "system.j12"),
+        # J12 is fine; the shifts are far apart.
+        (["prepare", "--target", "ZQ"], {"system": {"nu1": 1e9, "nu2": 2e9, "j12": 4.2}},
+         "system"),
     ],
 )
 def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):

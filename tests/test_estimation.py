@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import estimation_reference as reference
 from conftest import random_cp_params
 from spinpair.channels import NoiseParams, full_generator
 from spinpair.estimation import (
@@ -394,6 +397,93 @@ def test_fit_noise_model_rejects_duplicate_kind():
     curve = synthetic_curve(KIND_ZQ, BTC_LIKE, suggested_times(KIND_ZQ, BTC_LIKE))
     with pytest.raises(DataError, match="duplicate"):
         fit_noise_model([curve, curve])
+
+
+@pytest.mark.parametrize(
+    "fixed, message",
+    [
+        ({"bogus": 1.0}, "fixed rate 'bogus' is unknown; expected one of "
+                         "('gamma1', 'gamma2', 'Gamma1', 'Gamma2')"),
+        ({"Gamma1": float("nan")}, "fixed rate 'Gamma1' = nan must be a finite non-negative number"),
+        ({"gamma2": -0.5}, "fixed rate 'gamma2' = -0.5 must be a finite non-negative number"),
+        ({"gamma1": None}, "fixed rate 'gamma1' = None must be a finite non-negative number"),
+    ],
+)
+def test_fit_noise_model_rejects_bad_fixed_rate(monkeypatch, fixed, message):
+    import spinpair.estimation as estimation
+
+    # Rejected at entry, before any curve is fitted.
+    monkeypatch.setattr(estimation, "fit_exponential", None)
+    curves = [synthetic_curve(kind, BTC_LIKE, suggested_times(kind, BTC_LIKE))
+              for kind in (KIND_ZQ, KIND_DQ)]
+    fixed = {"gamma1": 3.741, "gamma2": 3.048, "Gamma1": 0.264, "Gamma2": 0.255, **fixed}
+    with pytest.raises(ValueError) as excinfo:
+        fit_noise_model(curves, fixed=fixed)
+    assert str(excinfo.value) == message
+
+
+def _exact(value):
+    """`value` with each float as its hex digits and type name, so that == is bitwise."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return value
+
+
+def _outcome(fit, *args, **kwargs):
+    try:
+        result = fit(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _exact(vars(result) if isinstance(result, RateEstimate) else result.to_dict())
+
+
+@st.composite
+def _fit_inputs(draw):
+    """Curves of a CP model with per-kind sizes and spans, noise, weights, and
+    one of: all rates fitted, a fixed subset (with or without its curves), or
+    ZQ and DQ alone with the other four rates fixed (some of them off)."""
+    unit = st.floats(0.0, 1.0)
+    g1, g2 = 0.05 + 10 * draw(unit), 0.05 + 10 * draw(unit)
+    params = NoiseParams(g1, g2, (1.9 * draw(unit) - 0.95) * 2.0 * np.sqrt(g1 * g2),
+                         0.01 + 2 * draw(unit), 0.01 + 2 * draw(unit))
+    sigma = draw(st.sampled_from([0.0, 0.02, 0.02 * draw(unit)]))
+    weighted = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["all", "subset", "zq_dq"]))
+    fixed, dropped = {}, set()
+    for name, kind in PINNING_KIND.items():
+        if mode == "zq_dq" or (mode == "subset" and draw(st.booleans())):
+            fixed[name] = getattr(params, name) * draw(st.sampled_from([1.0, 1.0, 1.5]))
+            if mode == "zq_dq" or draw(st.booleans()):
+                dropped.add(kind)
+    curves = []
+    for kind in CURVE_KINDS:
+        size, span = draw(st.integers(4, 200)), 0.5 + 4.5 * draw(unit)
+        times = np.linspace(0.0, span / rate_for_kind(kind, params), size)
+        curve = synthetic_curve(kind, params, times, amplitude=0.5 + draw(unit),
+                                noise_sigma=sigma, rng=rng)
+        if weighted:
+            sigmas = max(sigma, 1e-3) * np.abs(curve.signals) + 1e-6
+            curve = DecayCurve(kind, curve.times, curve.signals, sigmas)
+        if kind not in dropped:
+            curves.append(curve)
+    return curves, fixed or None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fit_inputs())
+def test_fits_match_reference(inputs):
+    # The fits before the one-pass joint model and the lean iteration loop,
+    # kept verbatim: every estimate, report value and error must match bit for bit.
+    curves, fixed = inputs
+    for curve in curves:
+        assert _outcome(fit_exponential, curve) == _outcome(reference.fit_exponential, curve)
+    assert (_outcome(fit_noise_model, curves, fixed=fixed)
+            == _outcome(reference.fit_noise_model, curves, fixed=fixed))
 
 
 # ----------------------------------------------------------------------
