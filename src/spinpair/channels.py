@@ -76,16 +76,6 @@ class NoiseParams:
             raise NotCompletelyPositive(f"|gamma3| = {abs(self.gamma3):g} exceeds 2 sqrt(gamma1 gamma2), "
                                         "so the generator is not completely positive")
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "gamma3": self.gamma3,
-            "Gamma1": self.Gamma1,
-            "Gamma2": self.Gamma2,
-            "nbar": self.nbar,
-        }
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Row-major vectorization of a square matrix."""
@@ -309,17 +299,18 @@ def trace_functional(dim: int) -> np.ndarray:
     return w
 
 
-def is_trace_preserving_generator(gen: np.ndarray, tol: float = 1e-12) -> bool:
-    """The trace functional must be a left null vector of the generator."""
+def is_trace_preserving_generator(gen: np.ndarray) -> bool:
+    """The trace functional must be a left null vector of the generator, to
+    1e-12 in every entry."""
     gen = np.asarray(gen)
     dim = int(round(np.sqrt(gen.shape[0])))
-    return float(np.abs(trace_functional(dim) @ gen).max()) <= tol
+    return float(np.abs(trace_functional(dim) @ gen).max()) <= 1e-12
 
 
-def preserves_hermiticity(gen: np.ndarray, rho: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check Z(rho) is Hermitian for a Hermitian rho."""
+def preserves_hermiticity(gen: np.ndarray, rho: np.ndarray) -> bool:
+    """Check Z(rho) is Hermitian, to 1e-12 in every entry, for a Hermitian rho."""
     out = devectorize(np.asarray(gen) @ vectorize(rho))
-    return float(np.abs(out - out.conj().T).max()) <= tol
+    return float(np.abs(out - out.conj().T).max()) <= 1e-12
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:

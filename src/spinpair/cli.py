@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +40,15 @@ from .evolution import default_time_grid, propagate
 from .plotting import Series, render_decay_plot
 from .presets import PRESETS, get_preset
 from .spinops import SpinSystem
-from .states import MAXIMALLY_MIXED, coherence_state, prepare_target
+from .states import COHERENCE_KINDS, MAXIMALLY_MIXED, coherence_state, prepare_target
 from .tomography import SETTINGS, fidelity, reconstruct, simulate_readout
-
-PREPARE_TARGETS = ("ZQ", "DQ", "SQ1", "SQ2")
 
 # Density-matrix element whose magnitude is each coherence kind's signal.
 CHARACTERISTIC_ELEMENT = {"ZQ": (1, 2), "DQ": (0, 3), "SQ1": (0, 2), "SQ2": (0, 1)}
 
-# Most times one config may ask for: superoperator's (T, 16, 16) float stack
-# then takes about 200 MB.
+# Most times one config may ask for: a `decay` over that many points peaks at
+# about 650 MB, as the superoperator's (T, 16, 16) float stack is cast to
+# complex for the matrix-vector product.
 MAX_TIME_POINTS = 100_000
 
 
@@ -190,8 +189,7 @@ def load_config(args) -> RunConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top-level config must be an object")
-        known = {"system", "noise", "epsilon", "nu_rf", "time_grid", "seed", "noise_sigma"}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - {field.name for field in fields(RunConfig)})
         if unknown:
             raise ConfigError(f"{path}: unknown config fields {unknown}")
         if "system" in raw:
@@ -245,12 +243,22 @@ def _scaled_target(kind: str, epsilon: float) -> np.ndarray:
     return (1.0 - epsilon) * MAXIMALLY_MIXED + epsilon * coherence_state(kind)
 
 
-def _prepared_state(args, config: RunConfig) -> np.ndarray:
+def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, float]:
+    """The read-out step of `prepare` and `tomo`: prepare the target, evolve it
+    for `tomo --time` under the noise model, read out the four settings and
+    reconstruct.  --time and the noise it needs are checked before any work.
+    Returns the state read out, the records, the reconstruction and its
+    fidelity against the target scaled by epsilon."""
+    time = getattr(args, "time", None)
+    if time is not None:
+        if not np.isfinite(time) or time < 0:
+            raise ConfigError(f"--time must be a finite, non-negative number of seconds, got {time}")
+        noise = config.require_noise()
     system = config.require_system()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return prepare_target(args.target, system, config.epsilon, config.nu_rf)
+            state = prepare_target(args.target, system, config.epsilon, config.nu_rf)
         except ValueError as exc:
             # Targets and epsilon are checked already: only the ZQ/DQ delay's
             # phase rule is left to fail.  A frame frequency is to blame when
@@ -263,17 +271,20 @@ def _prepared_state(args, config: RunConfig) -> np.ndarray:
                     prepare_target(args.target, system, config.epsilon)
                     field = "nu_rf" if args.nu_rf is None else "--nu-rf"
             raise ConfigError(f"{field}: {exc}") from None
+    if config.epsilon == 0.0:
+        print("warning: epsilon = 0, the deviation part is empty; "
+              "comparing against the maximally mixed state", file=sys.stderr)
+    if time is not None:
+        state = propagate(state, noise, time)
+    records = [simulate_readout(state, s) for s in SETTINGS]
+    reconstructed = reconstruct(records)
+    fid = fidelity(reconstructed, _scaled_target(args.target, config.epsilon))
+    return state, records, reconstructed, fid
 
 
 def cmd_prepare(args) -> int:
     config = load_config(args)
-    state = _prepared_state(args, config)
-    if config.epsilon == 0.0:
-        print("warning: epsilon = 0, the deviation part is empty; "
-              "comparing against the maximally mixed state", file=sys.stderr)
-    records = [simulate_readout(state, s) for s in SETTINGS]
-    reconstructed = reconstruct(records)
-    fid = fidelity(reconstructed, _scaled_target(args.target, config.epsilon))
+    state, _, reconstructed, fid = _read_out(args, config)
     print(f"prepared {args.target} (epsilon = {config.epsilon:g}): "
           f"fidelity vs target = {fid:.6f}")
     out = _out_dir(args)
@@ -311,15 +322,15 @@ def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarra
 
 def cmd_decay(args) -> int:
     config = load_config(args)
+    out = _out_dir(args)
+    if out is None:
+        raise ConfigError("decay requires --out to write the curve")
     times = config.grid()
     signals = _decay_signals(args.kind, config, times)
     if config.noise_sigma > 0.0:
         rng = np.random.default_rng(config.seed)
         signals = signals * (1.0 + config.noise_sigma * rng.standard_normal(times.size))
     curve = DecayCurve(args.kind, times, signals)
-    out = _out_dir(args)
-    if out is None:
-        raise ConfigError("decay requires --out to write the curve")
     if args.format == "json":
         path = out / f"decay_{args.kind}.json"
         _write_json(
@@ -336,14 +347,7 @@ def cmd_decay(args) -> int:
 
 def cmd_tomo(args) -> int:
     config = load_config(args)
-    state = _prepared_state(args, config)
-    if args.time is not None:
-        if not np.isfinite(args.time) or args.time < 0:
-            raise ConfigError(f"--time must be a finite, non-negative number of seconds, got {args.time}")
-        state = propagate(state, config.require_noise(), args.time)
-    records = [simulate_readout(state, s) for s in SETTINGS]
-    reconstructed = reconstruct(records)
-    fid = fidelity(reconstructed, _scaled_target(args.target, config.epsilon))
+    _, records, reconstructed, fid = _read_out(args, config)
     payload = {
         "target": args.target,
         "epsilon": config.epsilon,
@@ -397,11 +401,14 @@ def _fit_plot(curves: dict[str, DecayCurve], rates: dict[str, float],
         dense = np.linspace(curve.times[0], curve.times[-1], 128)
         fit_y = amplitude * np.exp(-rates[kind] * dense)
         series.append(Series(label=f"{label} fit", x=list(dense), y=list(fit_y), style="line"))
-    return render_decay_plot(series, title="decay fits", y_label="signal (log)")
+    return render_decay_plot(series)
 
 
 def cmd_fit(args) -> int:
     config = load_config(args)
+    out = _out_dir(args)
+    if out is None:
+        raise ConfigError("fit requires --out to write the report")
     paths = _parse_curve_args(args.curve)
     for mandatory in ("ZQ", "DQ"):
         if mandatory not in paths:
@@ -458,9 +465,6 @@ def cmd_fit(args) -> int:
             f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} 1/s"
         )
 
-    out = _out_dir(args)
-    if out is None:
-        raise ConfigError("fit requires --out to write the report")
     report_path = out / "fit_report.json"
     _write_json(payload, report_path)
     svg_path = out / "fit_plot.svg"
@@ -485,7 +489,7 @@ def _report_entry(name: str) -> dict:
         "gamma3": consistency.pop("gamma3_difference"),
         "gamma3_stderr": consistency.pop("gamma3_difference_stderr"),
         **consistency,
-        "noise": preset.noise.as_dict(),
+        "noise": asdict(preset.noise),
     }
 
 
@@ -540,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prepare = sub.add_parser("prepare", help="simulate state preparation and report fidelity")
     add_flags(p_prepare, "--config", "--preset", "--out", "--nu-rf")
-    p_prepare.add_argument("--target", choices=PREPARE_TARGETS, required=True)
+    p_prepare.add_argument("--target", choices=COHERENCE_KINDS, required=True)
     p_prepare.set_defaults(func=cmd_prepare)
 
     p_decay = sub.add_parser("decay", help="sweep a decay curve and write CSV")
@@ -551,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tomo = sub.add_parser("tomo", help="simulate tomography of a prepared state")
     add_flags(p_tomo, "--config", "--preset", "--out", "--nu-rf")
-    p_tomo.add_argument("--target", choices=PREPARE_TARGETS, required=True)
+    p_tomo.add_argument("--target", choices=COHERENCE_KINDS, required=True)
     p_tomo.add_argument("--time", type=float, help="evolve under the noise model before readout")
     p_tomo.set_defaults(func=cmd_tomo)
 

@@ -149,7 +149,7 @@ class FitReport:
 
     def to_dict(self) -> dict:
         """Flat JSON-ready view of the report."""
-        out: dict = dict(self.params.as_dict())
+        out: dict = asdict(self.params)
         for name, value in sorted(self.stderr.items()):
             out[f"stderr_{name}"] = value
         for kind, value in sorted(self.amplitudes.items()):

@@ -39,7 +39,7 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
     return [10.0**k for k in range(low, high + 1)]
 
 
-def render_decay_plot(series: list[Series], title: str = "", y_label: str = "signal") -> str:
+def render_decay_plot(series: list[Series]) -> str:
     """Render data points and fitted curves to an SVG document string.
 
     The y axis is logarithmic with decade ticks: non-positive y values are
@@ -73,12 +73,9 @@ def render_decay_plot(series: list[Series], title: str = "", y_label: str = "sig
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
+        f'<text x="{WIDTH // 2}" y="{MARGIN_TOP - 10}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="14">decay fits</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="{MARGIN_TOP - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
 
     bottom = MARGIN_TOP + plot_h
     x_step = (x_hi - x_lo) / (X_TICKS - 1)
@@ -109,7 +106,7 @@ def render_decay_plot(series: list[Series], title: str = "", y_label: str = "sig
     parts.append(
         f'<text x="16" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h // 2})">{y_label}</text>'
+        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h // 2})">signal (log)</text>'
     )
 
     legend_y = MARGIN_TOP + 14

@@ -135,8 +135,8 @@ def free_evolution(h: np.ndarray, tau: float) -> np.ndarray:
     return (eigvecs * phases) @ eigvecs.conj().T
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check U U+ = identity in max-abs entry norm."""
+def is_unitary(u: np.ndarray) -> bool:
+    """Check U U+ = identity to 1e-12 in max-abs entry norm."""
     u = np.asarray(u)
     dev = u @ u.conj().T - np.eye(u.shape[0])
-    return float(np.abs(dev).max()) <= tol
+    return float(np.abs(dev).max()) <= 1e-12

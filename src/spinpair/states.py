@@ -218,6 +218,8 @@ def prepare_target(
     kind: str, system: SpinSystem, epsilon: float, nu_rf: float | None = None
 ) -> np.ndarray:
     """Prepare any of the four coherence states by its pulse sequence."""
+    if kind not in COHERENCE_KINDS:
+        raise ValueError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
     if epsilon == 0.0:
         warnings.warn(
             "epsilon = 0: the deviation part is empty and the prepared state "

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +64,15 @@ def test_prepare_reports_high_fidelity(tmp_path, capsys, target):
 
 
 def test_prepare_with_zero_polarization(tmp_path, capsys):
+    # prepare and tomo share one read-out step, so both warn.
     config = write_config(tmp_path, epsilon=0.0)
-    code = main(["prepare", "--preset", "btc", "--target", "DQ", "--config", config])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "fidelity vs target = 1.000000" in captured.out
-    assert "deviation part is empty" in captured.err
+    for command in ("prepare", "tomo"):
+        code = main([command, "--preset", "btc", "--target", "DQ", "--config", config])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "fidelity vs target = 1.000000" in captured.out
+        assert captured.err == ("warning: epsilon = 0, the deviation part is empty; "
+                                "comparing against the maximally mixed state\n")
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +137,17 @@ def test_decay_json_format(tmp_path):
 def test_decay_without_out_is_config_error(capsys):
     assert main(["decay", "--kind", "ZQ", "--preset", "btc"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_decay_without_out_fails_before_propagating(capsys, monkeypatch):
+    import spinpair.cli as cli_module
+
+    def explode(*args):
+        raise AssertionError("propagate called before --out was checked")
+
+    monkeypatch.setattr(cli_module, "propagate", explode)
+    assert main(["decay", "--kind", "ZQ", "--preset", "btc"]) == 2
+    assert capsys.readouterr().err == "config error: decay requires --out to write the curve\n"
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +306,15 @@ def test_fit_overflowing_residuals_are_fit_error(tmp_path, capsys):
     assert capsys.readouterr().err == "fit error: ZQ: fit did not converge in 1 iterations\n"
 
 
+def test_fit_without_out_fails_before_fitting(tmp_path, capsys):
+    # This ZQ curve cannot converge, but the missing --out is found first.
+    paths = measured_rate_curves(tmp_path)
+    zq = tmp_path / "steep.csv"
+    zq.write_text("t,signal\n1,1e300\n2,1e295\n3,1e290\n4,1e285\n", encoding="utf-8")
+    assert main(["fit", "--curve", f"ZQ={zq}", "--curve", f"DQ={paths[KIND_DQ]}"]) == 2
+    assert capsys.readouterr() == ("", "config error: fit requires --out to write the report\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "rows, message",
@@ -375,7 +399,7 @@ def test_report_entry_matches_hand_written_formula(monkeypatch):
             "dq_rate_predicted": base + rates.gamma3,
             "zq_rate_mismatch": base - rates.gamma3 - rates.zq_rate,
             "dq_rate_mismatch": base + rates.gamma3 - rates.dq_rate,
-            "noise": params.as_dict(),
+            "noise": asdict(params),
         }
         stderr = entry.pop("gamma3_stderr")
         assert entry == expected
@@ -592,6 +616,40 @@ def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
     code = main([*argv, "--preset", "btc", "--config", config])
     assert code == 2
     assert f"config error: {name}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["prepare", "--target", "DQ", "--config", "{tmp}/missing.json"], 2,
+         "config error: config file not found: {tmp}/missing.json"),
+        (["prepare", "--target", "DQ", "--config", "{tmp}/list.json"], 2,
+         "config error: {tmp}/list.json: top-level config must be an object"),
+        (["fit", "--curve", "ZQ", "--out", "{tmp}/out"], 2,
+         "config error: --curve expects KIND=PATH, got 'ZQ'"),
+        (["fit", "--curve", "ZQ={tmp}/a.csv", "--curve", "ZQ={tmp}/b.csv", "--out", "{tmp}/out"], 2,
+         "config error: --curve: duplicate kind 'ZQ'"),
+        (["fit", "--mode", "joint", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/dq.csv",
+          "--out", "{tmp}/out"], 3,
+         "data error: joint fit without a SQ1 curve needs --preset/--config noise to fix gamma1"),
+        (["report", "--preset", "benzene"], 2,
+         "config error: unknown preset 'benzene'; available: ['btc', 'coumarin', 'cytosine']"),
+        # --time and the noise it needs are checked before the state is prepared.
+        (["tomo", "--target", "DQ", "--time", "1"], 2,
+         "config error: no noise rates configured; pass --preset or a config with 'noise'"),
+        (["tomo", "--target", "DQ", "--time", "-1"], 2,
+         "config error: --time must be a finite, non-negative number of seconds, got -1.0"),
+    ],
+    ids=["missing-config", "config-not-object", "curve-without-equals", "duplicate-curve",
+         "joint-fit-without-pin", "report-unknown-preset", "tomo-time-without-noise",
+         "tomo-negative-time-without-system"],
+)
+def test_cli_error_branch_exit_code_and_message(tmp_path, capsys, argv, code, message):
+    (tmp_path / "list.json").write_text("[]\n", encoding="utf-8")
+    measured_rate_curves(tmp_path)  # zq.csv and dq.csv
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr() == ("", message.format(tmp=tmp_path) + "\n")
+    assert not (tmp_path / "out" / "fit_report.json").exists()
 
 
 def test_large_frame_frequency_names_the_flag(capsys):

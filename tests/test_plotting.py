@@ -13,13 +13,14 @@ def sample_series():
 
 
 def test_render_produces_svg_document():
-    svg = render_decay_plot(sample_series(), title="decay fits")
+    svg = render_decay_plot(sample_series())
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") == 9
     assert svg.count("<polyline") == 1
     assert "decay fits" in svg
     assert "time (s)" in svg
+    assert "signal (log)" in svg
 
 
 def test_render_is_deterministic():

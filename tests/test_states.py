@@ -75,6 +75,18 @@ def test_coherence_state_rejects_unknown_kind():
         coherence_state("TQ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_prepare_target_rejects_unknown_kind():
+    # The kind is checked first, with coherence_state's message, before the
+    # epsilon = 0 warning and before the SQ branch that names only SQ1 and SQ2.
+    message = r"kind must be one of \('ZQ', 'DQ', 'SQ1', 'SQ2'\), got 'XQ'$"
+    for epsilon in (1.0, 0.0):
+        with pytest.raises(ValueError, match=message):
+            prepare_target("XQ", BTC, epsilon)
+    with pytest.raises(ValueError, match=message):
+        coherence_state("XQ")
+
+
 def test_coherence_spectrum_examples():
     dq = coherence_spectrum(coherence_state("DQ"))
     assert dq[2] == pytest.approx(0.25, abs=1e-12)
