@@ -7,12 +7,11 @@ from .channels import (
     NoiseParams,
     apply_kraus,
     choi_matrix,
-    correlated_dephasing_generator,
     correlated_mixture,
     full_generator,
     gad_apply,
-    gad_generator,
     gad_generator_single,
+    jump_operators,
     lindblad_generator,
     phase_damping_apply,
     phase_damping_generator,
@@ -29,7 +28,6 @@ from .estimation import (
     load_curve,
     rate_for_kind,
     save_curve,
-    save_report,
     signal_model,
     synthetic_curve,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "choi_matrix",
     "coherence_spectrum",
     "coherence_state",
-    "correlated_dephasing_generator",
     "correlated_mixture",
     "default_time_grid",
     "fidelity",
@@ -76,11 +73,11 @@ __all__ = [
     "free_evolution",
     "full_generator",
     "gad_apply",
-    "gad_generator",
     "gad_generator_single",
     "gamma3_difference",
     "get_preset",
     "hamiltonian",
+    "jump_operators",
     "lindblad_generator",
     "load_curve",
     "matrix_exp",
@@ -95,7 +92,6 @@ __all__ = [
     "rate_for_kind",
     "reconstruct",
     "save_curve",
-    "save_report",
     "signal_model",
     "simulate_readout",
     "sq_preparation",

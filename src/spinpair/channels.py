@@ -1,6 +1,9 @@
-"""Kraus maps and Lindblad-type generators for the two-spin noise model:
-single-spin phase damping, generalized amplitude damping, and correlated
-two-spin dephasing, composed into the full decoherence generator.
+"""Kraus maps and Lindblad generators for the two-spin noise model.
+
+Single-spin phase damping and generalized amplitude damping are given as
+maps and generators; the two-spin model, correlated dephasing plus
+generalized amplitude damping of each spin, is one Lindbladian built from
+its jump operators.
 
 Superoperators act on the row-major vectorization of the density matrix,
 vec(rho)[4 r + s] = rho[r, s]; single-spin generators use the analogous
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import SIGMA
+from .spinops import pauli
 from .states import validate_density_matrix
 
 KRAUS_COMPLETENESS_TOL = 1e-10
@@ -31,7 +34,7 @@ class NoiseParams:
     gamma1/gamma2 are the independent dephasing rates, gamma3 the correlated
     dephasing rate (may be negative), Gamma1/Gamma2 the amplitude-damping
     rates of each spin.  nbar is the reservoir temperature parameter; the
-    two-spin generator models only the infinite-temperature limit nbar = 1/2.
+    closed-form propagator models only the infinite-temperature limit nbar = 1/2.
 
     The constructor is the one place that decides which rates are
     admissible: finite, non-negative damping and independent dephasing
@@ -57,6 +60,8 @@ class NoiseParams:
                              "infinite-temperature limit nbar = 0.5")
         # Implied by the rule below in exact arithmetic, but not in floating
         # point: at gamma1 = gamma2 = 2, 2 sqrt(2) sqrt(2) = 4.000000000000001.
+        # It keeps the ZQ and DQ rates gamma1 + gamma2 -/+ gamma3 of the rate
+        # table non-negative, so no closed-form coherence grows.
         if self.gamma1 + self.gamma2 - self.gamma3 < 0 or self.gamma1 + self.gamma2 + self.gamma3 < 0:
             raise ValueError(
                 "correlated dephasing rate gamma3 yields a negative diagonal "
@@ -199,63 +204,38 @@ def gad_generator_single(rate: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Two-spin generators
+# Two-spin generator
 # ----------------------------------------------------------------------
 
 
-def lift_single_spin_superop(superop: np.ndarray, spin: int) -> np.ndarray:
-    """Lift a single-spin superoperator to the 16-dim two-spin vec space.
+def jump_operators(params: NoiseParams) -> list[np.ndarray]:
+    """Lindblad operators of the two-spin noise model.
 
-    The 16-vector index decomposes as (r1, r2, s1, s2) with weights
-    (8, 4, 2, 1); the 4x4 input acts on the chosen spin's (r_i, s_i) pair
-    and the identity acts on the other spin's pair.
+    Correlated dephasing has the Kossakowski matrix
+    K = [[gamma1/2, gamma3/4], [gamma3/4, gamma2/2]] on (sigma_z^1, sigma_z^2),
+    which is positive semidefinite exactly when |gamma3| <= 2 sqrt(gamma1 gamma2),
+    the constructor's rule.  Its eigenpairs give the operators
+    sqrt(lambda_k) (V_1k sigma_z^1 + V_2k sigma_z^2); on the boundary eigh may
+    return lambda_min a few ulps below zero, which is clamped.  Generalized
+    amplitude damping of spin i adds sqrt((1 - nbar) Gamma_i) sigma_-^i and
+    sqrt(nbar Gamma_i) sigma_+^i, with sigma_- = |0><1|.
     """
-    g = np.asarray(superop, dtype=complex).reshape(2, 2, 2, 2)
-    eye = np.eye(2, dtype=complex)
-    if spin == 1:
-        lifted = np.einsum("PSps,Qq,Tt->PQSTpqst", g, eye, eye)
-    elif spin == 2:
-        lifted = np.einsum("QTqt,Pp,Ss->PQSTpqst", g, eye, eye)
-    else:
-        raise ValueError(f"spin must be 1 or 2, got {spin!r}")
-    return lifted.reshape(16, 16)
-
-
-def gad_generator(rate: float, spin: int) -> np.ndarray:
-    """Two-spin lift of the infinite-temperature amplitude-damping generator."""
-    return lift_single_spin_superop(gad_generator_single(rate), spin)
-
-
-def correlated_dephasing_generator(gamma1: float, gamma2: float, gamma3: float) -> np.ndarray:
-    """Diagonal generator of correlated phase damping on both spins.
-
-    gamma1 and gamma2 are the independent dephasing rates; gamma3 adds to
-    the double-quantum decay rate and subtracts from the zero-quantum one.
-    """
-    cross = gamma1 + gamma2
-    rates = [
-        0.0, gamma2, gamma1, cross + gamma3,
-        gamma2, 0.0, cross - gamma3, gamma1,
-        gamma1, cross - gamma3, 0.0, gamma2,
-        cross + gamma3, gamma1, gamma2, 0.0,
-    ]
-    if min(rates) < 0:
-        raise ValueError(
-            "correlated dephasing rates produce a positive diagonal entry "
-            f"(negative decay rate {min(rates):g}); generator is not "
-            "completely positive"
-        )
-    return np.diag([-r for r in rates]).astype(complex)
+    kossakowski = np.array([[params.gamma1 / 2.0, params.gamma3 / 4.0],
+                            [params.gamma3 / 4.0, params.gamma2 / 2.0]])
+    eigenvalues, vectors = np.linalg.eigh(kossakowski)
+    sz1, sz2 = pauli(1, "z"), pauli(2, "z")
+    ops = [math.sqrt(max(lam, 0.0)) * (v1 * sz1 + v2 * sz2) for lam, (v1, v2) in zip(eigenvalues, vectors.T)]
+    for spin, rate in ((1, params.Gamma1), (2, params.Gamma2)):
+        lower = 0.5 * (pauli(spin, "x") + 1j * pauli(spin, "y"))
+        ops.append(math.sqrt((1.0 - params.nbar) * rate) * lower)
+        ops.append(math.sqrt(params.nbar * rate) * lower.conj().T)
+    return ops
 
 
 def full_generator(params: NoiseParams) -> np.ndarray:
     """Full two-spin decoherence generator: correlated dephasing plus
-    independent infinite-temperature amplitude damping on each spin."""
-    return (
-        correlated_dephasing_generator(params.gamma1, params.gamma2, params.gamma3)
-        + gad_generator(params.Gamma1, 1)
-        + gad_generator(params.Gamma2, 2)
-    )
+    generalized amplitude damping on each spin, in Lindblad form."""
+    return lindblad_generator(jump_operators(params))
 
 
 def lindblad_generator(ops: list[np.ndarray]) -> np.ndarray:
@@ -269,22 +249,6 @@ def lindblad_generator(ops: list[np.ndarray]) -> np.ndarray:
         gen += np.kron(op, op.conj())
         gen -= 0.5 * (np.kron(opd_op, eye) + np.kron(eye, opd_op.T))
     return gen
-
-
-def dephasing_lindblad_ops(gamma1: float, gamma2: float, gamma3: float) -> list[np.ndarray]:
-    """Lindblad operators reproducing the correlated dephasing generator.
-
-    Valid for gamma3 >= 0 with min(gamma1, gamma2) >= gamma3 / 2; used to
-    cross-validate the directly constructed generator matrix.
-    """
-    k1 = gamma1 / 2.0 - gamma3 / 4.0
-    k2 = gamma2 / 2.0 - gamma3 / 4.0
-    kc = gamma3 / 4.0
-    if min(k1, k2, kc) < 0:
-        raise ValueError("rates outside the three-operator dephasing decomposition")
-    s1z = np.kron(SIGMA["z"], np.eye(2))
-    s2z = np.kron(np.eye(2), SIGMA["z"])
-    return [np.sqrt(k1) * s1z, np.sqrt(k2) * s2z, np.sqrt(kc) * (s1z + s2z)]
 
 
 # ----------------------------------------------------------------------

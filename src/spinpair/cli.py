@@ -386,7 +386,8 @@ def _fit_plot(curves: dict[str, DecayCurve], rates: dict[str, float],
     """Overlay of data points and fitted curves on log-linear axes.
 
     Recovery-kind curves are shown as the recovery gap (A - s)/2 = A e^(-Rt)
-    so every plotted series is a positive exponential.
+    so every fitted series is a positive exponential; data points <= 0 fall
+    off the log axis.
     """
     series: list[Series] = []
     for kind, curve in sorted(curves.items()):

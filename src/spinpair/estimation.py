@@ -9,7 +9,6 @@ parameter; weights are 1/sigma when per-point uncertainties are supplied.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -340,8 +339,6 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
         raise DataError(f"{curve.kind}: need at least 4 samples to fit, got {len(curve)}")
     if curve.signals.max() == curve.signals.min():
         raise DataError(f"{curve.kind}: constant signal, decay rate undetermined")
-    if curve.kind not in RECOVERY_KINDS and np.any(curve.signals <= 0):
-        raise DataError(f"{curve.kind}: coherence-decay signals must be positive")
 
     weights = None if curve.sigmas is None else 1.0 / curve.sigmas
     t, s = curve.times, curve.signals
@@ -596,9 +593,3 @@ def save_curve(curve: DecayCurve, path) -> None:
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def save_report(report: FitReport, path) -> None:
-    """Serialize a FitReport as a flat JSON object."""
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cp_params, random_density_matrix
@@ -13,16 +13,13 @@ from spinpair.channels import (
     NotCompletelyPositive,
     apply_kraus,
     choi_matrix,
-    correlated_dephasing_generator,
     correlated_mixture,
-    dephasing_lindblad_ops,
     devectorize,
     full_generator,
     gad_apply,
-    gad_generator,
     gad_generator_single,
     is_trace_preserving_generator,
-    lift_single_spin_superop,
+    jump_operators,
     lindblad_generator,
     phase_damping_apply,
     phase_damping_generator,
@@ -30,7 +27,7 @@ from spinpair.channels import (
     trace_functional,
     vectorize,
 )
-from spinpair.evolution import matrix_exp
+from spinpair.evolution import matrix_exp, superoperator
 from spinpair.spinops import SIGMA, pauli
 
 
@@ -111,7 +108,8 @@ def test_noise_params_strict_cp_condition():
 def test_noise_params_diagonal_clause_guards_rounding():
     # 2 sqrt(2) sqrt(2) rounds to 4.000000000000001, so gamma3 at that value
     # passes the square-root test while gamma1 + gamma2 - gamma3 < 0; without
-    # the diagonal clause the generator would then raise.
+    # the diagonal clause the ZQ or DQ rate of the closed form would be
+    # negative, and that coherence would grow.
     g3 = 2.0 * np.sqrt(2.0) * np.sqrt(2.0)
     assert g3 > 4.0 and 2.0 + 2.0 - g3 < 0
     for sign in (1.0, -1.0):
@@ -316,10 +314,19 @@ def test_gad_generator_single_exponentiates_to_map():
         assert np.abs(via_generator - gad_apply(rho, rate, 0.5, t)).max() < 1e-10
 
 
+def spin_embedding(spin):
+    """Embed a single-spin operator on the given spin of the pair."""
+    return (lambda m: np.kron(m, np.eye(2))) if spin == 1 else (lambda m: np.kron(np.eye(2), m))
+
+
+def damping_only(rate, spin):
+    return NoiseParams(0.0, 0.0, 0.0, rate if spin == 1 else 0.0, rate if spin == 2 else 0.0)
+
+
 def test_gad_generator_lifted_stationary_state():
-    z = gad_generator(1.7, 1) + gad_generator(0.6, 2)
+    z = full_generator(NoiseParams(0, 0, 0, 1.7, 0.6))
     assert np.abs(z @ vectorize(np.eye(4) / 4)).max() < 1e-14
-    assert np.allclose(gad_generator(0.0, 1), np.zeros((16, 16)))
+    assert np.allclose(full_generator(damping_only(0.0, 1)), np.zeros((16, 16)))
 
 
 @pytest.mark.parametrize("spin", [1, 2])
@@ -327,9 +334,9 @@ def test_gad_generator_matches_lindblad_form(spin):
     rate = 1.3
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     raise_ = lower.T.conj()
-    embed = (lambda m: np.kron(m, np.eye(2))) if spin == 1 else (lambda m: np.kron(np.eye(2), m))
+    embed = spin_embedding(spin)
     ops = [np.sqrt(rate / 2) * embed(lower), np.sqrt(rate / 2) * embed(raise_)]
-    assert np.abs(gad_generator(rate, spin) - lindblad_generator(ops)).max() < 1e-12
+    assert np.abs(full_generator(damping_only(rate, spin)) - lindblad_generator(ops)).max() < 1e-12
 
 
 @pytest.mark.parametrize("spin", [1, 2])
@@ -337,15 +344,9 @@ def test_gad_generator_lift_matches_two_spin_kraus(spin):
     rng = np.random.default_rng(10 + spin)
     rho = random_density_matrix(rng)
     rate, t = 0.9, 0.7
-    embed = (lambda m: np.kron(m, np.eye(2))) if spin == 1 else (lambda m: np.kron(np.eye(2), m))
-    kraus = [embed(e) for e in gad_kraus_high_t(rate, t)]
-    via_superop = devectorize(matrix_exp(gad_generator(rate, spin) * t) @ vectorize(rho))
+    kraus = [spin_embedding(spin)(e) for e in gad_kraus_high_t(rate, t)]
+    via_superop = devectorize(matrix_exp(full_generator(damping_only(rate, spin)) * t) @ vectorize(rho))
     assert np.abs(via_superop - apply_kraus(rho, kraus)).max() < 1e-10
-
-
-def test_lift_rejects_bad_spin():
-    with pytest.raises(ValueError):
-        lift_single_spin_superop(np.eye(4), 3)
 
 
 # ----------------------------------------------------------------------
@@ -354,20 +355,22 @@ def test_lift_rejects_bad_spin():
 
 
 def test_correlated_dephasing_zero_rates():
-    assert np.allclose(correlated_dephasing_generator(0, 0, 0), np.zeros((16, 16)))
+    # eigh of the zero Kossakowski matrix gives zero dephasing operators.
+    for op in jump_operators(NoiseParams(0, 0, 0, 0.3, 0.4))[:2]:
+        assert np.array_equal(op, np.zeros((4, 4)))
 
 
 def test_correlated_dephasing_explicit_diagonal():
-    z = correlated_dephasing_generator(1.0, 2.0, 3.0)
+    z = full_generator(NoiseParams(1.0, 2.0, 2.0, 0.0, 0.0))
     expected = np.diag(
-        [0, -2, -1, -6, -2, 0, 0, -1, -1, 0, 0, -2, -6, -1, -2, 0]
+        [0, -2, -1, -5, -2, 0, -1, -1, -1, -1, 0, -2, -5, -1, -2, 0]
     ).astype(complex)
     assert np.allclose(z, expected)
 
 
 def test_correlated_dephasing_symmetric_rates():
     gamma = 0.8
-    z = np.diag(correlated_dephasing_generator(gamma, gamma, 0.0)).real
+    z = np.diag(full_generator(NoiseParams(gamma, gamma, 0.0, 0.0, 0.0))).real
     # single-quantum positions decay at gamma, ZQ and DQ at 2 gamma
     for idx in (1, 2, 7, 11, 13, 14, 4, 8):
         assert z[idx] == pytest.approx(-gamma)
@@ -376,24 +379,24 @@ def test_correlated_dephasing_symmetric_rates():
 
 
 def test_correlated_dephasing_reduces_to_independent_channels():
-    g1, g2 = 1.1, 0.4
-    combined = correlated_dephasing_generator(g1, g2, 0.0)
-    lifted = lift_single_spin_superop(phase_damping_generator(g1), 1) + lift_single_spin_superop(
-        phase_damping_generator(g2), 2
-    )
-    assert np.abs(combined - lifted).max() < 1e-14
-
-
-def test_correlated_dephasing_flags_negative_decay():
-    with pytest.raises(ValueError, match="positive diagonal"):
-        correlated_dephasing_generator(1.0, 1.0, 3.0)
+    rng = np.random.default_rng(12)
+    rho = random_density_matrix(rng)
+    g1, g2, t = 1.1, 0.4, 0.6
+    kraus = [np.kron(a, b) for a in pd_kraus(g1, t) for b in pd_kraus(g2, t)]
+    flow = matrix_exp(full_generator(NoiseParams(g1, g2, 0.0, 0.0, 0.0)) * t)
+    via_superop = devectorize(flow @ vectorize(rho))
+    assert np.abs(via_superop - apply_kraus(rho, kraus)).max() < 1e-10
 
 
 def test_correlated_dephasing_matches_lindblad_decomposition():
+    # Three operators sqrt(k1) sz1, sqrt(k2) sz2 and sqrt(kc) (sz1 + sz2)
+    # carry the same Kossakowski matrix when gamma3 >= 0 and
+    # min(gamma1, gamma2) >= gamma3 / 2.
     g1, g2, g3 = 2.0, 3.0, 1.0
-    direct = correlated_dephasing_generator(g1, g2, g3)
-    via_lindblad = lindblad_generator(dephasing_lindblad_ops(g1, g2, g3))
-    assert np.abs(direct - via_lindblad).max() < 1e-12
+    sz1, sz2 = pauli(1, "z"), pauli(2, "z")
+    ops = [np.sqrt(g1 / 2 - g3 / 4) * sz1, np.sqrt(g2 / 2 - g3 / 4) * sz2, np.sqrt(g3 / 4) * (sz1 + sz2)]
+    direct = full_generator(NoiseParams(g1, g2, g3, 0.0, 0.0))
+    assert np.abs(direct - lindblad_generator(ops)).max() < 1e-12
 
 
 def test_full_generator_zero_rates():
@@ -418,9 +421,9 @@ def test_full_generator_is_sum_of_parts():
     p = NoiseParams(1.2, 0.8, 0.5, 0.3, 0.4)
     total = full_generator(p)
     parts = (
-        correlated_dephasing_generator(p.gamma1, p.gamma2, p.gamma3)
-        + gad_generator(p.Gamma1, 1)
-        + gad_generator(p.Gamma2, 2)
+        full_generator(NoiseParams(p.gamma1, p.gamma2, p.gamma3, 0.0, 0.0))
+        + full_generator(damping_only(p.Gamma1, 1))
+        + full_generator(damping_only(p.Gamma2, 2))
     )
     assert np.allclose(total, parts)
 
@@ -460,6 +463,37 @@ def test_full_generator_flow_is_completely_positive():
             choi = choi_matrix(matrix_exp(z * t))
             assert np.abs(choi - choi.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(choi).min() >= -1e-10
+
+
+# Rates over four decades, 1e-2 to 1e2 1/s; gamma3 often exactly on the CP
+# boundary |gamma3| = 2 sqrt(gamma1) sqrt(gamma2), which no random_cp_params
+# draw reaches.
+_decade_rate = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _admissible_params(draw):
+    g1, g2 = draw(_decade_rate), draw(_decade_rate)
+    fraction = draw(st.sampled_from([1.0, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12), 0.0]) | st.floats(-1.0, 1.0))
+    g3 = fraction * 2.0 * math.sqrt(g1) * math.sqrt(g2)
+    damping = st.just(0.0) | _decade_rate
+    try:
+        return NoiseParams(g1, g2, g3, draw(damping), draw(damping))
+    except ValueError:  # the diagonal clause, where the boundary rounds up
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_admissible_params(), st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
+def test_generator_completely_positive_on_admissible_region(params, t):
+    ops = jump_operators(params)
+    assert all(np.all(np.isfinite(op)) for op in ops)
+    z = full_generator(params)
+    assert is_trace_preserving_generator(z)
+    assert preserves_hermiticity(z, random_density_matrix(np.random.default_rng(16)))
+    flow = matrix_exp(z * t)
+    assert np.linalg.eigvalsh(choi_matrix(flow)).min() >= -1e-10
+    assert np.abs(flow - superoperator(params, t)[0]).max() <= 1e-10
 
 
 def test_choi_matrix_of_identity_superop():

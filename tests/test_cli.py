@@ -219,6 +219,22 @@ def test_fit_difference_mode_reproduces_gamma3(tmp_path, capsys):
     assert "<polyline" in svg and "<circle" in svg
 
 
+@pytest.mark.parametrize("mode", ["difference", "joint"])
+def test_fit_reads_back_decay_curves_that_underflow(tmp_path, mode):
+    # e^(-152 t) underflows on the default grid, so the DQ CSV ends in exact
+    # zeros; fit takes the simulator's own output back.
+    noise = {"gamma1": 50.0, "gamma2": 40.0, "gamma3": 60.0, "Gamma1": 2.0, "Gamma2": 2.0}
+    config = write_config(tmp_path, noise=noise)
+    for kind in (KIND_ZQ, KIND_DQ):
+        assert main(["decay", "--kind", kind, "--config", config, "--out", str(tmp_path)]) == 0
+    assert load_curve(tmp_path / "decay_DQ.csv", KIND_DQ).signals[-1] == 0.0
+    code = main(["fit", "--mode", mode, "--config", config, "--curve", f"ZQ={tmp_path / 'decay_ZQ.csv'}",
+                 "--curve", f"DQ={tmp_path / 'decay_DQ.csv'}", "--out", str(tmp_path / "out")])
+    assert code == 0
+    payload = json.loads((tmp_path / "out" / "fit_report.json").read_text(encoding="utf-8"))
+    assert payload["gamma3"] == pytest.approx(60.0, rel=1e-6)
+
+
 def test_fit_outputs_byte_identical_across_runs(tmp_path):
     paths = measured_rate_curves(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -9,7 +9,6 @@ from spinpair.channels import (
     NoiseParams,
     NotCompletelyPositive,
     choi_matrix,
-    correlated_dephasing_generator,
     devectorize,
     full_generator,
     trace_functional,
@@ -180,10 +179,14 @@ def test_propagate_rejects_non_cp_rates_at_entry():
 def test_propagate_output_check_stays_live(monkeypatch):
     # No NoiseParams holds NON_CP, so hand propagate the map of its dephasing
     # generator under CP rates: only the check of the output states catches
-    # the result.
+    # the result.  Element (r, s) decays at g1 d1^2 + g2 d2^2 + g3 d1 d2, with
+    # d_i half the difference of spin i's sigma_z eigenvalues in r and s.
     import spinpair.evolution as evolution
 
-    generator = correlated_dephasing_generator(*NON_CP[:3])
+    g1, g2, g3 = NON_CP[:3]
+    z1, z2 = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+    d1, d2 = (z1[:, None] - z1) / 2, (z2[:, None] - z2) / 2
+    generator = np.diag(-(g1 * d1**2 + g2 * d2**2 + g3 * d1 * d2).ravel())
     bad = np.stack([np.eye(16), matrix_exp(generator)])
     monkeypatch.setattr(evolution, "superoperator", lambda params, t: bad)
     with pytest.raises(ValueError, match=r"^state 2: density matrix not positive semidefinite"):
