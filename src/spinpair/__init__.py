@@ -7,14 +7,11 @@ from .channels import (
     NoiseParams,
     apply_kraus,
     choi_matrix,
-    correlated_mixture,
     full_generator,
     gad_apply,
-    gad_generator_single,
     jump_operators,
     lindblad_generator,
     phase_damping_apply,
-    phase_damping_generator,
 )
 from .estimation import (
     ConvergenceError,
@@ -65,7 +62,6 @@ __all__ = [
     "choi_matrix",
     "coherence_spectrum",
     "coherence_state",
-    "correlated_mixture",
     "default_time_grid",
     "fidelity",
     "fit_exponential",
@@ -73,7 +69,6 @@ __all__ = [
     "free_evolution",
     "full_generator",
     "gad_apply",
-    "gad_generator_single",
     "gamma3_difference",
     "get_preset",
     "hamiltonian",
@@ -83,7 +78,6 @@ __all__ = [
     "matrix_exp",
     "pauli",
     "phase_damping_apply",
-    "phase_damping_generator",
     "prepare_target",
     "prepare_via_sequence",
     "propagate",

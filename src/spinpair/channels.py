@@ -1,13 +1,14 @@
 """Kraus maps and Lindblad generators for the two-spin noise model.
 
-Single-spin phase damping and generalized amplitude damping are given as
-maps and generators; the two-spin model, correlated dephasing plus
-generalized amplitude damping of each spin, is one Lindbladian built from
-its jump operators.
+Maps are written in closed form: single-spin phase damping and generalized
+amplitude damping, and any operator-sum map.  Every generator is
+`lindblad_generator` of its jump operators: single-spin phase damping at
+rate gamma has sqrt(gamma / 2) sigma_z, amplitude damping at rate Gamma has
+sqrt((1 - nbar) Gamma) sigma_- and sqrt(nbar Gamma) sigma_+, and the
+two-spin model is `full_generator`.
 
-Superoperators act on the row-major vectorization of the density matrix,
-vec(rho)[4 r + s] = rho[r, s]; single-spin generators use the analogous
-4-vector (rho00, rho01, rho10, rho11).
+Superoperators act on the row-major vectorization of a d x d density
+matrix, vec(rho)[d r + s] = rho[r, s].
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class NoiseParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"NoiseParams.{name} must be non-negative")
         if self.nbar != 0.5:
-            raise ValueError(f"nbar = {self.nbar} is not supported: the generator models the "
-                             "infinite-temperature limit nbar = 0.5")
+            raise ValueError(f"nbar = {self.nbar} is not supported: the closed-form propagator "
+                             "models only the infinite-temperature limit nbar = 0.5")
         # Implied by the rule below in exact arithmetic, but not in floating
         # point: at gamma1 = gamma2 = 2, 2 sqrt(2) sqrt(2) = 4.000000000000001.
         # It keeps the ZQ and DQ rates gamma1 + gamma2 -/+ gamma3 of the rate
@@ -101,41 +102,11 @@ def apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     if np.ndim(rho) != 2:
         raise ValueError(f"density matrix must be 4x4, got shape {np.shape(rho)}")
     rho = validate_density_matrix(rho)
-    _check_completeness(kraus, rho.shape[0])
-    out = np.zeros_like(rho)
-    for e in kraus:
-        e = np.asarray(e, dtype=complex)
-        out += e @ rho @ e.conj().T
-    return out
-
-
-def _check_completeness(kraus: list[np.ndarray], dim: int) -> None:
-    total = np.zeros((dim, dim), dtype=complex)
-    for e in kraus:
-        e = np.asarray(e, dtype=complex)
-        total += e.conj().T @ e
-    dev = float(np.abs(total - np.eye(dim)).max())
+    kraus = [np.asarray(e, dtype=complex) for e in kraus]
+    dev = float(np.abs(sum(e.conj().T @ e for e in kraus) - np.eye(rho.shape[0])).max())
     if dev > KRAUS_COMPLETENESS_TOL:
         raise ValueError(f"Kraus set violates completeness, sum E+E deviates by {dev:.3e}")
-
-
-def correlated_mixture(
-    rho: np.ndarray,
-    uncorrelated_kraus: list[np.ndarray],
-    correlated_kraus: list[np.ndarray],
-    mu: float,
-) -> np.ndarray:
-    """Convex mixture of an uncorrelated and a correlated Kraus channel.
-
-    Returns (1 - mu) * sum_ij E_ij rho E_ij+ + mu * sum_k E_kk rho E_kk+,
-    where mu is the probability for the noise to be correlated.  Both
-    families must individually satisfy the completeness relation.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    product_part = apply_kraus(rho, uncorrelated_kraus)
-    correlated_part = apply_kraus(rho, correlated_kraus)
-    return (1.0 - mu) * product_part + mu * correlated_part
+    return sum(e @ rho @ e.conj().T for e in kraus)
 
 
 # ----------------------------------------------------------------------
@@ -153,13 +124,6 @@ def phase_damping_apply(rho: np.ndarray, gamma: float, t: float) -> np.ndarray:
     out[0, 1] *= decay
     out[1, 0] *= decay
     return out
-
-
-def phase_damping_generator(gamma: float) -> np.ndarray:
-    """Single-spin dephasing generator diag(0, -gamma, -gamma, 0) on the 4-vector."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    return np.diag([0.0, -gamma, -gamma, 0.0]).astype(complex)
 
 
 def gad_apply(rho: np.ndarray, rate: float, nbar: float, t: float) -> np.ndarray:
@@ -187,24 +151,8 @@ def gad_apply(rho: np.ndarray, rate: float, nbar: float, t: float) -> np.ndarray
     return out
 
 
-def gad_generator_single(rate: float) -> np.ndarray:
-    """Infinite-temperature amplitude-damping generator on one spin's 4-vector."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    half = 0.5 * rate
-    return np.array(
-        [
-            [-half, 0.0, 0.0, half],
-            [0.0, -half, 0.0, 0.0],
-            [0.0, 0.0, -half, 0.0],
-            [half, 0.0, 0.0, -half],
-        ],
-        dtype=complex,
-    )
-
-
 # ----------------------------------------------------------------------
-# Two-spin generator
+# Lindblad generators
 # ----------------------------------------------------------------------
 
 

@@ -256,7 +256,8 @@ def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, fl
         noise = config.require_noise()
     system = config.require_system()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        # The epsilon = 0 warning is printed below in the CLI's own words.
+        warnings.filterwarnings("ignore", "epsilon = 0:", UserWarning)
         try:
             state = prepare_target(args.target, system, config.epsilon, config.nu_rf)
         except ValueError as exc:

@@ -106,7 +106,7 @@ _RECONSTRUCTION = _reconstruction_map()
 
 
 def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
-    """Least-squares reconstruction of the state from all four setting records.
+    """Least-squares reconstruction of the state from exactly one record per setting.
 
     Solves for the 15 real degrees of freedom of a unit-trace Hermitian
     matrix from the collected observables with a precomputed linear map,
@@ -114,8 +114,14 @@ def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
     map's rows for entries (r, s) and (s, r) are exact complex conjugates,
     since the basis entries are 0, +-1 and +-i.
     """
-    by_setting = {rec.setting: rec for rec in records}
-    if set(by_setting) != set(SETTINGS):
+    by_setting = {}
+    for rec in records:
+        if rec.setting not in SETTINGS:
+            raise _unknown_setting(rec.setting)
+        if rec.setting in by_setting:
+            raise ValueError(f"need one record per setting; {rec.setting!r} appears twice")
+        by_setting[rec.setting] = rec
+    if len(by_setting) != len(SETTINGS):
         missing = sorted(set(SETTINGS) - set(by_setting))
         raise ValueError(f"need one record per setting; missing {missing}")
 
@@ -145,7 +151,10 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """
     for rho in (rho_a, rho_b):
         rho = np.asarray(rho)
-        if float(np.abs(rho - rho.conj().T).max()) > 1e-10:
+        # A nan or inf entry makes the deviation nan or inf, failing the test.
+        if not float(np.abs(rho - rho.conj().T).max()) <= 1e-10:
+            if not np.isfinite(rho).all():
+                raise ValueError("fidelity requires finite inputs")
             raise ValueError("fidelity requires Hermitian inputs")
     sqrt_a = _psd_sqrt(np.asarray(rho_a, dtype=complex))
     sqrt_b = _psd_sqrt(np.asarray(rho_b, dtype=complex))

@@ -13,10 +13,9 @@ from spinpair.channels import (
     devectorize,
     full_generator,
     gad_apply,
-    gad_generator_single,
     is_trace_preserving_generator,
+    lindblad_generator,
     phase_damping_apply,
-    phase_damping_generator,
     preserves_hermiticity,
     vectorize,
 )
@@ -103,7 +102,12 @@ def test_criterion_03_cptp_property_suite():
 
 
 def test_criterion_04_single_spin_channel_oracles():
+    # Each generator is lindblad_generator of the channel's jump operators:
+    # sqrt(gamma / 2) sigma_z for dephasing, sqrt((1 - nbar) Gamma) sigma_-
+    # and sqrt(nbar Gamma) sigma_+ for generalized amplitude damping.
     rng = np.random.default_rng(103)
+    sigma_z = np.diag([1.0, -1.0])
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     worst = 0.0
     for _ in range(50):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -111,10 +115,13 @@ def test_criterion_04_single_spin_channel_oracles():
         rho /= rho.trace().real
         rate = rng.uniform(0.1, 3.0)
         t = rng.uniform(0.0, 2.0)
-        pd_gen = devectorize(matrix_exp(phase_damping_generator(rate) * t) @ vectorize(rho))
+        nbar = rng.uniform(0.0, 1.0)
+        pd_generator = lindblad_generator([np.sqrt(rate / 2) * sigma_z])
+        gad_generator = lindblad_generator([np.sqrt((1 - nbar) * rate) * lower, np.sqrt(nbar * rate) * lower.T])
+        pd_gen = devectorize(matrix_exp(pd_generator * t) @ vectorize(rho))
         pd_map = phase_damping_apply(rho, rate, t)
-        gad_gen = devectorize(matrix_exp(gad_generator_single(rate) * t) @ vectorize(rho))
-        gad_map = gad_apply(rho, rate, 0.5, t)
+        gad_gen = devectorize(matrix_exp(gad_generator * t) @ vectorize(rho))
+        gad_map = gad_apply(rho, rate, nbar, t)
         worst = max(worst, float(np.abs(pd_gen - pd_map).max()), float(np.abs(gad_gen - gad_map).max()))
     assert worst <= 1e-10
     _passed(4, f"generator-vs-Kraus max deviation {worst:.2e} on 50 states")

@@ -13,16 +13,13 @@ from spinpair.channels import (
     NotCompletelyPositive,
     apply_kraus,
     choi_matrix,
-    correlated_mixture,
     devectorize,
     full_generator,
     gad_apply,
-    gad_generator_single,
     is_trace_preserving_generator,
     jump_operators,
     lindblad_generator,
     phase_damping_apply,
-    phase_damping_generator,
     preserves_hermiticity,
     trace_functional,
     vectorize,
@@ -41,6 +38,17 @@ def pd_kraus(gamma, t):
     """Dephasing Kraus pair {sqrt(1-p) I, sqrt(p) sigma_z} with 1-2p = exp(-gamma t)."""
     p = 0.5 * (1.0 - np.exp(-gamma * t))
     return [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * SIGMA["z"]]
+
+
+def pd_generator(gamma):
+    """Single-spin dephasing generator from its one jump operator."""
+    return lindblad_generator([np.sqrt(gamma / 2) * SIGMA["z"]])
+
+
+def gad_generator(rate, nbar=0.5):
+    """Single-spin generalized amplitude-damping generator from sigma_-, sigma_+."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    return lindblad_generator([np.sqrt((1 - nbar) * rate) * lower, np.sqrt(nbar * rate) * lower.T])
 
 
 def gad_kraus_high_t(rate, t):
@@ -191,34 +199,6 @@ def test_apply_kraus_rejects_incomplete_set():
         apply_kraus(rho, [0.5 * np.eye(4)])
 
 
-def test_correlated_mixture_limits():
-    rng = np.random.default_rng(3)
-    rho = random_density_matrix(rng)
-    singles = pd_kraus(2.0, 0.3)
-    product = [np.kron(a, b) for a in singles for b in singles]
-    same_index = [np.kron(a, a) for a in singles]
-    norm = np.sqrt(sum(np.trace(e.conj().T @ e).real for e in same_index) / 4.0)
-    correlated = [e / norm for e in same_index]
-
-    assert np.allclose(correlated_mixture(rho, product, correlated, 0.0), apply_kraus(rho, product))
-    assert np.allclose(correlated_mixture(rho, product, correlated, 1.0), apply_kraus(rho, correlated))
-    halfway = correlated_mixture(rho, product, correlated, 0.5)
-    assert np.allclose(halfway, 0.5 * apply_kraus(rho, product) + 0.5 * apply_kraus(rho, correlated))
-
-
-def test_correlated_mixture_identity_families():
-    rng = np.random.default_rng(4)
-    rho = random_density_matrix(rng)
-    identity = [np.eye(4)]
-    assert np.allclose(correlated_mixture(rho, identity, identity, 0.5), rho)
-
-
-def test_correlated_mixture_rejects_bad_mu():
-    rho = np.eye(4) / 4
-    with pytest.raises(ValueError, match="mu"):
-        correlated_mixture(rho, [np.eye(4)], [np.eye(4)], 1.5)
-
-
 # ----------------------------------------------------------------------
 # Single-spin phase damping
 # ----------------------------------------------------------------------
@@ -247,10 +227,8 @@ def test_phase_damping_matches_kraus():
 
 
 def test_phase_damping_generator_matrix():
-    assert np.allclose(phase_damping_generator(0.0), np.zeros((4, 4)))
-    assert np.allclose(phase_damping_generator(2.0), np.diag([0.0, -2.0, -2.0, 0.0]))
-    with pytest.raises(ValueError):
-        phase_damping_generator(-1.0)
+    assert np.allclose(pd_generator(0.0), np.zeros((4, 4)))
+    assert np.allclose(pd_generator(2.0), np.diag([0.0, -2.0, -2.0, 0.0]))
 
 
 def test_phase_damping_generator_exponentiates_to_map():
@@ -259,7 +237,7 @@ def test_phase_damping_generator_exponentiates_to_map():
         rho = random_rho2(rng)
         gamma = rng.uniform(0.0, 3.0)
         t = rng.uniform(0.0, 2.0)
-        via_generator = devectorize(matrix_exp(phase_damping_generator(gamma) * t) @ vectorize(rho))
+        via_generator = devectorize(matrix_exp(pd_generator(gamma) * t) @ vectorize(rho))
         assert np.abs(via_generator - phase_damping_apply(rho, gamma, t)).max() < 1e-10
 
 
@@ -300,8 +278,13 @@ def test_gad_generator_single_matrix():
             [-0.5, 0.0, 0.0, 0.5],
         ]
     )
-    assert np.allclose(gad_generator_single(1.0), expected)
-    assert np.allclose(gad_generator_single(0.0), np.zeros((4, 4)))
+    assert np.allclose(gad_generator(1.0), expected)
+    assert np.allclose(gad_generator(0.0), np.zeros((4, 4)))
+    # At any nbar, rho00 gains from rho11 at (1 - nbar) Gamma and loses at nbar Gamma.
+    rate, nbar = 1.4, 0.2
+    populations = [[-nbar * rate, (1 - nbar) * rate], [nbar * rate, -(1 - nbar) * rate]]
+    assert np.allclose(gad_generator(rate, nbar)[np.ix_([0, 3], [0, 3])], populations)
+    assert np.allclose(np.diag(gad_generator(rate, nbar))[1:3], -rate / 2)
 
 
 def test_gad_generator_single_exponentiates_to_map():
@@ -310,8 +293,9 @@ def test_gad_generator_single_exponentiates_to_map():
         rho = random_rho2(rng)
         rate = rng.uniform(0.0, 3.0)
         t = rng.uniform(0.0, 2.0)
-        via_generator = devectorize(matrix_exp(gad_generator_single(rate) * t) @ vectorize(rho))
-        assert np.abs(via_generator - gad_apply(rho, rate, 0.5, t)).max() < 1e-10
+        nbar = rng.uniform(0.0, 1.0)
+        via_generator = devectorize(matrix_exp(gad_generator(rate, nbar) * t) @ vectorize(rho))
+        assert np.abs(via_generator - gad_apply(rho, rate, nbar, t)).max() < 1e-10
 
 
 def spin_embedding(spin):
@@ -407,8 +391,9 @@ def test_full_generator_rejects_finite_temperature():
     # The constructor is the one nbar check, so no generator, superoperator
     # or propagation is ever built at nbar != 1/2.
     for nbar in (0.05, 0.0, 1.0, 2.0):
-        with pytest.raises(ValueError, match=rf"^nbar = {nbar} is not supported: the generator "
-                                             r"models the infinite-temperature limit nbar = 0\.5$"):
+        with pytest.raises(ValueError, match=rf"^nbar = {nbar} is not supported: the closed-form "
+                                             r"propagator models only the infinite-temperature "
+                                             r"limit nbar = 0\.5$"):
             full_generator(NoiseParams(1.0, 1.0, 0.5, 0.2, 0.3, nbar=nbar))
 
 

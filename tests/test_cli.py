@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -63,8 +64,10 @@ def test_prepare_reports_high_fidelity(tmp_path, capsys, target):
     assert len(payload["state"][0][0]) == 2  # [re, im] pairs
 
 
+@pytest.mark.filterwarnings("error")
 def test_prepare_with_zero_polarization(tmp_path, capsys):
-    # prepare and tomo share one read-out step, so both warn.
+    # prepare and tomo share one read-out step, so both warn, in the CLI's
+    # words only: the library's epsilon = 0 warning is not raised.
     config = write_config(tmp_path, epsilon=0.0)
     for command in ("prepare", "tomo"):
         code = main([command, "--preset", "btc", "--target", "DQ", "--config", config])
@@ -73,6 +76,18 @@ def test_prepare_with_zero_polarization(tmp_path, capsys):
         assert "fidelity vs target = 1.000000" in captured.out
         assert captured.err == ("warning: epsilon = 0, the deviation part is empty; "
                                 "comparing against the maximally mixed state\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_out_passes_other_warnings_through(monkeypatch):
+    # Only the epsilon = 0 warning is re-worded; any other warning from the
+    # preparation reaches the caller.
+    def warning_prepare_target(*args):
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+
+    monkeypatch.setattr("spinpair.cli.prepare_target", warning_prepare_target)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        main(["prepare", "--preset", "btc", "--target", "DQ"])
 
 
 # ----------------------------------------------------------------------
@@ -492,8 +507,8 @@ def test_config_finite_temperature_nbar_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == (
-        "config error: noise: nbar = 0.05 is not supported: the generator models the "
-        "infinite-temperature limit nbar = 0.5\n"
+        "config error: noise: nbar = 0.05 is not supported: the closed-form propagator models "
+        "only the infinite-temperature limit nbar = 0.5\n"
     )
     assert not (tmp_path / "decay_DQ.csv").exists()
 

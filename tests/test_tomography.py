@@ -223,6 +223,24 @@ def test_unknown_and_missing_setting_messages():
     assert str(exc.value) == "need one record per setting; missing ['IX']"
 
 
+def test_reconstruct_rejects_duplicate_setting():
+    # An extra SQ1 II record would otherwise replace the DQ one, or not,
+    # depending on where it sits in the list.
+    records = records_for(coherence_state("DQ"))
+    extra = simulate_readout(coherence_state("SQ1"), "II")
+    for position in (0, len(records)):
+        with pytest.raises(ValueError) as exc:
+            reconstruct(records[:position] + [extra] + records[position:])
+        assert str(exc.value) == "need one record per setting; 'II' appears twice"
+
+
+def test_reconstruct_rejects_unknown_setting():
+    records = records_for(np.eye(4) / 4) + [TomographyRecord("ZZ", (0.0,) * 8)]
+    with pytest.raises(ValueError) as exc:
+        reconstruct(records)
+    assert str(exc.value) == "setting must be one of ('II', 'IX', 'IY', 'XX'), got 'ZZ'"
+
+
 # ----------------------------------------------------------------------
 # Fidelity
 # ----------------------------------------------------------------------
@@ -285,3 +303,17 @@ def test_fidelity_rejects_non_hermitian():
     bad[0, 1] = 0.3
     with pytest.raises(ValueError, match="Hermitian"):
         fidelity(bad, np.eye(4) / 4)
+
+
+# An inf on the diagonal makes the Hermiticity difference compute inf - inf,
+# which numpy reports as a RuntimeWarning before the ValueError is raised.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan), -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_fidelity_rejects_non_finite(value, entry):
+    bad = np.eye(4, dtype=complex) / 4
+    bad[entry] = value
+    for pair in ((bad, np.eye(4) / 4), (np.eye(4) / 4, bad)):
+        with pytest.raises(ValueError) as exc:
+            fidelity(*pair)
+        assert str(exc.value) == "fidelity requires finite inputs"
