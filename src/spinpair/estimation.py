@@ -261,9 +261,8 @@ def _levenberg_marquardt(residual_jac, x0):
                 break
             damping *= 10.0
         if step is None:
-            # No descent direction left: only possible at a stationary point.
-            gradient = jac.T @ r
-            return x, r, jac, bool(np.abs(gradient).max() < GRADIENT_TOL), "gradient", iterations
+            # The gradient failed GRADIENT_TOL above, yet no damped step lowers the cost.
+            return x, r, jac, False, "no_descent", iterations
         x = x + step
         r, jac, cost = r_new, jac_new, cost_new
         damping = max(damping / 3.0, 1e-14)

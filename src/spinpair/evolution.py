@@ -145,22 +145,17 @@ def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     """Evolve rho0 under the full decoherence generator.
 
     A scalar t returns the (4, 4) state at t; a 1-D array of T times returns
-    the (T, 4, 4) stack of states.  Both are views into one (T + 1, 4, 4)
-    buffer whose index 0 holds rho0, validated in one call: a bad rho0 is
-    reported as "state 0: ..." and a bad output state k as "state k + 1:
-    ...".  Checks fail in this order: the shape of rho0, t, then the states.
-    The rates need no check: NoiseParams admits only completely positive
-    rates at nbar = 1/2.
+    the (T, 4, 4) stack of states.  Checks fail in this order: the shape of
+    rho0, its content, then t.  rho0 is the one input validated: NoiseParams
+    admits only completely positive rates at nbar = 1/2, under which the
+    exact closed-form flow maps density matrices to density matrices, so
+    the outputs are not checked again.  Rounding moves their trace by a few
+    ulps, which can carry the outputs of a rho0 at the trace tolerance just
+    past it.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got shape {rho0.shape}")
-    superops = superoperator(params, t)
-    states = np.empty((len(superops) + 1, 4, 4), dtype=complex)
-    states[0] = rho0
-    states[1:] = (superops @ vectorize(rho0)).reshape(-1, 4, 4)
-    validate_density_matrix(states)
-    return states[1:] if np.ndim(t) else states[1]
+    rho0 = validate_density_matrix(rho0)
+    states = (superoperator(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
+    return states if np.ndim(t) else states[0]
 
 
 def default_time_grid(start: float = 1e-3, stop: float = 10.0, points: int = 64) -> np.ndarray:

@@ -45,26 +45,16 @@ _SELECT = {"ZQ": pulse(np.pi / 2.0, "-x", "spin1"), "DQ": pulse(np.pi / 2.0, "x"
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate finiteness, Hermiticity, unit trace, and positivity; return as
-    complex array.
+    """Validate finiteness, Hermiticity, unit trace, and positivity of one
+    (4, 4) matrix; return it as a complex array.
 
-    rho is one (4, 4) matrix or an (N, 4, 4) stack of them.  One matrix takes
-    one pass: a nan or inf entry makes the Hermiticity deviation non-finite,
-    so finiteness is scanned only once that check fails (an inf entry may
-    also emit numpy's "invalid value" RuntimeWarning on the way).  An
-    exactly Hermitian rho equals its Hermitian part bit for bit and goes to
-    eigvalsh as it is.
-
-    A stack is accepted in one vectorized pass of the same checks, with one
-    eigvalsh call for all N states, exactly when each state would be
-    accepted on its own.  On any failure the states are checked one by one,
-    and the error of the first failing state k reads "state k: " plus its
-    single-matrix message.
+    One pass: a nan or inf entry makes the Hermiticity deviation
+    non-finite, so finiteness is scanned only once that check fails (an inf
+    entry may also emit numpy's "invalid value" RuntimeWarning on the way).
+    An exactly Hermitian rho equals its Hermitian part bit for bit and goes
+    to eigvalsh as it is.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 3 and rho.shape[1:] == (4, 4):
-        _validate_stack(rho)
-        return rho
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
     rho_h = rho.conj().T
@@ -84,36 +74,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if min_eig < EIG_FLOOR:
         raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
     return rho
-
-
-def _validate_stack(rho: np.ndarray) -> None:
-    """The checks of validate_density_matrix over an (N, 4, 4) stack.
-
-    The pass accepts only when every state passes each check with the
-    single-matrix arithmetic (a nan fails every comparison here); anything
-    else is settled state by state, so the verdict is always the per-state one.
-    """
-    if not len(rho):
-        return
-    rho_h = rho.conj().transpose(0, 2, 1)
-    herm_dev = np.abs(rho - rho_h)
-    herm_max = herm_dev.max()
-    # The single check's arithmetic: ndarray.trace adds left to right on a
-    # non-contiguous stack, and np.abs of a complex array may round the
-    # modulus differently from abs of one complex scalar, which is hypot.
-    trace_dev = ((rho[:, 0, 0] + rho[:, 1, 1]) + (rho[:, 2, 2] + rho[:, 3, 3])) - 1.0
-    if herm_max <= HERM_TOL and np.hypot(trace_dev.real, trace_dev.imag).max() <= TRACE_TOL:
-        hermitian = rho
-        if herm_max != 0.0:
-            exact = herm_dev.max(axis=(1, 2), keepdims=True) == 0.0
-            hermitian = np.where(exact, rho, 0.5 * (rho + rho_h))
-        if np.linalg.eigvalsh(hermitian).min() >= EIG_FLOOR:
-            return
-    for k, state in enumerate(rho):
-        try:
-            validate_density_matrix(state)
-        except ValueError as exc:
-            raise ValueError(f"state {k}: {exc}") from None
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -155,8 +115,6 @@ def coherence_spectrum(rho: np.ndarray) -> dict[int, float]:
     Element (r, s) contributes |rho_rs|^2 to the order M[r] - M[s]; the
     diagonal falls in order 0.
     """
-    if np.ndim(rho) != 2:
-        raise ValueError(f"density matrix must be 4x4, got shape {np.shape(rho)}")
     rho = validate_density_matrix(rho)
     weights = {n: 0.0 for n in (-2, -1, 0, 1, 2)}
     for r in range(4):

@@ -63,8 +63,6 @@ def _detected_observables(rho: np.ndarray, setting: str) -> list[float]:
 
 def simulate_readout(rho: np.ndarray, setting: str) -> TomographyRecord:
     """Expectation values observable in one tomography experiment."""
-    if np.ndim(rho) != 2:
-        raise ValueError(f"density matrix must be 4x4, got shape {np.shape(rho)}")
     rho = validate_density_matrix(rho)
     return TomographyRecord(setting, tuple(_detected_observables(rho, setting)))
 
@@ -149,6 +147,9 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     values are the eigenvalue square roots, so rank-deficient states do not
     suffer the sqrt amplification of eigenvalue-level noise.
     """
+    if np.shape(rho_a) != np.shape(rho_b):
+        raise ValueError(f"fidelity requires inputs of one shape, "
+                         f"got {np.shape(rho_a)} and {np.shape(rho_b)}")
     for rho in (rho_a, rho_b):
         rho = np.asarray(rho)
         # A nan or inf entry makes the deviation nan or inf, failing the test.

@@ -299,6 +299,17 @@ def test_fit_exponential_non_convergence(monkeypatch):
         fit_exponential(DecayCurve(KIND_ZQ, t, signals))
 
 
+def test_levenberg_marquardt_reports_no_descent():
+    from spinpair.estimation import _levenberg_marquardt
+
+    def residual_jac(x):
+        # Finite at the start and inf at every other point, so no step lowers the cost.
+        return np.array([1.0 if x[0] == 0.0 else np.inf]), np.ones((1, 1))
+
+    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [0.0])
+    assert (x.tolist(), converged, reason, iterations) == ([0.0], False, "no_descent", 1)
+
+
 # ----------------------------------------------------------------------
 # Difference estimator
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cp_params, random_density_matrix
+from conftest import TRACE_EDGES, admissible_params, random_cp_params, random_density_matrix
 from spinpair.channels import (
     NoiseParams,
     NotCompletelyPositive,
@@ -22,7 +24,7 @@ from spinpair.evolution import (
     superoperator,
 )
 from spinpair.presets import PRESETS
-from spinpair.states import coherence_state, validate_density_matrix
+from spinpair.states import EIG_FLOOR, HERM_TOL, TRACE_TOL, coherence_state, validate_density_matrix
 
 BTC_LIKE = NoiseParams(3.741, 3.048, 5.876, 0.264, 0.255)
 
@@ -176,35 +178,18 @@ def test_propagate_rejects_non_cp_rates_at_entry():
             propagate(rho, NoiseParams(*NON_CP), t)
 
 
-def test_propagate_output_check_stays_live(monkeypatch):
-    # No NoiseParams holds NON_CP, so hand propagate the map of its dephasing
-    # generator under CP rates: only the check of the output states catches
-    # the result.  Element (r, s) decays at g1 d1^2 + g2 d2^2 + g3 d1 d2, with
-    # d_i half the difference of spin i's sigma_z eigenvalues in r and s.
-    import spinpair.evolution as evolution
-
-    g1, g2, g3 = NON_CP[:3]
-    z1, z2 = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
-    d1, d2 = (z1[:, None] - z1) / 2, (z2[:, None] - z2) / 2
-    generator = np.diag(-(g1 * d1**2 + g2 * d2**2 + g3 * d1 * d2).ravel())
-    bad = np.stack([np.eye(16), matrix_exp(generator)])
-    monkeypatch.setattr(evolution, "superoperator", lambda params, t: bad)
-    with pytest.raises(ValueError, match=r"^state 2: density matrix not positive semidefinite"):
-        propagate(PLUS, BTC_LIKE, [0.0, 1.0])
-
-
 def test_propagate_check_order():
-    # The rates are checked when they are built; then the shape of rho0, t,
-    # then the states: rho0 is state 0 of the one stack that is validated.
+    # The rates are checked when they are built; then the shape of rho0, its
+    # content, then t.
     bad = np.eye(4, dtype=complex) / 2
     with pytest.raises(NotCompletelyPositive):
         propagate(np.eye(2) / 2, NoiseParams(*NON_CP), -1.0)
     with pytest.raises(ValueError, match=r"must be 4x4, got shape \(2, 2\)"):
         propagate(np.eye(2) / 2, BTC_LIKE, -1.0)
-    with pytest.raises(ValueError, match="t must be finite"):
+    with pytest.raises(ValueError, match=r"^density matrix trace != 1"):
         propagate(bad, BTC_LIKE, -1.0)
-    with pytest.raises(ValueError, match=r"^state 0: density matrix trace != 1"):
-        propagate(bad, BTC_LIKE, [0.5, 1.0])
+    with pytest.raises(ValueError, match="t must be finite"):
+        propagate(np.eye(4) / 4, BTC_LIKE, [0.5, -1.0])
 
 
 def test_propagate_batched_shape():
@@ -271,6 +256,65 @@ def test_property_trace_hermiticity_positivity(params, rho, t):
     w = trace_functional(4)
     assert np.abs(w @ superop - w).max() <= 1e-12
     assert np.linalg.eigvalsh(choi_matrix(superop)).min() >= -1e-10
+
+
+@st.composite
+def _rho0(draw):
+    """A random mixed or pure state, or one at the validator's edges: a trace
+    offset inside the tolerance, a TRACE_EDGES state just outside it, or a
+    least eigenvalue at or around EIG_FLOOR."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["mixed", "pure", "trace", "trace edge", "eigenvalue"]))
+    if family == "trace edge":
+        return draw(st.sampled_from(TRACE_EDGES))
+    if family == "pure":
+        ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return np.outer(ket, ket.conj()) / (ket.conj() @ ket).real
+    if family == "eigenvalue":
+        low = EIG_FLOOR * draw(st.sampled_from([1.0, 1.0 - 1e-6, 1.0 + 1e-6]) | st.floats(0.0, 2.0))
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return (u * np.concatenate(([low], rng.dirichlet(np.ones(3)) * (1.0 - low)))) @ u.conj().T
+    rho = random_density_matrix(rng)
+    if family == "trace":
+        # At most 0.99 of the tolerance: the flow's rounding moves the trace
+        # by a few ulps of 1, and test_propagate_at_the_trace_tolerance
+        # covers the last hundredth.
+        i = draw(st.integers(0, 3))
+        rho[i, i] += draw(st.floats(-0.99, 0.99)) * TRACE_TOL
+    return rho
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(admissible_params(), _rho0(), times_strategy | st.lists(times_strategy, min_size=1, max_size=8))
+def test_property_outputs_pass_the_validator(params, rho0, t):
+    # propagate validates rho0 only: every state it returns must pass the
+    # validator with its exact tolerances.
+    try:
+        validate_density_matrix(rho0)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc)) + "$"):
+            propagate(rho0, params, t)
+        return
+    for state in np.reshape(propagate(rho0, params, t), (-1, 4, 4)):
+        validate_density_matrix(state)
+
+
+def test_propagate_at_the_trace_tolerance():
+    # rho0 with the largest trace the validator accepts.  The flow keeps the
+    # trace only to its rounding, so outputs may sit a few ulps past the
+    # tolerance; they are returned, with the trace of rho0 to 4 ulps.
+    rho0 = random_density_matrix(np.random.default_rng(0))
+    rho0[0, 0] += TRACE_TOL
+    while True:
+        try:
+            validate_density_matrix(rho0)
+            break
+        except ValueError:
+            rho0[0, 0] = np.nextafter(rho0[0, 0].real, 0.0)
+    for state in propagate(rho0, BTC_LIKE, np.geomspace(1e-2, 1e2, 5)):
+        assert abs(np.trace(state) - np.trace(rho0)) <= 4 * np.finfo(float).eps
+        assert np.abs(state - state.conj().T).max() <= HERM_TOL
+        assert np.linalg.eigvalsh(state)[0] >= EIG_FLOOR
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix
+from conftest import TRACE_EDGES, random_density_matrix
 from spinpair.spinops import SpinSystem, pulse
 from spinpair.states import (
     MAX_HALF_DELAY_PHASE,
@@ -269,82 +269,20 @@ def test_validate_density_matrix_matches_reference(rho):
         assert np.array_equal(got, detail)
 
 
-def _first_failure(states):
-    """The per-state loop a stack's verdict must match: None, or the first
-    failing state's index and message."""
-    for k, rho in enumerate(states):
-        verdict, detail = _verdict(validate_density_matrix, rho.copy())
-        if verdict == "reject":
-            return k, detail
-    return None
-
-
-# Diagonal states whose trace deviation sits on the tolerance, so that only
-# the single check's own arithmetic gives its verdict.  The first is over it
-# summed pairwise (1.00009e-12) but under it summed left to right
-# (0.99987e-12), as ndarray.trace sums a non-contiguous stack.  The second is
-# over it by hypot, as abs of one complex scalar rounds, but np.abs of a
-# complex array rounds its deviation to exactly 1e-12.
-TRACE_EDGES = (
-    np.diag([0.15214618998111995, 0.1811666817173778, 0.5956312448981398, 0.0710558834043624]) + 0j,
-    np.diag([0.250000000000009, 0.25, 0.25, 0.25]) + 2.499901390442079e-13j * np.eye(4),
-)
-
-
-def _state_index_fastest(stack):
-    """The same stack laid out with the state index varying fastest in memory."""
-    return np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
-
-
-# Stacks mix the validator's edge cases with valid states, so that whole
-# stacks are accepted and rejections fall at every index.
-stack_states = st.one_of(
-    validator_inputs().filter(lambda rho: rho.shape == (4, 4)),
-    st.integers(0, 2**32 - 1).map(lambda seed: random_density_matrix(np.random.default_rng(seed))),
-    st.sampled_from(TRACE_EDGES),
-)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(st.lists(stack_states, min_size=1, max_size=8), st.booleans())
-def test_validate_stack_matches_per_state_loop(states, state_index_fastest):
-    stack = np.stack(states)
-    if state_index_fastest:
-        stack = _state_index_fastest(stack)
-    failure = _first_failure(states)
-    verdict, got = _verdict(validate_density_matrix, stack)
-    if failure is None:
-        assert verdict == "accept"
-        assert got.shape == stack.shape and np.array_equal(got, stack)
-    else:
-        k, detail = failure
-        assert verdict == "reject"
-        assert got == f"state {k}: {detail}"
-
-
-def test_validate_empty_stack():
-    got = validate_density_matrix(np.zeros((0, 4, 4)))
-    assert got.shape == (0, 4, 4) and got.dtype == complex
-
-
 @pytest.mark.parametrize("edge", TRACE_EDGES)
-@pytest.mark.parametrize("state_index_fastest", [False, True])
-def test_stack_trace_check_rounds_like_single_check(edge, state_index_fastest):
+@pytest.mark.parametrize("fortran_order", [False, True])
+def test_stack_trace_check_rounds_like_single_check(edge, fortran_order):
+    # The trace is summed pairwise from four entries, whatever the layout.
+    if fortran_order:
+        edge = np.asfortranarray(edge)
     with pytest.raises(ValueError, match=r"^density matrix trace != 1"):
         validate_density_matrix(edge)
-    stack = np.stack([np.eye(4) / 4, edge])
-    if state_index_fastest:
-        stack = _state_index_fastest(stack)
-    with pytest.raises(ValueError, match=r"^state 1: density matrix trace != 1"):
-        validate_density_matrix(stack)
 
 
 def test_stack_positivity_check_takes_the_hermitian_part():
     # A state within herm_tol of Hermitian whose Hermitian part has its least
     # eigenvalue just under the floor, while the lower triangle that eigvalsh
-    # reads would pass alone: the stack check must hand eigvalsh the
-    # Hermitian part, as the single check does.
+    # reads would pass alone: the check must hand eigvalsh the Hermitian part.
     rng = np.random.default_rng(11)
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -367,8 +305,13 @@ def test_stack_positivity_check_takes_the_hermitian_part():
     assert np.linalg.eigvalsh(edge)[0] >= EIG_FLOOR
     with pytest.raises(ValueError, match=r"^density matrix not positive semidefinite"):
         validate_density_matrix(edge)
-    with pytest.raises(ValueError, match=r"^state 1: density matrix not positive semidefinite"):
-        validate_density_matrix(np.stack([np.eye(4) / 4, edge]))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (1, 4, 4), (3, 4, 4)])
+def test_validate_rejects_stacks(shape):
+    stack = np.broadcast_to(np.eye(4) / 4, shape)
+    with pytest.raises(ValueError, match=rf"^density matrix must be 4x4, got shape \({shape[0]}, 4, 4\)$"):
+        validate_density_matrix(stack)
 
 
 def test_single_state_functions_reject_stacks():

@@ -305,6 +305,15 @@ def test_fidelity_rejects_non_hermitian():
         fidelity(bad, np.eye(4) / 4)
 
 
+def test_fidelity_rejects_inputs_of_different_shapes():
+    for a, b in ((np.eye(2) / 2, np.eye(4) / 4), (np.eye(4) / 4, np.stack([np.eye(4) / 4] * 2))):
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError) as exc:
+                fidelity(*pair)
+            assert str(exc.value) == (f"fidelity requires inputs of one shape, "
+                                      f"got {pair[0].shape} and {pair[1].shape}")
+
+
 # An inf on the diagonal makes the Hermiticity difference compute inf - inf,
 # which numpy reports as a RuntimeWarning before the ValueError is raised.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
