@@ -35,9 +35,7 @@ from .states import (
     coherence_spectrum,
     coherence_state,
     prepare_target,
-    prepare_via_sequence,
     pseudopure_00,
-    sq_preparation,
     thermal_state,
     validate_density_matrix,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "pauli",
     "phase_damping_apply",
     "prepare_target",
-    "prepare_via_sequence",
     "propagate",
     "pseudopure_00",
     "pulse",
@@ -88,7 +85,6 @@ __all__ = [
     "save_curve",
     "signal_model",
     "simulate_readout",
-    "sq_preparation",
     "superoperator",
     "synthetic_curve",
     "thermal_state",

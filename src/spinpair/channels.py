@@ -101,11 +101,10 @@ def apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     """Apply the operator-sum map sum_k E_k rho E_k+ after checking completeness."""
     rho = validate_density_matrix(rho)
     kraus = [np.asarray(e, dtype=complex) for e in kraus]
+    if not all(np.isfinite(e).all() for e in kraus):
+        raise ValueError("Kraus operators must have finite entries")
     dev = float(np.abs(sum(e.conj().T @ e for e in kraus) - np.eye(rho.shape[0])).max())
-    # A nan or inf entry makes the deviation nan or inf, failing the test.
     if not dev <= KRAUS_COMPLETENESS_TOL:
-        if not all(np.isfinite(e).all() for e in kraus):
-            raise ValueError("Kraus operators must have finite entries")
         raise ValueError(f"Kraus set violates completeness, sum E+E deviates by {dev:.3e}")
     return sum(e @ rho @ e.conj().T for e in kraus)
 

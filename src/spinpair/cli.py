@@ -22,7 +22,6 @@ import numpy as np
 from . import estimation
 from .channels import NoiseParams, NotCompletelyPositive
 from .estimation import (
-    COHERENCE_CURVE_KINDS,
     CURVE_KINDS,
     ConvergenceError,
     DataError,
@@ -313,7 +312,7 @@ def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarra
     to the thermal value the experimental procedure rides on.
     """
     noise = config.require_noise()
-    if kind in COHERENCE_CURVE_KINDS:
+    if kind in COHERENCE_KINDS:
         r, s = CHARACTERISTIC_ELEMENT[kind]
         rho0 = coherence_state(kind)
         # exp(Z 0) is exactly the identity, so a t = 0 row reads exactly 1.0.

@@ -26,7 +26,6 @@ KIND_DQ = "DQ"
 
 CURVE_KINDS = (KIND_T1_SPIN1, KIND_T1_SPIN2, KIND_SQ1, KIND_SQ2, KIND_ZQ, KIND_DQ)
 RECOVERY_KINDS = (KIND_T1_SPIN1, KIND_T1_SPIN2)
-COHERENCE_CURVE_KINDS = (KIND_SQ1, KIND_SQ2, KIND_ZQ, KIND_DQ)
 
 RATE_NAMES = ("gamma1", "gamma2", "gamma3", "Gamma1", "Gamma2")
 

@@ -4,9 +4,12 @@ of the full decoherence generator.
 The generator splits into nine invariant blocks: the four ZQ/DQ elements,
 four single-quantum pairs that amplitude damping of the other spin couples,
 and the population block, the tensor product of the two single-spin
-amplitude-damping blocks.  Each block has a closed-form exponential, so
-exp(Z t) is written entry by entry.  The Pade-13 `matrix_exp` stays as the
-independent numeric reference the tests compare against.
+amplitude-damping blocks.  Each block has a closed-form exponential.
+Generalized amplitude damping acts on each spin alone (Nielsen & Chuang
+§8.3.5), so the pattern of exp(Z t) is built from one 0/1 part per spin;
+only the ZQ and DQ values, which correlated dephasing couples, do not
+factor.  The Pade-13 `matrix_exp` stays as the independent numeric
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -64,50 +67,31 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return out
 
 
-# The ten distinct non-zero entries of exp(Z t), in the order _block_values
-# returns them: the population block (same/flip per spin), the single-quantum
-# pairs of each spin (same/flip of the other spin), and the ZQ and DQ elements.
-_POPULATION, _SQ1, _SQ2, _ZQ, _DQ = 0, 4, 6, 8, 9
-_N_VALUES = 10
-_COHERENT = -1
+# Each spin's part of exp(Z t), on its vec index 2 r + s, is a 0/1 pattern
+# [out, in]: its population kept or flipped, or its coherence |0><1| (UP) or
+# |1><0| (DOWN) kept.
+_KEEP = np.diag([1.0, 0.0, 0.0, 1.0])
+_FLIP = np.fliplr(_KEEP)
+_UP = np.diag([0.0, 1.0, 0.0, 0.0])
+_DOWN = np.diag([0.0, 0.0, 1.0, 0.0])
 
 
-def _spin_part(out_pair: tuple[int, int], in_pair: tuple[int, int]) -> int | None:
-    """One spin's part of the entry mapping its (r, s) input pair to its output
-    pair: _COHERENT, 0 (same population), 1 (flipped population) or None (zero)."""
-    r, s = out_pair
-    if r != s:
-        return _COHERENT if in_pair == out_pair else None
-    if in_pair[0] != in_pair[1]:
-        return None
-    return int(in_pair[0] != r)
+def _pair(spin1: np.ndarray, spin2: np.ndarray) -> np.ndarray:
+    """The two-spin product of one part per spin, flat over the (n, m) entries
+    of exp(Z t), where index n = 8 r1 + 4 r2 + 2 s1 + s2 holds rho[2 r1 + r2, 2 s1 + s2]."""
+    return np.einsum("ijkl,mnop->imjnkolp", spin1.reshape(2, 2, 2, 2), spin2.reshape(2, 2, 2, 2)).ravel()
 
 
-def _entry_value(n: int, m: int) -> int | None:
-    """Index into _block_values of exp(Z t)[n, m], or None where the entry is zero.
-
-    Index n = 8 r1 + 4 r2 + 2 s1 + s2 holds rho[2 r1 + r2, 2 s1 + s2].
-    """
-    r1, r2, s1, s2 = (n >> 3) & 1, (n >> 2) & 1, (n >> 1) & 1, n & 1
-    q1, q2, p1, p2 = (m >> 3) & 1, (m >> 2) & 1, (m >> 1) & 1, m & 1
-    spin1 = _spin_part((r1, s1), (q1, p1))
-    spin2 = _spin_part((r2, s2), (q2, p2))
-    if spin1 is None or spin2 is None:
-        return None
-    if spin1 == _COHERENT and spin2 == _COHERENT:
-        return _ZQ if r1 != r2 else _DQ
-    if spin1 == _COHERENT:
-        return _SQ1 + spin2
-    if spin2 == _COHERENT:
-        return _SQ2 + spin1
-    return _POPULATION + 2 * spin1 + spin2
-
-
-# _BASIS[v, 16 n + m] is 1 where exp(Z t)[n, m] takes the v-th value, else 0
-# (a zero entry's None becomes nan, which equals no index).  Every value is
-# finite and >= 0, so values @ _BASIS places each one bit for bit.
-_INDEX = np.array([_entry_value(n, m) for n in range(16) for m in range(16)], dtype=float)
-_BASIS = (np.arange(_N_VALUES)[:, None] == _INDEX).astype(float)
+# _BASIS[v, 16 n + m] is 1 where exp(Z t)[n, m] takes the v-th value of
+# _block_values, else 0: the population block, the single-quantum pairs of
+# each spin, and the ZQ and DQ elements.  No two rows share an entry and
+# every value is finite and >= 0, so values @ _BASIS places each one bit for bit.
+_BASIS = np.array(
+    [_pair(a, b) for a in (_KEEP, _FLIP) for b in (_KEEP, _FLIP)]
+    + [_pair(_UP + _DOWN, b) for b in (_KEEP, _FLIP)]
+    + [_pair(a, _UP + _DOWN) for a in (_KEEP, _FLIP)]
+    + [_pair(_UP, _DOWN) + _pair(_DOWN, _UP), _pair(_UP, _UP) + _pair(_DOWN, _DOWN)]
+)
 
 
 def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float) -> list[float]:
@@ -138,7 +122,7 @@ def superoperator(params: NoiseParams, times) -> np.ndarray:
         raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
     zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
     values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
-    return (values.reshape(times.size, _N_VALUES) @ _BASIS).reshape(-1, 16, 16)
+    return (values.reshape(times.size, len(_BASIS)) @ _BASIS).reshape(-1, 16, 16)
 
 
 def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Two-spin state construction: thermal and pseudopure states, pure
 multiple-quantum coherence states, coherence-order decomposition, and the
-echo-based preparation sequence under ideal pulses.
+preparation of each coherence from pseudopure |00> by ideal pulses, the
+echo sequence for ZQ and DQ and one selective pulse for SQ1 and SQ2.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ EIG_FLOOR = -1e-10
 # presets turn 59 to 102 rad.
 MAX_HALF_DELAY_PHASE = 2.0**20
 
-# The fixed pulses of the ZQ/DQ sequence, built once: the refocusing pi and
-# exciting pi/2 pulses on both spins, and the spin-1-selective pi/2 per target.
+# The fixed pulses, built once: the refocusing pi and exciting pi/2 pulses of
+# the ZQ/DQ sequence on both spins, and the selective pi/2 that ends each
+# target's preparation.
 _REFOCUS = pulse(np.pi, "x", "both")
 _EXCITE = pulse(np.pi / 2.0, "y", "both")
-_SELECT = {"ZQ": pulse(np.pi / 2.0, "-x", "spin1"), "DQ": pulse(np.pi / 2.0, "x", "spin1")}
+_SELECT = {"ZQ": pulse(np.pi / 2.0, "-x", "spin1"), "DQ": pulse(np.pi / 2.0, "x", "spin1"),
+           "SQ1": pulse(np.pi / 2.0, "y", "spin1"), "SQ2": pulse(np.pi / 2.0, "y", "spin2")}
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -124,58 +127,25 @@ def coherence_spectrum(rho: np.ndarray) -> dict[int, float]:
     return weights
 
 
-def prepare_via_sequence(
-    target: str, system: SpinSystem, epsilon: float, nu_rf: float | None = None
-) -> np.ndarray:
-    """Prepare the ZQ or DQ coherence state from pseudopure |00> with ideal pulses.
-
-    Sequence: non-selective pi/2 pulse along y; a 1/(2 J12) delay with
-    refocusing pi pulses (along x, on both spins) at its center and end, which
-    cancels the chemical-shift evolution and leaves the pure J coupling; then
-    a spin-1-selective pi/2 pulse along -x (ZQ) or x (DQ).
-
-    nu_rf is the rotating-frame frequency (Hz); the default is the midpoint
-    of the two shifts.  The echo makes the prepared state independent of it,
-    but only down to the rounding error of the phases it cancels.  So the
-    largest phase each half of the delay turns must be at most
-    MAX_HALF_DELAY_PHASE, which rules out J12 = 0, a tiny J12 and a large
-    frame frequency.
-    """
-    if target not in ("ZQ", "DQ"):
-        raise ValueError(f"target must be 'ZQ' or 'DQ', got {target!r}")
-    if nu_rf is None:
-        nu_rf = 0.5 * (system.nu1 + system.nu2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = hamiltonian(system, nu_rf) if math.isfinite(nu_rf) else np.full((4, 4), np.inf)
-        largest = float(np.abs(h).max())
-    tau = 1.0 / (2.0 * abs(system.j12)) if system.j12 else math.inf
-    # Python floats overflow to inf quietly, and 0 * inf is nan, which fails <=.
-    if not largest * (tau / 2.0) <= MAX_HALF_DELAY_PHASE:
-        raise ValueError(f"{target} preparation evolves freely for 1/(2 |J12|) and the phase of each "
-                         f"half must be at most {MAX_HALF_DELAY_PHASE:.0f} rad (J12 = {system.j12:g}, "
-                         f"nu1 = {system.nu1:g}, nu2 = {system.nu2:g}, nu_rf = {nu_rf:g} Hz)")
-    epsilon = _check_epsilon(epsilon)
-
-    half_delay = free_evolution(h, tau / 2.0)
-    u = _SELECT[target] @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
-    rho = pseudopure_00(epsilon)
-    return u @ rho @ u.conj().T
-
-
-def sq_preparation(kind: str, epsilon: float) -> np.ndarray:
-    """Prepare SQ1 or SQ2 by a selective pi/2 pulse along y from pseudopure |00>."""
-    if kind not in ("SQ1", "SQ2"):
-        raise ValueError(f"kind must be 'SQ1' or 'SQ2', got {kind!r}")
-    epsilon = _check_epsilon(epsilon)
-    u = pulse(np.pi / 2.0, "y", "spin1" if kind == "SQ1" else "spin2")
-    rho = pseudopure_00(epsilon)
-    return u @ rho @ u.conj().T
-
-
 def prepare_target(
     kind: str, system: SpinSystem, epsilon: float, nu_rf: float | None = None
 ) -> np.ndarray:
-    """Prepare any of the four coherence states by its pulse sequence."""
+    """Prepare any of the four coherence states from pseudopure |00> with ideal pulses.
+
+    SQ1 and SQ2 take one pi/2 pulse along y on spin 1 or spin 2.  ZQ and DQ
+    take the echo sequence: a non-selective pi/2 pulse along y; a 1/(2 J12)
+    delay with refocusing pi pulses (along x, on both spins) at its center
+    and end, which cancels the chemical-shift evolution and leaves the pure
+    J coupling; then a spin-1-selective pi/2 pulse along -x (ZQ) or x (DQ).
+
+    nu_rf is the rotating-frame frequency (Hz) of the ZQ/DQ delay; the
+    default is the midpoint of the two shifts.  The echo makes the prepared
+    state independent of it, but only down to the rounding error of the
+    phases it cancels.  So the largest phase each half of the delay turns
+    must be at most MAX_HALF_DELAY_PHASE, which rules out J12 = 0, a tiny
+    J12 and a large frame frequency.  Checks fail in this order: the kind,
+    the ZQ/DQ phase rule, then epsilon.
+    """
     if kind not in COHERENCE_KINDS:
         raise ValueError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
     if epsilon == 0.0:
@@ -184,6 +154,20 @@ def prepare_target(
             "is the maximally mixed state",
             stacklevel=2,
         )
+    u = _SELECT[kind]
     if kind in ("ZQ", "DQ"):
-        return prepare_via_sequence(kind, system, epsilon, nu_rf)
-    return sq_preparation(kind, epsilon)
+        if nu_rf is None:
+            nu_rf = 0.5 * (system.nu1 + system.nu2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = hamiltonian(system, nu_rf) if math.isfinite(nu_rf) else np.full((4, 4), np.inf)
+            largest = float(np.abs(h).max())
+        tau = 1.0 / (2.0 * abs(system.j12)) if system.j12 else math.inf
+        # Python floats overflow to inf quietly, and 0 * inf is nan, which fails <=.
+        if not largest * (tau / 2.0) <= MAX_HALF_DELAY_PHASE:
+            raise ValueError(f"{kind} preparation evolves freely for 1/(2 |J12|) and the phase of each "
+                             f"half must be at most {MAX_HALF_DELAY_PHASE:.0f} rad (J12 = {system.j12:g}, "
+                             f"nu1 = {system.nu1:g}, nu2 = {system.nu2:g}, nu_rf = {nu_rf:g} Hz)")
+        half_delay = free_evolution(h, tau / 2.0)
+        u = u @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
+    rho = pseudopure_00(epsilon)
+    return u @ rho @ u.conj().T

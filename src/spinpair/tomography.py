@@ -147,9 +147,11 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     values are the eigenvalue square roots, so rank-deficient states do not
     suffer the sqrt amplification of eigenvalue-level noise.
     """
-    if np.shape(rho_a) != np.shape(rho_b):
-        raise ValueError(f"fidelity requires inputs of one shape, "
-                         f"got {np.shape(rho_a)} and {np.shape(rho_b)}")
+    shape = np.shape(rho_a)
+    if shape != np.shape(rho_b):
+        raise ValueError(f"fidelity requires inputs of one shape, got {shape} and {np.shape(rho_b)}")
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError(f"fidelity requires non-empty square matrices, got shape {shape}")
     for rho in (rho_a, rho_b):
         rho = np.asarray(rho)
         # A nan or inf entry makes the deviation nan or inf, failing the test.

@@ -30,7 +30,7 @@ from spinpair.estimation import (
 )
 from spinpair.evolution import matrix_exp, propagate
 from spinpair.presets import PRESETS
-from spinpair.states import coherence_state, prepare_via_sequence
+from spinpair.states import coherence_state, prepare_target
 from spinpair.tomography import SETTINGS, fidelity, reconstruct, simulate_readout
 
 BTC_LIKE = NoiseParams(3.741, 3.048, 5.876, 0.264, 0.255)
@@ -131,7 +131,7 @@ def test_criterion_05_preparation_fidelity():
     values = {}
     for name, preset in PRESETS.items():
         for target in (KIND_ZQ, KIND_DQ):
-            rho = prepare_via_sequence(target, preset.system, 1.0)
+            rho = prepare_target(target, preset.system, 1.0)
             fid = fidelity(rho, coherence_state(target))
             values[f"{name}/{target}"] = round(fid, 6)
             assert fid >= 0.999

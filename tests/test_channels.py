@@ -199,9 +199,9 @@ def test_apply_kraus_rejects_incomplete_set():
         apply_kraus(rho, [0.5 * np.eye(4)])
 
 
-# An inf entry makes E+E compute inf * 0, which numpy reports as a
-# RuntimeWarning before the ValueError is raised.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# Finiteness is checked before E+E is summed, where an inf entry would make
+# numpy warn of inf * 0.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_apply_kraus_rejects_non_finite_operators(value):
     bad = np.zeros((4, 4), dtype=complex)

@@ -12,9 +12,7 @@ from spinpair.states import (
     coherence_spectrum,
     coherence_state,
     prepare_target,
-    prepare_via_sequence,
     pseudopure_00,
-    sq_preparation,
     thermal_state,
     validate_density_matrix,
 )
@@ -78,7 +76,7 @@ def test_coherence_state_rejects_unknown_kind():
 @pytest.mark.filterwarnings("error")
 def test_prepare_target_rejects_unknown_kind():
     # The kind is checked first, with coherence_state's message, before the
-    # epsilon = 0 warning and before the SQ branch that names only SQ1 and SQ2.
+    # epsilon = 0 warning.
     message = r"kind must be one of \('ZQ', 'DQ', 'SQ1', 'SQ2'\), got 'XQ'$"
     for epsilon in (1.0, 0.0):
         with pytest.raises(ValueError, match=message):
@@ -123,21 +121,23 @@ def test_total_weight_invariant_under_unitaries():
 
 @pytest.mark.parametrize("target", ["ZQ", "DQ"])
 def test_prepare_via_sequence_reaches_target(target):
-    rho = prepare_via_sequence(target, BTC, 1.0)
+    rho = prepare_target(target, BTC, 1.0)
     validate_density_matrix(rho)
     assert fidelity(rho, coherence_state(target)) >= 0.999
 
 
 def test_prepare_via_sequence_unpolarized_input():
     for target in ("ZQ", "DQ"):
-        assert np.allclose(prepare_via_sequence(target, BTC, 0.0), np.eye(4) / 4, atol=1e-12)
+        with pytest.warns(UserWarning, match="^epsilon = 0: "):
+            rho = prepare_target(target, BTC, 0.0)
+        assert np.allclose(rho, np.eye(4) / 4, atol=1e-12)
 
 
 def test_prepare_via_sequence_affine_in_epsilon():
     epsilon = 0.3
     for target in ("ZQ", "DQ"):
-        full = prepare_via_sequence(target, BTC, 1.0)
-        partial = prepare_via_sequence(target, BTC, epsilon)
+        full = prepare_target(target, BTC, 1.0)
+        partial = prepare_target(target, BTC, epsilon)
         expected = (1 - epsilon) * np.eye(4) / 4 + epsilon * full
         assert np.allclose(partial, expected, atol=1e-12)
 
@@ -145,20 +145,34 @@ def test_prepare_via_sequence_affine_in_epsilon():
 def test_prepare_via_sequence_rejects_zero_coupling():
     system = SpinSystem(nu1=100.0, nu2=400.0, j12=0.0)
     with pytest.raises(ValueError, match="J12"):
-        prepare_via_sequence("DQ", system, 1.0)
+        prepare_target("DQ", system, 1.0)
+
+
+def test_prepare_target_check_order():
+    # The kind fails first, then the ZQ/DQ phase rule, then epsilon: the CLI
+    # blames the system for any ValueError left once kind and epsilon pass.
+    uncoupled = SpinSystem(nu1=100.0, nu2=400.0, j12=0.0)
+    with pytest.raises(ValueError, match="^kind must be one of "):
+        prepare_target("XQ", uncoupled, 1.5)
+    for target in ("ZQ", "DQ"):
+        with pytest.raises(ValueError, match=rf"^{target} preparation evolves freely .*\(J12 = 0, "):
+            prepare_target(target, uncoupled, 1.5)
+    for target, system in (("DQ", BTC), ("SQ1", uncoupled), ("SQ2", uncoupled)):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\], got 1.5$"):
+            prepare_target(target, system, 1.5)
 
 
 def test_prepare_via_sequence_frame_independent():
     # The echo refocuses the chemical shifts, so any rotating-frame choice
     # yields the same prepared state.
     for nu_rf in (0.0, BTC.nu1, 5000.0):
-        rho = prepare_via_sequence("DQ", BTC, 1.0, nu_rf=nu_rf)
+        rho = prepare_target("DQ", BTC, 1.0, nu_rf=nu_rf)
         assert fidelity(rho, coherence_state("DQ")) >= 0.999
 
 
 @pytest.mark.parametrize("kind", ["SQ1", "SQ2"])
 def test_sq_preparation(kind):
-    rho = sq_preparation(kind, 1.0)
+    rho = prepare_target(kind, BTC, 1.0)
     assert fidelity(rho, coherence_state(kind)) >= 0.999
 
 

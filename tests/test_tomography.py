@@ -314,6 +314,15 @@ def test_fidelity_rejects_inputs_of_different_shapes():
                                       f"got {pair[0].shape} and {pair[1].shape}")
 
 
+@pytest.mark.filterwarnings("error")
+def test_fidelity_rejects_non_square_inputs():
+    for shape in ((4, 5), (2, 4, 4), (4,), (0, 0), ()):
+        rho = np.ones(shape)
+        with pytest.raises(ValueError) as exc:
+            fidelity(rho, rho)
+        assert str(exc.value) == f"fidelity requires non-empty square matrices, got shape {shape}"
+
+
 # An inf on the diagonal makes the Hermiticity difference compute inf - inf,
 # which numpy reports as a RuntimeWarning before the ValueError is raised.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
