@@ -101,9 +101,14 @@ def apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     """Apply the operator-sum map sum_k E_k rho E_k+ after checking completeness."""
     rho = validate_density_matrix(rho)
     kraus = [np.asarray(e, dtype=complex) for e in kraus]
+    for k, e in enumerate(kraus):
+        if e.shape != rho.shape:
+            raise ValueError(f"Kraus operator {k} has shape {e.shape}, expected {rho.shape}")
     if not all(np.isfinite(e).all() for e in kraus):
         raise ValueError("Kraus operators must have finite entries")
-    dev = float(np.abs(sum(e.conj().T @ e for e in kraus) - np.eye(rho.shape[0])).max())
+    # Large finite entries overflow E+E to inf or nan, which fails <=.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.abs(sum(e.conj().T @ e for e in kraus) - np.eye(4)).max())
     if not dev <= KRAUS_COMPLETENESS_TOL:
         raise ValueError(f"Kraus set violates completeness, sum E+E deviates by {dev:.3e}")
     return sum(e @ rho @ e.conj().T for e in kraus)

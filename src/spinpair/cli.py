@@ -9,7 +9,6 @@ and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -42,9 +41,6 @@ from .spinops import SpinSystem
 from .states import COHERENCE_KINDS, MAXIMALLY_MIXED, coherence_state, prepare_target
 from .tomography import SETTINGS, fidelity, reconstruct, simulate_readout
 
-# Density-matrix element whose magnitude is each coherence kind's signal.
-CHARACTERISTIC_ELEMENT = {"ZQ": (1, 2), "DQ": (0, 3), "SQ1": (0, 2), "SQ2": (0, 1)}
-
 # Most times one config may ask for: a `decay` over that many points peaks at
 # about 650 MB, as the superoperator's (T, 16, 16) float stack is cast to
 # complex for the matrix-vector product.
@@ -60,7 +56,6 @@ class RunConfig:
     system: SpinSystem | None = None
     noise: NoiseParams | None = None
     epsilon: float = 1.0
-    nu_rf: float | None = None
     time_grid: np.ndarray | None = None
     seed: int = 0
     noise_sigma: float = 0.0
@@ -199,8 +194,6 @@ def load_config(args) -> RunConfig:
             config.epsilon = _number(raw["epsilon"], "epsilon")
             if not 0.0 <= config.epsilon <= 1.0:
                 raise ConfigError("epsilon: must lie in [0, 1]")
-        if "nu_rf" in raw and raw["nu_rf"] is not None:
-            config.nu_rf = _number(raw["nu_rf"], "nu_rf")
         if "time_grid" in raw:
             config.time_grid = _parse_time_grid(raw["time_grid"])
         if "seed" in raw:
@@ -213,8 +206,6 @@ def load_config(args) -> RunConfig:
         config.seed = args.seed
     if config.seed < 0:
         raise ConfigError(f"seed: must be non-negative, got {config.seed}")
-    if getattr(args, "nu_rf", None) is not None:
-        config.nu_rf = _number(args.nu_rf, "--nu-rf")
     return config
 
 
@@ -258,18 +249,13 @@ def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, fl
         # The epsilon = 0 warning is printed below in the CLI's own words.
         warnings.filterwarnings("ignore", "epsilon = 0:", UserWarning)
         try:
-            state = prepare_target(args.target, system, config.epsilon, config.nu_rf)
+            state = prepare_target(args.target, system, config.epsilon)
         except ValueError as exc:
             # Targets and epsilon are checked already: only the ZQ/DQ delay's
-            # phase rule is left to fail.  A frame frequency is to blame when
-            # the default frame passes.  Otherwise J12 = 0 is, or with J12 != 0
-            # the system as a whole: its shift offsets relative to J12, all of
-            # which the message prints.
+            # phase rule is left to fail.  J12 = 0 is to blame, or with
+            # J12 != 0 the system as a whole: its shift offsets relative to
+            # J12, all of which the message prints.
             field = "system" if system.j12 else "system.j12"
-            if config.nu_rf is not None:
-                with contextlib.suppress(ValueError):
-                    prepare_target(args.target, system, config.epsilon)
-                    field = "nu_rf" if args.nu_rf is None else "--nu-rf"
             raise ConfigError(f"{field}: {exc}") from None
     if config.epsilon == 0.0:
         print("warning: epsilon = 0, the deviation part is empty; "
@@ -306,15 +292,16 @@ def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarra
     """Normalized decay signal on the grid.
 
     Coherence kinds propagate the prepared state under the full generator and
-    read the magnitude of the kind's characteristic element; the
-    inversion-recovery kinds use the closed-form recovery signal, since the
-    infinite-temperature model relaxes to zero net magnetization rather than
-    to the thermal value the experimental procedure rides on.
+    read the magnitude of the element joining the two basis states the
+    coherence superposes; the inversion-recovery kinds use the closed-form
+    recovery signal, since the infinite-temperature model relaxes to zero net
+    magnetization rather than to the thermal value the experimental procedure
+    rides on.
     """
     noise = config.require_noise()
     if kind in COHERENCE_KINDS:
-        r, s = CHARACTERISTIC_ELEMENT[kind]
         rho0 = coherence_state(kind)
+        r, s = np.flatnonzero(rho0.diagonal())
         # exp(Z 0) is exactly the identity, so a t = 0 row reads exactly 1.0.
         return np.abs(propagate(rho0, noise, times)[:, r, s]) / abs(rho0[r, s])
     return signal_model(kind, noise, times)
@@ -536,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset": dict(help=f"built-in molecule preset: {', '.join(sorted(PRESETS))}"),
         "--out": dict(help="output directory"),
         "--seed": dict(type=int, help="random seed override"),
-        "--nu-rf": dict(type=float, help="rotating-frame frequency in Hz (default: shift midpoint)"),
     }
 
     def add_flags(p, *names):
@@ -544,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **flags[name])
 
     p_prepare = sub.add_parser("prepare", help="simulate state preparation and report fidelity")
-    add_flags(p_prepare, "--config", "--preset", "--out", "--nu-rf")
+    add_flags(p_prepare, "--config", "--preset", "--out")
     p_prepare.add_argument("--target", choices=COHERENCE_KINDS, required=True)
     p_prepare.set_defaults(func=cmd_prepare)
 
@@ -555,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay.set_defaults(func=cmd_decay)
 
     p_tomo = sub.add_parser("tomo", help="simulate tomography of a prepared state")
-    add_flags(p_tomo, "--config", "--preset", "--out", "--nu-rf")
+    add_flags(p_tomo, "--config", "--preset", "--out")
     p_tomo.add_argument("--target", choices=COHERENCE_KINDS, required=True)
     p_tomo.add_argument("--time", type=float, help="evolve under the noise model before readout")
     p_tomo.set_defaults(func=cmd_tomo)

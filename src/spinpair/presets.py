@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channels import NoiseParams
+from .estimation import RateEstimate, gamma3_difference
 from .spinops import SpinSystem
 
 
@@ -31,11 +32,6 @@ class MeasuredRates:
     zq_rate_err: float
     dq_rate: float
     dq_rate_err: float
-
-    @property
-    def gamma3(self) -> float:
-        """Correlated dephasing rate from the difference estimator."""
-        return 0.5 * (self.dq_rate - self.zq_rate)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,8 @@ def _mq_consistent_noise(rates: MeasuredRates) -> NoiseParams:
     return NoiseParams(
         gamma1=gamma1,
         gamma2=dephasing_sum - gamma1,
-        gamma3=rates.gamma3,
+        gamma3=gamma3_difference(RateEstimate(rates.zq_rate, rates.zq_rate_err, 0.0),
+                                 RateEstimate(rates.dq_rate, rates.dq_rate_err, 0.0)).rate,
         Gamma1=rates.Gamma1,
         Gamma2=rates.Gamma2,
     )

@@ -1,7 +1,8 @@
 """Two-spin state construction: thermal and pseudopure states, pure
 multiple-quantum coherence states, coherence-order decomposition, and the
-preparation of each coherence from pseudopure |00> by ideal pulses, the
-echo sequence for ZQ and DQ and one selective pulse for SQ1 and SQ2.
+preparation of each coherence from pseudopure |00> by ideal pulses: the
+echo sequence in the shift-midpoint frame for ZQ and DQ, one selective pulse
+for SQ1 and SQ2.
 """
 
 from __future__ import annotations
@@ -127,9 +128,7 @@ def coherence_spectrum(rho: np.ndarray) -> dict[int, float]:
     return weights
 
 
-def prepare_target(
-    kind: str, system: SpinSystem, epsilon: float, nu_rf: float | None = None
-) -> np.ndarray:
+def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
     """Prepare any of the four coherence states from pseudopure |00> with ideal pulses.
 
     SQ1 and SQ2 take one pi/2 pulse along y on spin 1 or spin 2.  ZQ and DQ
@@ -138,13 +137,11 @@ def prepare_target(
     and end, which cancels the chemical-shift evolution and leaves the pure
     J coupling; then a spin-1-selective pi/2 pulse along -x (ZQ) or x (DQ).
 
-    nu_rf is the rotating-frame frequency (Hz) of the ZQ/DQ delay; the
-    default is the midpoint of the two shifts.  The echo makes the prepared
-    state independent of it, but only down to the rounding error of the
-    phases it cancels.  So the largest phase each half of the delay turns
-    must be at most MAX_HALF_DELAY_PHASE, which rules out J12 = 0, a tiny
-    J12 and a large frame frequency.  Checks fail in this order: the kind,
-    the ZQ/DQ phase rule, then epsilon.
+    The delay runs in the frame at the shift midpoint, and its echo cancels
+    the shift phases only down to rounding, so each half may turn at most
+    MAX_HALF_DELAY_PHASE: this rules out J12 = 0, a tiny J12 and shifts far
+    apart relative to J12.  Checks fail in this order: the kind, the ZQ/DQ
+    phase rule, then epsilon.
     """
     if kind not in COHERENCE_KINDS:
         raise ValueError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
@@ -156,17 +153,16 @@ def prepare_target(
         )
     u = _SELECT[kind]
     if kind in ("ZQ", "DQ"):
-        if nu_rf is None:
-            nu_rf = 0.5 * (system.nu1 + system.nu2)
+        # 2 pi (nu1 - frame) still overflows at |nu| near 1e308.
         with np.errstate(over="ignore", invalid="ignore"):
-            h = hamiltonian(system, nu_rf) if math.isfinite(nu_rf) else np.full((4, 4), np.inf)
+            h = hamiltonian(system, 0.5 * system.nu1 + 0.5 * system.nu2)
             largest = float(np.abs(h).max())
         tau = 1.0 / (2.0 * abs(system.j12)) if system.j12 else math.inf
         # Python floats overflow to inf quietly, and 0 * inf is nan, which fails <=.
         if not largest * (tau / 2.0) <= MAX_HALF_DELAY_PHASE:
             raise ValueError(f"{kind} preparation evolves freely for 1/(2 |J12|) and the phase of each "
                              f"half must be at most {MAX_HALF_DELAY_PHASE:.0f} rad (J12 = {system.j12:g}, "
-                             f"nu1 = {system.nu1:g}, nu2 = {system.nu2:g}, nu_rf = {nu_rf:g} Hz)")
+                             f"nu1 = {system.nu1:g}, nu2 = {system.nu2:g} Hz)")
         half_delay = free_evolution(h, tau / 2.0)
         u = u @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
     rho = pseudopure_00(epsilon)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -193,10 +194,23 @@ def test_apply_kraus_preserves_trace():
     assert out.trace().real == pytest.approx(1.0, abs=1e-12)
 
 
+# Large finite entries overflow E+E, which must fail the completeness test, not warn.
+@pytest.mark.filterwarnings("error")
 def test_apply_kraus_rejects_incomplete_set():
     rho = np.eye(4) / 4
-    with pytest.raises(ValueError, match="completeness"):
-        apply_kraus(rho, [0.5 * np.eye(4)])
+    for kraus in ([0.5 * np.eye(4)], [np.full((4, 4), 1e200)], [np.eye(4), np.full((4, 4), -1e300)]):
+        with pytest.raises(ValueError, match="^Kraus set violates completeness"):
+            apply_kraus(rho, kraus)
+
+
+# The shape is checked before any arithmetic, where numpy would raise its own errors.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(2, 2), (4, 3), (1, 4, 4), (16,)])
+def test_apply_kraus_rejects_malformed_operators(shape):
+    for kraus, index in (([np.ones(shape)], 0), ([np.eye(4), np.full(shape, np.nan)], 1)):
+        with pytest.raises(ValueError, match=rf"^Kraus operator {index} has shape "
+                                             rf"{re.escape(str(shape))}, expected \(4, 4\)$"):
+            apply_kraus(np.eye(4) / 4, kraus)
 
 
 # Finiteness is checked before E+E is summed, where an inf entry would make

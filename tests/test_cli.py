@@ -420,16 +420,17 @@ def test_report_entry_matches_hand_written_formula(monkeypatch):
         monkeypatch.setitem(PRESETS, "random", Preset(PRESETS["btc"].system, rates, params))
         entry = _report_entry("random")
         base = rates.t2_rate_1 + rates.t2_rate_2 + 0.5 * (rates.Gamma1 + rates.Gamma2)
+        gamma3 = 0.5 * (rates.dq_rate - rates.zq_rate)
         expected = {
             "preset": "random",
             "molecule": "BTC acid",
-            "gamma3": rates.gamma3,
+            "gamma3": gamma3,
             "zq_rate_measured": rates.zq_rate,
             "dq_rate_measured": rates.dq_rate,
-            "zq_rate_predicted": base - rates.gamma3,
-            "dq_rate_predicted": base + rates.gamma3,
-            "zq_rate_mismatch": base - rates.gamma3 - rates.zq_rate,
-            "dq_rate_mismatch": base + rates.gamma3 - rates.dq_rate,
+            "zq_rate_predicted": base - gamma3,
+            "dq_rate_predicted": base + gamma3,
+            "zq_rate_mismatch": base - gamma3 - rates.zq_rate,
+            "dq_rate_mismatch": base + gamma3 - rates.dq_rate,
             "noise": asdict(params),
         }
         stderr = entry.pop("gamma3_stderr")
@@ -451,9 +452,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
 
 
 def test_unknown_config_field_is_config_error(tmp_path, capsys):
-    config = write_config(tmp_path, epsilonn=0.5)
-    assert main(["prepare", "--preset", "btc", "--config", config, "--target", "DQ"]) == 2
-    assert "unknown config field" in capsys.readouterr().err
+    # The echo makes the prepared state independent of the rotating frame, so
+    # no config field sets it: nu_rf is unknown like any other misspelling.
+    for field, value in (("epsilonn", 0.5), ("nu_rf", 0.0)):
+        config = write_config(tmp_path, **{field: value})
+        assert main(["prepare", "--preset", "btc", "--config", config, "--target", "DQ"]) == 2
+        assert capsys.readouterr().err == f"config error: {config}: unknown config fields {[field]}\n"
 
 
 def test_config_system_object(tmp_path, capsys):
@@ -532,7 +536,7 @@ def test_inadmissible_noise_config_message(tmp_path, capsys, rates, message):
     [
         ({"seed": "abc"}, [], "seed"),
         ({"epsilon": "abc"}, [], "epsilon"),
-        ({"nu_rf": "x"}, [], "nu_rf"),
+        ({"epsilon": 1.5}, [], "epsilon"),
         ({"time_grid": [0.0, float("nan"), 1.0]}, [], "time_grid[1]"),
         ({"time_grid": {"stop": float("inf")}}, [], "time_grid.stop"),
         ({"seed": 1.5}, [], "seed"),
@@ -621,20 +625,24 @@ NOISE = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 0.1, "Gamma2": 0
          {"system": {"nu1": 0, "nu2": 5e-324, "j12": 1e-308},
           "noise": {"gamma1": 0, "gamma2": 1e300, "gamma3": 1e300, "Gamma1": 0, "Gamma2": 1e-308}},
          "noise.gamma3"),
-        (["prepare", "--target", "DQ", "--nu-rf", "nan"], {}, "--nu-rf"),
-        (["tomo", "--target", "DQ", "--nu-rf", "nan"], {}, "--nu-rf"),
-        # A large frame frequency: the echo would cancel the shift phases only
-        # down to their rounding error.  The default frame passes, so the
-        # frame frequency is named, by the flag or the config field that set it.
-        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {}, "--nu-rf"),
-        (["prepare", "--target", "DQ", "--nu-rf", "1e300"], {}, "--nu-rf"),
-        (["tomo", "--target", "ZQ", "--nu-rf", "1e16", "--time", "0.1"], {}, "--nu-rf"),
-        (["tomo", "--target", "ZQ"], {"nu_rf": 1e16}, "nu_rf"),
-        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"nu_rf": 0.0}, "--nu-rf"),
-        # The default frame fails too: the system is to blame, or J12 = 0.
-        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"system": {**UNCOUPLED, "j12": 1e-308}},
+        # Shifts far apart relative to J12: 2 pi (nu1 - frame) overflows in the
+        # midpoint frame, or stays finite but above the bound.
+        (["prepare", "--target", "DQ"], {"system": {"nu1": 1.7e308, "nu2": -1.7e308, "j12": 4.2}},
          "system"),
-        (["prepare", "--target", "DQ", "--nu-rf", "1e16"], {"system": UNCOUPLED}, "system.j12"),
+        (["tomo", "--target", "ZQ", "--time", "0.1"],
+         {"system": {"nu1": 1.7e308, "nu2": -1.7e308, "j12": 4.2}}, "system"),
+        (["prepare", "--target", "ZQ"], {"system": {"nu1": 5.7e6, "nu2": 4287.0, "j12": 4.2}},
+         "system"),
+        (["tomo", "--target", "DQ"], {"system": {"nu1": -1e9, "nu2": 1e9, "j12": 4.2}}, "system"),
+        # A negative tiny J12 overflows the phase as a positive one does.
+        (["prepare", "--target", "DQ"], {"system": {**UNCOUPLED, "j12": -1e-308}}, "system"),
+        # The phase rule fails after --time and its noise pass, and epsilon = 0
+        # does not hide it.
+        (["tomo", "--target", "DQ", "--time", "0.1"], {"system": UNCOUPLED}, "system.j12"),
+        (["prepare", "--target", "ZQ"], {"system": UNCOUPLED, "epsilon": 0.0}, "system.j12"),
+        (["tomo", "--target", "ZQ", "--time", "0.1"], {"system": {**UNCOUPLED, "j12": 1e-308}},
+         "system"),
+        (["prepare", "--target", "DQ"], {"system": UNCOUPLED}, "system.j12"),
         # J12 is fine; the shifts are far apart.
         (["prepare", "--target", "ZQ"], {"system": {"nu1": 1e9, "nu2": 2e9, "j12": 4.2}},
          "system"),
@@ -683,15 +691,6 @@ def test_cli_error_branch_exit_code_and_message(tmp_path, capsys, argv, code, me
     assert not (tmp_path / "out" / "fit_report.json").exists()
 
 
-def test_large_frame_frequency_names_the_flag(capsys):
-    # J12 = 4.2 is fine: the overflowing input is the frame frequency.
-    assert main(["prepare", "--preset", "btc", "--target", "DQ", "--nu-rf", "1e308"]) == 2
-    assert capsys.readouterr() == ("", (
-        "config error: --nu-rf: DQ preparation evolves freely for 1/(2 |J12|) and the phase of "
-        "each half must be at most 1048576 rad (J12 = 4.2, nu1 = 4602.4, nu2 = 4287, "
-        "nu_rf = 1e+308 Hz)\n"))
-
-
 @pytest.mark.filterwarnings("error")
 def test_weak_coupling_is_a_warning_line(tmp_path, capsys):
     config = write_config(tmp_path, system={"nu1": 100, "nu2": 101, "j12": 4.2})
@@ -707,7 +706,9 @@ def test_weak_coupling_is_a_warning_line(tmp_path, capsys):
     "command, flag",
     [
         ("prepare", "--seed 5"),
+        ("prepare", "--nu-rf 3"),
         ("tomo", "--seed 5"),
+        ("tomo", "--nu-rf 3"),
         ("decay", "--nu-rf 3"),
         ("fit", "--seed 5"),
         ("fit", "--nu-rf 3"),

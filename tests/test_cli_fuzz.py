@@ -34,7 +34,6 @@ any_config = _optional(
                      _optional(nu1=value, nu2=value, j12=value)),
     noise=st.one_of(value, _optional(nbar=value, **{name: value for name in RATE_FIELDS})),
     epsilon=value,
-    nu_rf=value,
     time_grid=st.one_of(value, st.lists(value, max_size=8),
                         _optional(start=value, stop=value, points=value)),
     seed=value,
@@ -48,7 +47,6 @@ number_config = st.fixed_dictionaries(
     },
     optional={
         "epsilon": number,
-        "nu_rf": number,
         "time_grid": st.one_of(
             st.lists(number, min_size=2, max_size=8).map(sorted),
             _optional(start=number, stop=number, points=st.integers(-1, 64)),
@@ -89,11 +87,9 @@ def run(argv, fields, csvs, use_preset):
 
 @st.composite
 def state_commands(draw):
-    """An argv of prepare or tomo, with or without a --nu-rf and a --time."""
+    """An argv of prepare or tomo, tomo with or without a --time."""
     command = draw(st.sampled_from(["prepare", "tomo"]))
     argv = [command, "--target", draw(st.sampled_from(["ZQ", "DQ", "SQ1", "SQ2"]))]
-    if draw(st.booleans()):
-        argv.append(f"--nu-rf={draw(number)!r}")
     if command == "tomo" and draw(st.booleans()):
         argv.append(f"--time={draw(number)!r}")
     return argv

@@ -27,3 +27,14 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    # A field the CLI no longer reads would make the documented config exit 2.
+    block = re.search(r"Config JSON fields .*?```json\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.DOTALL)
+    assert block, "README has no config JSON example"
+    config = tmp_path / "config.json"
+    config.write_text(block.group(1), encoding="utf-8")
+    assert main(["prepare", "--target", "DQ", "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""

@@ -162,12 +162,13 @@ def test_prepare_target_check_order():
             prepare_target(target, system, 1.5)
 
 
-def test_prepare_via_sequence_frame_independent():
-    # The echo refocuses the chemical shifts, so any rotating-frame choice
-    # yields the same prepared state.
-    for nu_rf in (0.0, BTC.nu1, 5000.0):
-        rho = prepare_target("DQ", BTC, 1.0, nu_rf=nu_rf)
-        assert fidelity(rho, coherence_state("DQ")) >= 0.999
+def test_prepare_via_sequence_refocuses_shifts():
+    # The echo refocuses the chemical shifts, so only J12 shapes the state:
+    # shift pairs at any offset and spacing prepare the same DQ state.
+    reference = prepare_target("DQ", BTC, 1.0)
+    for nu1, nu2 in ((0.0, BTC.nu2), (BTC.nu1, 5000.0), (-3e4, 2e4)):
+        rho = prepare_target("DQ", SpinSystem(nu1=nu1, nu2=nu2, j12=BTC.j12), 1.0)
+        assert np.abs(rho - reference).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["SQ1", "SQ2"])
@@ -340,25 +341,29 @@ def test_single_state_functions_reject_stacks():
 
 
 @pytest.mark.parametrize("target", ["ZQ", "DQ"])
-@pytest.mark.parametrize("system, nu_rf", [
-    (SpinSystem(nu1=100.0, nu2=400.0, j12=1e-308), None),  # 1/(2 J12) overflows the phase
-    (SpinSystem(nu1=100.0, nu2=400.0, j12=5e-324), None),
-    (SpinSystem(nu1=1.7e308, nu2=1.6e308, j12=4.2), None),  # the shift midpoint overflows
-    (BTC, 1e308),
-    (BTC, 1e16),  # finite, but the echo leaves a rounding error of the phase
+@pytest.mark.parametrize("system", [
+    SpinSystem(nu1=100.0, nu2=400.0, j12=1e-308),  # 1/(2 J12) overflows the phase
+    SpinSystem(nu1=100.0, nu2=400.0, j12=5e-324),
+    SpinSystem(nu1=1.7e308, nu2=1.6e308, j12=4.2),  # finite, but far above the bound
+    SpinSystem(nu1=1.7e308, nu2=-1.7e308, j12=4.2),  # 2 pi (nu1 - frame) overflows
 ])
-def test_prepare_rejects_infinite_phase(target, system, nu_rf):
+def test_prepare_rejects_infinite_phase(target, system):
     with pytest.raises(ValueError, match=r"phase of each half must be at most 1048576 rad \(J12 = "
-                                         r".*, nu_rf = .* Hz\)$"):
-        prepare_target(target, system, 1.0, nu_rf)
+                                         r".*, nu1 = .*, nu2 = .* Hz\)$"):
+        prepare_target(target, system, 1.0)
 
 
 @pytest.mark.parametrize("target", ["ZQ", "DQ"])
 def test_prepare_phase_bound_keeps_the_echo_exact(target):
-    # Just inside the bound the frame frequency moves the state by rounding only.
-    # The largest |H| entry grows by 2 pi rad/s per Hz of frame offset, over
-    # half the delay, tau / 2 = 1 / (4 J12).
-    phase_per_hz = math.pi / (2.0 * BTC.j12)
-    nu_rf = 0.5 * (BTC.nu1 + BTC.nu2) + 0.9 * MAX_HALF_DELAY_PHASE / phase_per_hz
-    moved = prepare_target(target, BTC, 1.0, nu_rf) - prepare_target(target, BTC, 1.0)
+    # In the midpoint frame the largest |H| entry is pi |nu1 - nu2| + pi J12 / 2
+    # rad/s, turned over half the delay, tau / 2 = 1 / (4 J12).  Just inside the
+    # bound the echo cancels the shift phases down to rounding; just outside
+    # it the shifts are rejected.
+    def at(fraction, j12=4.2):
+        offset = fraction * MAX_HALF_DELAY_PHASE * 4.0 * j12 / math.pi - 0.5 * j12
+        return SpinSystem(nu1=BTC.nu2 + offset, nu2=BTC.nu2, j12=j12)
+
+    moved = prepare_target(target, at(0.9), 1.0) - coherence_state(target)
     assert np.abs(moved).max() < 1e-10
+    with pytest.raises(ValueError, match="phase of each half must be at most"):
+        prepare_target(target, at(1.01), 1.0)
