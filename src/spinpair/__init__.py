@@ -3,16 +3,7 @@ independent amplitude damping: channel generators, propagation, simulated
 tomography, and noise-rate estimation from decay curves.
 """
 
-from .channels import (
-    NoiseParams,
-    apply_kraus,
-    choi_matrix,
-    full_generator,
-    gad_apply,
-    jump_operators,
-    lindblad_generator,
-    phase_damping_apply,
-)
+from .channels import NoiseParams, full_generator, jump_operators, lindblad_generator
 from .estimation import (
     ConvergenceError,
     DataError,
@@ -31,14 +22,7 @@ from .estimation import (
 from .evolution import default_time_grid, matrix_exp, propagate, superoperator
 from .presets import PRESETS, MeasuredRates, Preset, get_preset
 from .spinops import SpinSystem, angular_momentum, free_evolution, hamiltonian, pauli, pulse
-from .states import (
-    coherence_spectrum,
-    coherence_state,
-    prepare_target,
-    pseudopure_00,
-    thermal_state,
-    validate_density_matrix,
-)
+from .states import coherence_state, prepare_target, pseudopure_00, validate_density_matrix
 from .tomography import TomographyRecord, fidelity, reconstruct, simulate_readout
 
 __version__ = "0.1.0"
@@ -56,9 +40,6 @@ __all__ = [
     "SpinSystem",
     "TomographyRecord",
     "angular_momentum",
-    "apply_kraus",
-    "choi_matrix",
-    "coherence_spectrum",
     "coherence_state",
     "default_time_grid",
     "fidelity",
@@ -66,7 +47,6 @@ __all__ = [
     "fit_noise_model",
     "free_evolution",
     "full_generator",
-    "gad_apply",
     "gamma3_difference",
     "get_preset",
     "hamiltonian",
@@ -75,7 +55,6 @@ __all__ = [
     "load_curve",
     "matrix_exp",
     "pauli",
-    "phase_damping_apply",
     "prepare_target",
     "propagate",
     "pseudopure_00",
@@ -87,6 +66,5 @@ __all__ = [
     "simulate_readout",
     "superoperator",
     "synthetic_curve",
-    "thermal_state",
     "validate_density_matrix",
 ]

@@ -1,11 +1,9 @@
-"""Kraus maps and Lindblad generators for the two-spin noise model.
+"""Lindblad generators for the two-spin noise model.
 
-Maps are written in closed form: single-spin phase damping and generalized
-amplitude damping, and any operator-sum map.  Every generator is
-`lindblad_generator` of its jump operators: single-spin phase damping at
-rate gamma has sqrt(gamma / 2) sigma_z, amplitude damping at rate Gamma has
-sqrt((1 - nbar) Gamma) sigma_- and sqrt(nbar Gamma) sigma_+, and the
-two-spin model is `full_generator`.
+Every generator is `lindblad_generator` of its jump operators: single-spin
+phase damping at rate gamma has sqrt(gamma / 2) sigma_z, amplitude damping
+at rate Gamma has sqrt((1 - nbar) Gamma) sigma_- and sqrt(nbar Gamma)
+sigma_+, and the two-spin model is `full_generator`.
 
 Superoperators act on the row-major vectorization of a d x d density
 matrix, vec(rho)[d r + s] = rho[r, s].
@@ -19,9 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spinops import pauli
-from .states import validate_density_matrix
-
-KRAUS_COMPLETENESS_TOL = 1e-10
 
 
 class NotCompletelyPositive(ValueError):
@@ -88,74 +83,6 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1)
 
 
-def devectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize for a square matrix."""
-    vec = np.asarray(vec)
-    dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
-        raise ValueError(f"vector length {vec.size} is not a perfect square")
-    return vec.reshape(dim, dim)
-
-
-def apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    """Apply the operator-sum map sum_k E_k rho E_k+ after checking completeness."""
-    rho = validate_density_matrix(rho)
-    kraus = [np.asarray(e, dtype=complex) for e in kraus]
-    for k, e in enumerate(kraus):
-        if e.shape != rho.shape:
-            raise ValueError(f"Kraus operator {k} has shape {e.shape}, expected {rho.shape}")
-    if not all(np.isfinite(e).all() for e in kraus):
-        raise ValueError("Kraus operators must have finite entries")
-    # Large finite entries overflow E+E to inf or nan, which fails <=.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.abs(sum(e.conj().T @ e for e in kraus) - np.eye(4)).max())
-    if not dev <= KRAUS_COMPLETENESS_TOL:
-        raise ValueError(f"Kraus set violates completeness, sum E+E deviates by {dev:.3e}")
-    return sum(e @ rho @ e.conj().T for e in kraus)
-
-
-# ----------------------------------------------------------------------
-# Single-spin channels
-# ----------------------------------------------------------------------
-
-
-def phase_damping_apply(rho: np.ndarray, gamma: float, t: float) -> np.ndarray:
-    """Single-spin phase damping: off-diagonals scaled by exp(-gamma t)."""
-    if gamma < 0 or t < 0:
-        raise ValueError("gamma and t must be non-negative")
-    rho = np.asarray(rho, dtype=complex)
-    decay = np.exp(-gamma * t)
-    out = rho.copy()
-    out[0, 1] *= decay
-    out[1, 0] *= decay
-    return out
-
-
-def gad_apply(rho: np.ndarray, rate: float, nbar: float, t: float) -> np.ndarray:
-    """Single-spin generalized amplitude damping at temperature parameter nbar.
-
-    Populations mix toward the thermal fixed point diag(1 - nbar, nbar);
-    coherences decay as exp(-rate t / 2).
-    """
-    if rate < 0 or t < 0:
-        raise ValueError("rate and t must be non-negative")
-    if not 0.0 <= nbar <= 1.0:
-        raise ValueError("nbar must lie in [0, 1]")
-    rho = np.asarray(rho, dtype=complex)
-    depletion = 1.0 - np.exp(-rate * t)
-    k2 = (1.0 - nbar) * depletion
-    k3 = nbar * depletion
-    k1 = 1.0 - k3
-    k4 = 1.0 - k2
-    coherence_decay = np.exp(-rate * t / 2.0)
-    out = np.empty_like(rho)
-    out[0, 0] = k1 * rho[0, 0] + k2 * rho[1, 1]
-    out[1, 1] = k3 * rho[0, 0] + k4 * rho[1, 1]
-    out[0, 1] = coherence_decay * rho[0, 1]
-    out[1, 0] = coherence_decay * rho[1, 0]
-    return out
-
-
 # ----------------------------------------------------------------------
 # Lindblad generators
 # ----------------------------------------------------------------------
@@ -202,36 +129,3 @@ def lindblad_generator(ops: list[np.ndarray]) -> np.ndarray:
         gen += np.kron(op, op.conj())
         gen -= 0.5 * (np.kron(opd_op, eye) + np.kron(eye, opd_op.T))
     return gen
-
-
-# ----------------------------------------------------------------------
-# Generator diagnostics
-# ----------------------------------------------------------------------
-
-
-def trace_functional(dim: int) -> np.ndarray:
-    """Row vector summing the vec positions that hold diag(rho)."""
-    w = np.zeros(dim * dim)
-    w[:: dim + 1] = 1.0
-    return w
-
-
-def is_trace_preserving_generator(gen: np.ndarray) -> bool:
-    """The trace functional must be a left null vector of the generator, to
-    1e-12 in every entry."""
-    gen = np.asarray(gen)
-    dim = int(round(np.sqrt(gen.shape[0])))
-    return float(np.abs(trace_functional(dim) @ gen).max()) <= 1e-12
-
-
-def preserves_hermiticity(gen: np.ndarray, rho: np.ndarray) -> bool:
-    """Check Z(rho) is Hermitian, to 1e-12 in every entry, for a Hermitian rho."""
-    out = devectorize(np.asarray(gen) @ vectorize(rho))
-    return float(np.abs(out - out.conj().T).max()) <= 1e-12
-
-
-def choi_matrix(superop: np.ndarray) -> np.ndarray:
-    """Choi matrix C[(i,k),(j,l)] = E(|i><j|)[k,l] of a vec-form superoperator."""
-    superop = np.asarray(superop, dtype=complex)
-    dim = int(round(np.sqrt(superop.shape[0])))
-    return superop.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1).reshape(dim**2, dim**2)

@@ -36,7 +36,7 @@ from .estimation import (
 )
 from .evolution import default_time_grid, propagate
 from .plotting import Series, render_decay_plot
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, Preset, get_preset
 from .spinops import SpinSystem
 from .states import COHERENCE_KINDS, MAXIMALLY_MIXED, coherence_state, prepare_target
 from .tomography import SETTINGS, fidelity, reconstruct, simulate_readout
@@ -94,11 +94,17 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _preset(name: str, field: str = "") -> Preset:
+    """The named preset; an unknown name is a config error, prefixed with `field`."""
+    try:
+        return get_preset(name)
+    except ValueError as exc:
+        raise ConfigError(f"{field}{exc}") from None
+
+
 def _parse_system(value) -> SpinSystem:
     if isinstance(value, str):
-        if value not in PRESETS:
-            raise ConfigError(f"system: unknown preset {value!r}; available: {sorted(PRESETS)}")
-        return PRESETS[value].system
+        return _preset(value, "system: ").system
     if not isinstance(value, dict):
         raise ConfigError("system: expected a preset name or an object with nu1/nu2/j12")
     try:
@@ -168,9 +174,7 @@ def load_config(args) -> RunConfig:
     """Resolve the run configuration from preset, config file, and flags."""
     config = RunConfig()
     if args.preset:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            raise ConfigError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
+        preset = _preset(args.preset)
         config.system = preset.system
         config.noise = preset.noise
     if args.config:
@@ -387,7 +391,9 @@ def _fit_plot(curves: dict[str, DecayCurve], rates: dict[str, float],
             label = kind
         series.append(Series(label=f"{label} data", x=list(curve.times), y=list(data_y), style="points"))
         dense = np.linspace(curve.times[0], curve.times[-1], 128)
-        fit_y = amplitude * np.exp(-rates[kind] * dense)
+        # -R t overflows to -inf on a long grid, and exp(-inf) = 0 is the decayed fit.
+        with np.errstate(over="ignore"):
+            fit_y = amplitude * np.exp(-rates[kind] * dense)
         series.append(Series(label=f"{label} fit", x=list(dense), y=list(fit_y), style="line"))
     return render_decay_plot(series)
 
@@ -463,7 +469,7 @@ def cmd_fit(args) -> int:
 
 
 def _report_entry(name: str) -> dict:
-    preset = get_preset(name)
+    preset = _preset(name)
     rates = preset.rates
     # Model prediction with the measured 1/T2 dephasing and 1/T1 damping rates.
     consistency = asdict(model_consistency(
@@ -483,9 +489,6 @@ def _report_entry(name: str) -> dict:
 
 def cmd_report(args) -> int:
     names = sorted(PRESETS) if args.preset in (None, "all") else [args.preset]
-    for name in names:
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     entries = [_report_entry(name) for name in names]
     for entry in entries:
         print(

@@ -190,13 +190,9 @@ def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
         raise ValueError("t must be non-negative")
     rate = rate_for_kind(kind, params)
     offset, slope = CURVE_SHAPE[kind]
-    return offset + slope * np.exp(-rate * t)
-
-
-def suggested_times(kind: str, params: NoiseParams, points: int = 24, decades: float = 3.0) -> np.ndarray:
-    """Linear sample grid covering ~`decades` e-foldings of the kind's decay."""
-    rate = max(rate_for_kind(kind, params), 1e-6)
-    return np.linspace(0.0, decades / rate, points)
+    # -rate t overflows to -inf at long times, and exp(-inf) = 0 is the decayed signal.
+    with np.errstate(over="ignore"):
+        return offset + slope * np.exp(-rate * t)
 
 
 def synthetic_curve(

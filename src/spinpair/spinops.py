@@ -133,10 +133,3 @@ def free_evolution(h: np.ndarray, tau: float) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(h)
     phases = np.exp(-1j * eigvals * tau)
     return (eigvecs * phases) @ eigvecs.conj().T
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    """Check U U+ = identity to 1e-12 in max-abs entry norm."""
-    u = np.asarray(u)
-    dev = u @ u.conj().T - np.eye(u.shape[0])
-    return float(np.abs(dev).max()) <= 1e-12

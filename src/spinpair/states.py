@@ -1,8 +1,7 @@
-"""Two-spin state construction: thermal and pseudopure states, pure
-multiple-quantum coherence states, coherence-order decomposition, and the
-preparation of each coherence from pseudopure |00> by ideal pulses: the
-echo sequence in the shift-midpoint frame for ZQ and DQ, one selective pulse
-for SQ1 and SQ2.
+"""Two-spin state construction: the pseudopure |00> state, pure
+multiple-quantum coherence states, and the preparation of each coherence
+from pseudopure |00> by ideal pulses: the echo sequence in the
+shift-midpoint frame for ZQ and DQ, one selective pulse for SQ1 and SQ2.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ import warnings
 
 import numpy as np
 
-from .spinops import SpinSystem, angular_momentum, free_evolution, hamiltonian, pulse
-
-# Magnetic quantum number of each basis state |00>,|01>,|10>,|11>, in units
-# of single-spin flips; the coherence order of element (r, s) is M[r] - M[s].
-_M_VALUES = (1, 0, 0, -1)
+from .spinops import SpinSystem, free_evolution, hamiltonian, pulse
 
 COHERENCE_KINDS = ("ZQ", "DQ", "SQ1", "SQ2")
 
@@ -80,22 +75,11 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _check_epsilon(epsilon: float) -> float:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    return float(epsilon)
-
-
-def thermal_state(epsilon: float) -> np.ndarray:
-    """High-temperature equilibrium state (identity + epsilon * (I1z + I2z)) / 4."""
-    epsilon = _check_epsilon(epsilon)
-    deviation = angular_momentum(1, "z") + angular_momentum(2, "z")
-    return (np.eye(4, dtype=complex) + epsilon * deviation) / 4.0
-
-
 def pseudopure_00(epsilon: float) -> np.ndarray:
     """Pseudopure |00> state (1 - epsilon) I/4 + epsilon |00><00|."""
-    epsilon = _check_epsilon(epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    epsilon = float(epsilon)
     rho = (1.0 - epsilon) * np.eye(4, dtype=complex) / 4.0
     rho[0, 0] += epsilon
     return rho
@@ -113,21 +97,6 @@ def coherence_state(kind: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def coherence_spectrum(rho: np.ndarray) -> dict[int, float]:
-    """Squared-magnitude weight of rho by coherence order n in {-2..+2}.
-
-    Element (r, s) contributes |rho_rs|^2 to the order M[r] - M[s]; the
-    diagonal falls in order 0.
-    """
-    rho = validate_density_matrix(rho)
-    weights = {n: 0.0 for n in (-2, -1, 0, 1, 2)}
-    for r in range(4):
-        for s in range(4):
-            order = _M_VALUES[r] - _M_VALUES[s]
-            weights[order] += float(abs(rho[r, s]) ** 2)
-    return weights
-
-
 def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
     """Prepare any of the four coherence states from pseudopure |00> with ideal pulses.
 
@@ -141,16 +110,11 @@ def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
     the shift phases only down to rounding, so each half may turn at most
     MAX_HALF_DELAY_PHASE: this rules out J12 = 0, a tiny J12 and shifts far
     apart relative to J12.  Checks fail in this order: the kind, the ZQ/DQ
-    phase rule, then epsilon.
+    phase rule, then epsilon; only a call that passes them all issues the
+    epsilon = 0 warning.
     """
     if kind not in COHERENCE_KINDS:
         raise ValueError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
-    if epsilon == 0.0:
-        warnings.warn(
-            "epsilon = 0: the deviation part is empty and the prepared state "
-            "is the maximally mixed state",
-            stacklevel=2,
-        )
     u = _SELECT[kind]
     if kind in ("ZQ", "DQ"):
         # 2 pi (nu1 - frame) still overflows at |nu| near 1e308.
@@ -166,4 +130,10 @@ def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
         half_delay = free_evolution(h, tau / 2.0)
         u = u @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
     rho = pseudopure_00(epsilon)
+    if epsilon == 0.0:
+        warnings.warn(
+            "epsilon = 0: the deviation part is empty and the prepared state "
+            "is the maximally mixed state",
+            stacklevel=2,
+        )
     return u @ rho @ u.conj().T

@@ -7,25 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import random_cp_params, random_density_matrix
-from spinpair.channels import (
-    NoiseParams,
-    choi_matrix,
-    devectorize,
-    full_generator,
-    gad_apply,
-    is_trace_preserving_generator,
-    lindblad_generator,
-    phase_damping_apply,
-    preserves_hermiticity,
-    vectorize,
-)
+from oracles import choi_matrix, gad_apply, phase_damping_apply, suggested_times
+from spinpair.channels import NoiseParams, full_generator, lindblad_generator, vectorize
 from spinpair.estimation import (
     KIND_DQ,
     KIND_ZQ,
     RateEstimate,
     fit_noise_model,
     gamma3_difference,
-    suggested_times,
     synthetic_curve,
 )
 from spinpair.evolution import matrix_exp, propagate
@@ -71,7 +60,7 @@ def test_criterion_02_analytic_numeric_equivalence():
         for kind in (KIND_ZQ, KIND_DQ):
             rho0 = coherence_state(kind)
             for t in times:
-                numeric = devectorize(matrix_exp(gen * t) @ vectorize(rho0))
+                numeric = (matrix_exp(gen * t) @ vectorize(rho0)).reshape(4, 4)
                 diff = np.abs(propagate(rho0, params, t) - numeric).max()
                 worst = max(worst, float(diff))
     elapsed = time.perf_counter() - start
@@ -89,8 +78,9 @@ def test_criterion_03_cptp_property_suite():
     worst_eig = 0.0
     for params in params_list:
         gen = full_generator(params)
-        assert is_trace_preserving_generator(gen)
-        assert preserves_hermiticity(gen, random_density_matrix(rng))
+        assert np.abs(np.eye(4).ravel() @ gen).max() <= 1e-12
+        out = (gen @ vectorize(random_density_matrix(rng))).reshape(4, 4)
+        assert np.abs(out - out.conj().T).max() <= 1e-12
         for t in (0.01, 0.1, 1.0):
             choi = choi_matrix(matrix_exp(gen * t))
             min_eig = float(np.linalg.eigvalsh(choi).min())
@@ -118,9 +108,9 @@ def test_criterion_04_single_spin_channel_oracles():
         nbar = rng.uniform(0.0, 1.0)
         pd_generator = lindblad_generator([np.sqrt(rate / 2) * sigma_z])
         gad_generator = lindblad_generator([np.sqrt((1 - nbar) * rate) * lower, np.sqrt(nbar * rate) * lower.T])
-        pd_gen = devectorize(matrix_exp(pd_generator * t) @ vectorize(rho))
+        pd_gen = (matrix_exp(pd_generator * t) @ vectorize(rho)).reshape(2, 2)
         pd_map = phase_damping_apply(rho, rate, t)
-        gad_gen = devectorize(matrix_exp(gad_generator * t) @ vectorize(rho))
+        gad_gen = (matrix_exp(gad_generator * t) @ vectorize(rho)).reshape(2, 2)
         gad_map = gad_apply(rho, rate, nbar, t)
         worst = max(worst, float(np.abs(pd_gen - pd_map).max()), float(np.abs(gad_gen - gad_map).max()))
     assert worst <= 1e-10

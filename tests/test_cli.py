@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import random_cp_params
+from oracles import suggested_times
 from spinpair.channels import NoiseParams
 from spinpair.cli import MAX_TIME_POINTS, _report_entry, main
 from spinpair.estimation import (
+    DecayCurve,
     KIND_DQ,
     KIND_SQ1,
     KIND_SQ2,
@@ -18,7 +20,6 @@ from spinpair.estimation import (
     KIND_ZQ,
     fit_exponential,
     load_curve,
-    suggested_times,
     rate_for_kind,
     synthetic_curve,
     save_curve,
@@ -335,6 +336,29 @@ def test_fit_overflowing_residuals_are_fit_error(tmp_path, capsys):
     # converge, and no numpy warning reaches stderr.
     assert _fit_steep_zq(tmp_path, "1,1e300\n2,1e295\n3,1e290\n4,1e285\n") == 4
     assert capsys.readouterr().err == "fit error: ZQ: fit did not converge in 1 iterations\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_long_grid_overflow_is_quiet(tmp_path, capsys):
+    # -R t overflows to -inf at t = 1e308, and exp(-inf) = 0 is the decayed
+    # value: decay and both fit modes (the fit plot) write it without a
+    # numpy warning.
+    noise = {"gamma1": 1.0, "gamma2": 1.0, "gamma3": 0.5, "Gamma1": 10.0, "Gamma2": 0.2}
+    config = write_config(tmp_path, noise=noise, time_grid=[0.0, 1.0, 1e308])
+    assert main(["decay", "--kind", KIND_T1_SPIN1, "--config", config, "--out", str(tmp_path)]) == 0
+    assert load_curve(tmp_path / f"decay_{KIND_T1_SPIN1}.csv", KIND_T1_SPIN1).signals[-1] == 1.0
+    t = np.linspace(0.0, 2.0, 23)
+    curves = []
+    for kind, rate in ((KIND_ZQ, 0.430), (KIND_DQ, 12.182)):
+        save_curve(DecayCurve(kind, np.append(t, 1e308), np.append(np.exp(-rate * t), 0.0)),
+                   tmp_path / f"{kind}.csv")
+        curves += ["--curve", f"{kind}={tmp_path / f'{kind}.csv'}"]
+    for mode in ("difference", "joint"):
+        out = tmp_path / mode
+        assert main(["fit", "--mode", mode, "--preset", "btc", *curves, "--out", str(out)]) == 0
+        payload = json.loads((out / "fit_report.json").read_text(encoding="utf-8"))
+        assert payload["gamma3"] == pytest.approx(5.876, rel=1e-9)
+    assert capsys.readouterr().err == ""
 
 
 def test_fit_without_out_fails_before_fitting(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import estimation_reference as reference
 from conftest import random_cp_params
+from oracles import suggested_times
 from spinpair.channels import NoiseParams, full_generator
 from spinpair.estimation import (
     CURVE_KINDS,
@@ -30,7 +31,6 @@ from spinpair.estimation import (
     rate_for_kind,
     save_curve,
     signal_model,
-    suggested_times,
     synthetic_curve,
 )
 from spinpair.evolution import default_time_grid
@@ -77,6 +77,14 @@ def test_signal_model_dq_zq_ratio():
 def test_signal_model_rejects_negative_time():
     with pytest.raises(ValueError):
         signal_model(KIND_ZQ, BTC_LIKE, -0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_signal_model_is_quiet_when_the_exponent_overflows():
+    # -R t overflows to -inf at t = 1e308, and exp(-inf) = 0 is the decayed value.
+    t = np.array([0.0, 1.0, 1e308])
+    assert signal_model(KIND_T1_SPIN1, BTC_LIKE, t)[-1] == 1.0
+    assert signal_model(KIND_DQ, BTC_LIKE, t)[-1] == 0.0
 
 
 def test_rate_for_kind_mapping():

@@ -7,7 +7,6 @@ from spinpair.spinops import (
     angular_momentum,
     free_evolution,
     hamiltonian,
-    is_unitary,
     pauli,
     pulse,
 )
@@ -129,7 +128,8 @@ def test_pulse_unitarity_random():
         angle = rng.uniform(-4 * np.pi, 4 * np.pi)
         axis = rng.choice(["x", "-x", "y", "-y"])
         target = rng.choice(["spin1", "spin2", "both"])
-        assert is_unitary(pulse(angle, axis, target))
+        u = pulse(angle, axis, target)
+        assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
 
 
 def test_pulse_rejects_bad_arguments():
@@ -171,7 +171,7 @@ def test_free_evolution_unitary_random():
     for _ in range(20):
         system = SpinSystem(nu1=rng.uniform(50, 500), nu2=rng.uniform(600, 900), j12=rng.uniform(1, 4))
         u = free_evolution(hamiltonian(system, 0.0), rng.uniform(0, 0.2))
-        assert is_unitary(u)
+        assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
 
 
 def test_free_evolution_rejects_negative_time_and_nonhermitian():

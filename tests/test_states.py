@@ -1,19 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRACE_EDGES, random_density_matrix
-from spinpair.spinops import SpinSystem, pulse
+from conftest import TRACE_EDGES
+from spinpair.spinops import SpinSystem
 from spinpair.states import (
     MAX_HALF_DELAY_PHASE,
-    coherence_spectrum,
     coherence_state,
     prepare_target,
     pseudopure_00,
-    thermal_state,
     validate_density_matrix,
 )
 from spinpair.tomography import fidelity
@@ -21,30 +20,13 @@ from spinpair.tomography import fidelity
 BTC = SpinSystem(nu1=4602.4, nu2=4287.0, j12=4.2, name="BTC acid")
 
 
-def test_thermal_state_limits():
-    assert np.allclose(thermal_state(0.0), np.eye(4) / 4)
-    assert np.allclose(thermal_state(1.0), np.diag([0.5, 0.25, 0.25, 0.0]))
-
-
-def test_thermal_state_is_diagonal():
-    rho = thermal_state(0.37)
-    assert np.allclose(rho, np.diag(np.diag(rho)))
-    validate_density_matrix(rho)
-
-
-def test_thermal_state_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        thermal_state(-0.1)
-    with pytest.raises(ValueError):
-        thermal_state(1.5)
-
-
 def test_pseudopure_limits_and_interpolation():
     assert np.allclose(pseudopure_00(1.0), np.diag([1.0, 0, 0, 0]))
     assert np.allclose(pseudopure_00(0.0), np.eye(4) / 4)
     assert np.allclose(pseudopure_00(0.4), np.diag([0.55, 0.15, 0.15, 0.15]))
-    with pytest.raises(ValueError):
-        pseudopure_00(2.0)
+    for epsilon in (-0.1, 1.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\], got "):
+            pseudopure_00(epsilon)
 
 
 def test_coherence_state_elements():
@@ -83,40 +65,6 @@ def test_prepare_target_rejects_unknown_kind():
             prepare_target("XQ", BTC, epsilon)
     with pytest.raises(ValueError, match=message):
         coherence_state("XQ")
-
-
-def test_coherence_spectrum_examples():
-    dq = coherence_spectrum(coherence_state("DQ"))
-    assert dq[2] == pytest.approx(0.25, abs=1e-12)
-    assert dq[-2] == pytest.approx(0.25, abs=1e-12)
-    assert dq[0] == pytest.approx(0.5, abs=1e-12)
-    assert dq[1] == dq[-1] == 0.0
-
-    zq = coherence_spectrum(coherence_state("ZQ"))
-    assert zq[0] == pytest.approx(1.0, abs=1e-12)
-    assert zq[1] == zq[-1] == zq[2] == zq[-2] == 0.0
-
-    mixed = coherence_spectrum(np.eye(4) / 4)
-    assert mixed[0] == pytest.approx(0.25, abs=1e-12)
-    assert sum(v for k, v in mixed.items() if k != 0) == 0.0
-
-
-def test_coherence_spectrum_hermitian_symmetry():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        spectrum = coherence_spectrum(random_density_matrix(rng))
-        assert spectrum[1] == pytest.approx(spectrum[-1], abs=1e-12)
-        assert spectrum[2] == pytest.approx(spectrum[-2], abs=1e-12)
-
-
-def test_total_weight_invariant_under_unitaries():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        rho = random_density_matrix(rng)
-        total = sum(coherence_spectrum(rho).values())
-        u = pulse(rng.uniform(0, np.pi), rng.choice(["x", "y"]), rng.choice(["spin1", "spin2", "both"]))
-        rotated = u @ rho @ u.conj().T
-        assert sum(coherence_spectrum(rotated).values()) == pytest.approx(total, abs=1e-12)
 
 
 @pytest.mark.parametrize("target", ["ZQ", "DQ"])
@@ -160,6 +108,24 @@ def test_prepare_target_check_order():
     for target, system in (("DQ", BTC), ("SQ1", uncoupled), ("SQ2", uncoupled)):
         with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\], got 1.5$"):
             prepare_target(target, system, 1.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_prepare_target_warns_only_after_every_check():
+    # A call that fails the phase rule raises its ValueError, not the
+    # epsilon = 0 warning, even when warnings are errors.
+    uncoupled = SpinSystem(nu1=100.0, nu2=400.0, j12=0.0)
+    for target in ("ZQ", "DQ"):
+        with pytest.raises(ValueError, match=rf"^{target} preparation evolves freely"):
+            prepare_target(target, uncoupled, 0.0)
+    # A call that passes every check warns exactly once, at its caller.
+    for target in ("ZQ", "DQ", "SQ1", "SQ2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prepare_target(target, BTC, 0.0)
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (UserWarning, "epsilon = 0: the deviation part is empty and the prepared state is the "
+                          "maximally mixed state", __file__)]
 
 
 def test_prepare_via_sequence_refocuses_shifts():
@@ -330,14 +296,11 @@ def test_validate_rejects_stacks(shape):
 
 
 def test_single_state_functions_reject_stacks():
-    from spinpair.channels import apply_kraus
     from spinpair.tomography import simulate_readout
 
     stack = np.stack([np.eye(4) / 4] * 4)
-    for call in (coherence_spectrum, lambda rho: simulate_readout(rho, "II"),
-                 lambda rho: apply_kraus(rho, [np.eye(4)])):
-        with pytest.raises(ValueError, match=r"must be 4x4, got shape \(4, 4, 4\)"):
-            call(stack)
+    with pytest.raises(ValueError, match=r"must be 4x4, got shape \(4, 4, 4\)"):
+        simulate_readout(stack, "II")
 
 
 @pytest.mark.parametrize("target", ["ZQ", "DQ"])
