@@ -9,6 +9,7 @@ U = exp(-i * angle * I_axis) with perfect spin selectivity.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,6 +77,12 @@ def angular_momentum(spin: int, axis: str) -> np.ndarray:
     return 0.5 * pauli(spin, axis)
 
 
+# The Hamiltonian's fixed operators, built once: I1z, I2z and I1z I2z.
+_I1Z = angular_momentum(1, "z")
+_I2Z = angular_momentum(2, "z")
+_I1Z_I2Z = _I1Z @ _I2Z
+
+
 def hamiltonian(system: SpinSystem, nu_rf: float) -> np.ndarray:
     """Weak-coupling Hamiltonian in a frame rotating at nu_rf, in rad/s.
 
@@ -85,12 +92,10 @@ def hamiltonian(system: SpinSystem, nu_rf: float) -> np.ndarray:
     if not np.isfinite(nu_rf):
         raise ValueError("nu_rf must be finite")
     two_pi = 2.0 * np.pi
-    i1z = angular_momentum(1, "z")
-    i2z = angular_momentum(2, "z")
     h = (
-        -two_pi * (system.nu1 - nu_rf) * i1z
-        - two_pi * (system.nu2 - nu_rf) * i2z
-        + two_pi * system.j12 * (i1z @ i2z)
+        -two_pi * (system.nu1 - nu_rf) * _I1Z
+        - two_pi * (system.nu2 - nu_rf) * _I2Z
+        + two_pi * system.j12 * _I1Z_I2Z
     )
     return h
 
@@ -124,11 +129,15 @@ def pulse(angle: float, phase_axis: str, target: str) -> np.ndarray:
 
 
 def free_evolution(h: np.ndarray, tau: float) -> np.ndarray:
-    """Free-evolution unitary U = exp(-i H tau) for a Hermitian H in rad/s."""
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+    """Free-evolution unitary U = exp(-i H tau) for a Hermitian H in rad/s.
+
+    Requires 0 <= tau < inf, and H equal to its adjoint within 1e-10 rad/s
+    in every entry (absolute, so a nan entry fails too).
+    """
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and non-negative, got {tau}")
     h = np.asarray(h, dtype=complex)
-    if not np.allclose(h, h.conj().T, atol=1e-10):
+    if not np.abs(h - h.conj().T).max() <= 1e-10:
         raise ValueError("free_evolution requires a Hermitian generator")
     eigvals, eigvecs = np.linalg.eigh(h)
     phases = np.exp(-1j * eigvals * tau)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .spinops import SpinSystem, free_evolution, hamiltonian, pulse
+from .spinops import SpinSystem, hamiltonian, pulse
 
 COHERENCE_KINDS = ("ZQ", "DQ", "SQ1", "SQ2")
 
@@ -106,8 +106,10 @@ def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
     and end, which cancels the chemical-shift evolution and leaves the pure
     J coupling; then a spin-1-selective pi/2 pulse along -x (ZQ) or x (DQ).
 
-    The delay runs in the frame at the shift midpoint, and its echo cancels
-    the shift phases only down to rounding, so each half may turn at most
+    The delay runs in the frame at the shift midpoint.  The weak-coupling
+    Hamiltonian is diagonal, so each half of the delay is the elementwise
+    phase exp(-i H_kk tau / 2) of its diagonal.  The echo cancels the shift
+    phases only down to rounding, so each half may turn at most
     MAX_HALF_DELAY_PHASE: this rules out J12 = 0, a tiny J12 and shifts far
     apart relative to J12.  Checks fail in this order: the kind, the ZQ/DQ
     phase rule, then epsilon; only a call that passes them all issues the
@@ -127,7 +129,9 @@ def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
             raise ValueError(f"{kind} preparation evolves freely for 1/(2 |J12|) and the phase of each "
                              f"half must be at most {MAX_HALF_DELAY_PHASE:.0f} rad (J12 = {system.j12:g}, "
                              f"nu1 = {system.nu1:g}, nu2 = {system.nu2:g} Hz)")
-        half_delay = free_evolution(h, tau / 2.0)
+        # Kept as matrix products: with this exact diagonal they round like an
+        # eigh-based exp(-i H tau / 2), which a broadcast multiply might not.
+        half_delay = np.diag(np.exp(-1j * h.diagonal().real * (tau / 2.0)))
         u = u @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
     rho = pseudopure_00(epsilon)
     if epsilon == 0.0:

@@ -18,7 +18,7 @@ SETTINGS = ("II", "IX", "IY", "XX")
 # NMR-detectable single-quantum elements read after each setting's rotation:
 # spin-1 coherences (0,2), (1,3) and spin-2 coherences (0,1), (2,3).
 DETECTED_ELEMENTS = ((0, 2), (1, 3), (0, 1), (2, 3))
-_DETECTED_ROWS, _DETECTED_COLS = zip(*DETECTED_ELEMENTS)
+_DETECTED_ROWS, _DETECTED_COLS = np.array(DETECTED_ELEMENTS).T
 
 
 @dataclass(frozen=True)
@@ -163,4 +163,5 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     sqrt_b = _psd_sqrt(np.asarray(rho_b, dtype=complex))
     singular_values = np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False)
     value = float(singular_values.sum() ** 2)
-    return float(np.clip(value, 0.0, 1.0))
+    # value is a Python float; a nan stays nan.
+    return min(max(value, 0.0), 1.0)

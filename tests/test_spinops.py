@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,10 +177,16 @@ def test_free_evolution_unitary_random():
 
 
 def test_free_evolution_rejects_negative_time_and_nonhermitian():
-    with pytest.raises(ValueError):
-        free_evolution(np.eye(4), -0.1)
-    with pytest.raises(ValueError):
+    for tau in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and non-negative"):
+            free_evolution(np.eye(4), tau)
+    with pytest.raises(ValueError, match="Hermitian"):
         free_evolution(np.array([[0, 1], [0, 0]], dtype=complex), 0.1)
+    # 10 rad/s off Hermitian, but within allclose's default rtol of a 1e6 entry.
+    h = np.diag([1e6, 2e6, 3e6, 4e6]).astype(complex)
+    h[0, 1], h[1, 0] = 1e6 + 10.0, 1e6
+    with pytest.raises(ValueError, match="Hermitian"):
+        free_evolution(h, 0.1)
 
 
 def test_echo_sandwich_cancels_chemical_shift():

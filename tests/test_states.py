@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRACE_EDGES
-from spinpair.spinops import SpinSystem
+from spinpair.presets import PRESETS
+from spinpair.spinops import SpinSystem, angular_momentum, free_evolution, hamiltonian, pulse
 from spinpair.states import (
     MAX_HALF_DELAY_PHASE,
     coherence_state,
@@ -330,3 +331,44 @@ def test_prepare_phase_bound_keeps_the_echo_exact(target):
     assert np.abs(moved).max() < 1e-10
     with pytest.raises(ValueError, match="phase of each half must be at most"):
         prepare_target(target, at(1.01), 1.0)
+
+
+def _echo_reference(kind, system, epsilon):
+    """ZQ/DQ preparation with the half-delay from free_evolution's eigh."""
+    h = hamiltonian(system, 0.5 * system.nu1 + 0.5 * system.nu2)
+    half = free_evolution(h, 1.0 / (4.0 * abs(system.j12)))
+    refocus = pulse(np.pi, "x", "both")
+    select = pulse(np.pi / 2.0, "-x" if kind == "ZQ" else "x", "spin1")
+    u = select @ refocus @ half @ refocus @ half @ pulse(np.pi / 2.0, "y", "both")
+    return u @ pseudopure_00(epsilon) @ u.conj().T
+
+
+def _hamiltonian_rebuilt(system, nu_rf):
+    i1z, i2z = angular_momentum(1, "z"), angular_momentum(2, "z")
+    two_pi = 2.0 * np.pi
+    return (-two_pi * (system.nu1 - nu_rf) * i1z - two_pi * (system.nu2 - nu_rf) * i2z
+            + two_pi * system.j12 * (i1z @ i2z))
+
+
+def _echo_systems():
+    cases = [(preset.system, epsilon) for preset in PRESETS.values() for epsilon in (0.05, 0.5, 1.0)]
+    rng = np.random.default_rng(17)
+    for k in range(200):
+        j12 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 3.0)
+        # Every fourth system turns 0.9 of the bound, the others a log-uniform
+        # share of it, large enough that |nu1 - nu2| > 10 |J12| (no warning).
+        fraction = 0.9 if k % 4 == 0 else 10.0 ** rng.uniform(-4.5, math.log10(0.9))
+        offset = fraction * MAX_HALF_DELAY_PHASE * 4.0 * abs(j12) / math.pi - 0.5 * abs(j12)
+        nu2 = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0.0, 8.0)
+        system = SpinSystem(nu1=nu2 + rng.choice([-1.0, 1.0]) * offset, nu2=nu2, j12=j12)
+        cases.append((system, float(rng.uniform(0.01, 1.0))))
+    return cases
+
+
+def test_elementwise_half_delay_is_the_echo():
+    for system, epsilon in _echo_systems():
+        for kind in ("ZQ", "DQ"):
+            assert np.array_equal(prepare_target(kind, system, epsilon),
+                                  _echo_reference(kind, system, epsilon)), (kind, system)
+        for nu_rf in (0.0, 0.5 * system.nu1 + 0.5 * system.nu2):
+            assert hamiltonian(system, nu_rf).tobytes() == _hamiltonian_rebuilt(system, nu_rf).tobytes()
