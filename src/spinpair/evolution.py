@@ -138,8 +138,9 @@ def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     past it.
     """
     rho0 = validate_density_matrix(rho0)
+    t = np.asarray(t, dtype=float)
     states = (superoperator(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
-    return states if np.ndim(t) else states[0]
+    return states if t.ndim else states[0]
 
 
 def default_time_grid(start: float = 1e-3, stop: float = 10.0, points: int = 64) -> np.ndarray:

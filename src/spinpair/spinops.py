@@ -88,16 +88,21 @@ def hamiltonian(system: SpinSystem, nu_rf: float) -> np.ndarray:
 
     H = -(w1 - w_rf) I1z - (w2 - w_rf) I2z + 2 pi J12 I1z I2z with all
     angular frequencies w = 2 pi nu.  Diagonal in the computational basis.
+    A system whose H has an entry beyond the largest float raises
+    ValueError, naming nu1, nu2, J12 and nu_rf.
     """
     if not np.isfinite(nu_rf):
         raise ValueError("nu_rf must be finite")
+    nu1, nu2, j12, nu_rf = float(system.nu1), float(system.nu2), float(system.j12), float(nu_rf)
     two_pi = 2.0 * np.pi
-    h = (
-        -two_pi * (system.nu1 - nu_rf) * _I1Z
-        - two_pi * (system.nu2 - nu_rf) * _I2Z
-        + two_pi * system.j12 * _I1Z_I2Z
-    )
-    return h
+    # Python floats overflow to inf quietly, where numpy would warn.  Each
+    # diagonal entry is +-w1/2 +- w2/2 +- wj/4 and one of them adds all three
+    # magnitudes, so H overflows exactly when this sum does.
+    w1, w2, wj = -two_pi * (nu1 - nu_rf), two_pi * (nu2 - nu_rf), two_pi * j12
+    if not math.isfinite(0.5 * abs(w1) + 0.5 * abs(w2) + 0.25 * abs(wj)):
+        raise ValueError(f"hamiltonian overflows in rad/s (nu1 = {nu1:g}, nu2 = {nu2:g}, "
+                         f"J12 = {j12:g}, nu_rf = {nu_rf:g} Hz)")
+    return w1 * _I1Z - w2 * _I2Z + wj * _I1Z_I2Z
 
 
 def _single_spin_rotation(angle: float, axis: str) -> np.ndarray:
@@ -131,12 +136,15 @@ def pulse(angle: float, phase_axis: str, target: str) -> np.ndarray:
 def free_evolution(h: np.ndarray, tau: float) -> np.ndarray:
     """Free-evolution unitary U = exp(-i H tau) for a Hermitian H in rad/s.
 
-    Requires 0 <= tau < inf, and H equal to its adjoint within 1e-10 rad/s
-    in every entry (absolute, so a nan entry fails too).
+    Requires 0 <= tau < inf, a non-empty square H, and H equal to its
+    adjoint within 1e-10 rad/s in every entry (absolute, so a nan entry
+    fails too).
     """
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and non-negative, got {tau}")
     h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or not h.shape[0] == h.shape[1] > 0:
+        raise ValueError(f"free_evolution requires a non-empty square H, got shape {h.shape}")
     if not np.abs(h - h.conj().T).max() <= 1e-10:
         raise ValueError("free_evolution requires a Hermitian generator")
     eigvals, eigvecs = np.linalg.eigh(h)

@@ -43,34 +43,81 @@ _SELECT = {"ZQ": pulse(np.pi / 2.0, "-x", "spin1"), "DQ": pulse(np.pi / 2.0, "x"
            "SQ1": pulse(np.pi / 2.0, "y", "spin1"), "SQ2": pulse(np.pi / 2.0, "y", "spin2")}
 
 
+# Python's abs(complex) is libm's hypot, and numpy's array abs may differ
+# from it by 2 ulps: the pure-Python pass passes Hermiticity only when its
+# deviations sum to at most this, and leaves the rest to numpy's deviation.
+_HERM_SURE = HERM_TOL * (1.0 - 2.0**-40)
+
+
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace, and positivity of one
     (4, 4) matrix; return it as a complex array.
 
-    One pass: a nan or inf entry makes the Hermiticity deviation
-    non-finite, so finiteness is scanned only once that check fails (an inf
-    entry may also emit numpy's "invalid value" RuntimeWarning on the way).
+    Checks fail in this order: the shape, non-finite entries, Hermiticity,
+    the trace, then positivity.  One pure-Python pass over the entries takes
+    the Hermiticity deviations |rho_rs - conj(rho_sr)|, the trace, and the
+    least lower edge of the Gershgorin discs,
+    bound = min_r (Re rho_rr - sum_{s != r} |rho_rs|).  A nan or inf entry
+    makes a deviation non-finite, so finiteness is scanned only once the
+    pass cannot certify Hermiticity; numpy's deviation then decides, as it
+    always has.  An entry whose modulus overflows counts as an infinite
+    deviation or an undecided disc.  No input makes the check warn.
+
+    Positivity is proved without eigenvalues when bound >= EIG_FLOOR / 2
+    (Varga, "Gersgorin and His Circles", Springer 2004), and eigvalsh
+    decides otherwise.  The discs accept only what eigvalsh would accept:
+    - eigvalsh is given the Hermitian part H, whose diagonal is Re rho_rr
+      and whose entries exceed |rho_rs| by at most HERM_TOL / 2, so H's
+      discs are at most 1.5 HERM_TOL wider than rho's;
+    - a passing bound with the trace at 1 keeps every disc within about
+      [EIG_FLOOR / 2, 2], so eigvalsh rounds by about 1e-15, against the
+      5e-11 between EIG_FLOOR / 2 - 1.5 HERM_TOL and EIG_FLOOR.
     An exactly Hermitian rho equals its Hermitian part bit for bit and goes
-    to eigvalsh as it is.
+    to eigvalsh as it is.  A least eigenvalue of nan, which LAPACK returns
+    when the norm overflows, fails.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    rho_h = rho.conj().T
-    herm_dev = float(np.abs(rho - rho_h).max())
-    if not herm_dev <= HERM_TOL:
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rho.tolist()
+    try:
+        devs = (abs(a - a.conjugate()), abs(b - e.conjugate()), abs(c - i.conjugate()),
+                abs(d - m.conjugate()), abs(f - f.conjugate()), abs(g - j.conjugate()),
+                abs(h - n.conjugate()), abs(k - k.conjugate()), abs(l - o.conjugate()),
+                abs(p - p.conjugate()))
+    except OverflowError:
+        devs = (math.inf,)
+    # A sum rather than max(): a nan deviation must fail, and max() may drop it.
+    if not sum(devs) <= _HERM_SURE:
         finite = np.isfinite(rho)
         if not finite.all():
             bad = [(int(r), int(s)) for r, s in np.argwhere(~finite)]
             raise ValueError(f"density matrix has non-finite entries at {bad}")
-        raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
+        with np.errstate(over="ignore"):
+            herm_dev = float(np.abs(rho - rho.conj().T).max())
+        if not herm_dev <= HERM_TOL:
+            raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
     # Summed pairwise, in the order ndarray.trace adds four entries.
-    trace_dev = abs((rho[0, 0] + rho[1, 1]) + (rho[2, 2] + rho[3, 3]) - 1.0)
+    try:
+        trace_dev = abs((a + f) + (k + p) - 1.0)
+    except OverflowError:
+        trace_dev = math.inf
     if trace_dev > TRACE_TOL:
         raise ValueError(f"density matrix trace != 1 (deviation {trace_dev:.3e})")
-    hermitian = rho if herm_dev == 0.0 else 0.5 * (rho + rho_h)
+    try:
+        bound = min(a.real - (abs(b) + abs(c) + abs(d)), f.real - (abs(e) + abs(g) + abs(h)),
+                    k.real - (abs(i) + abs(j) + abs(l)), p.real - (abs(m) + abs(n) + abs(o)))
+    except OverflowError:
+        bound = -math.inf
+    if bound >= 0.5 * EIG_FLOOR:
+        return rho
+    if any(devs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            hermitian = 0.5 * (rho + rho.conj().T)
+    else:
+        hermitian = rho
     min_eig = float(np.linalg.eigvalsh(hermitian)[0])
-    if min_eig < EIG_FLOOR:
+    if not min_eig >= EIG_FLOOR:
         raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
     return rho
 
@@ -119,10 +166,13 @@ def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
         raise ValueError(f"kind must be one of {COHERENCE_KINDS}, got {kind!r}")
     u = _SELECT[kind]
     if kind in ("ZQ", "DQ"):
-        # 2 pi (nu1 - frame) still overflows at |nu| near 1e308.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # hamiltonian raises where 2 pi (nu1 - frame) overflows, at |nu| near
+        # 1e308: the phase is then infinite, and the phase rule names the system.
+        try:
             h = hamiltonian(system, 0.5 * system.nu1 + 0.5 * system.nu2)
             largest = float(np.abs(h).max())
+        except ValueError:
+            largest = math.inf
         tau = 1.0 / (2.0 * abs(system.j12)) if system.j12 else math.inf
         # Python floats overflow to inf quietly, and 0 * inf is nan, which fails <=.
         if not largest * (tau / 2.0) <= MAX_HALF_DELAY_PHASE:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,52 @@ def test_free_evolution_rejects_negative_time_and_nonhermitian():
     h[0, 1], h[1, 0] = 1e6 + 10.0, 1e6
     with pytest.raises(ValueError, match="Hermitian"):
         free_evolution(h, 0.1)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (0, 0), (4,), (2, 4, 4)])
+def test_free_evolution_rejects_non_square_h(shape):
+    with pytest.raises(ValueError, match=rf"^free_evolution requires a non-empty square H, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        free_evolution(np.zeros(shape), 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("system, nu_rf", [
+    (SpinSystem(nu1=1.7e308, nu2=-1.7e308, j12=1.0), 0.0),  # 2 pi (nu1 - nu_rf) overflows
+    (SpinSystem(nu1=2.8e307, nu2=-2.8e307, j12=5e306), 0.0),  # each 2 pi nu is finite, an entry is not
+    (SpinSystem(nu1=1.0, nu2=2.0, j12=0.1), -1.7e308),  # nu1 - nu_rf is finite, 2 pi times it is not
+])
+def test_hamiltonian_rejects_overflow(system, nu_rf):
+    with pytest.raises(ValueError, match=r"^hamiltonian overflows in rad/s \(nu1 = .*, nu2 = .*, "
+                                         r"J12 = .*, nu_rf = .* Hz\)$"):
+        hamiltonian(system, nu_rf)
+
+
+def test_hamiltonian_raises_exactly_where_its_formula_overflows():
+    # Near the largest float, hamiltonian either raises or returns the
+    # formula's matrix bit for bit, and the formula is finite just when it returns.
+    i1z, i2z = angular_momentum(1, "z"), angular_momentum(2, "z")
+    two_pi = 2.0 * np.pi
+    rng = np.random.default_rng(29)
+    raised = 0
+    for _ in range(2000):
+        with np.errstate(over="ignore"):
+            nu1, nu2, nu_rf = (rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(306.0, 308.2, 3)).tolist()
+        j12 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(300.0, 307.5))
+        if not all(map(math.isfinite, (nu1, nu2, nu_rf))) or abs(nu1 - nu2) < 10.0 * abs(j12):
+            continue
+        system = SpinSystem(nu1=nu1, nu2=nu2, j12=j12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = (-two_pi * (system.nu1 - nu_rf) * i1z - two_pi * (system.nu2 - nu_rf) * i2z
+                        + two_pi * system.j12 * (i1z @ i2z))
+        try:
+            h = hamiltonian(system, nu_rf)
+        except ValueError:
+            raised += 1
+            assert not np.isfinite(expected).all()
+        else:
+            assert h.tobytes() == expected.tobytes()
+    assert 100 < raised < 1900
 
 
 def test_echo_sandwich_cancels_chemical_shift():

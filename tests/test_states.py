@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRACE_EDGES
+from spinpair.evolution import default_time_grid, propagate
 from spinpair.presets import PRESETS
 from spinpair.spinops import SpinSystem, angular_momentum, free_evolution, hamiltonian, pulse
 from spinpair.states import (
+    COHERENCE_KINDS,
     MAX_HALF_DELAY_PHASE,
     coherence_state,
     prepare_target,
@@ -187,13 +189,22 @@ NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.
               complex(0.25, np.nan))
 
 
+# Finite entries at 1e308 scale: the sum or difference of two of them, or the
+# modulus of one, may overflow.
+HUGE = (1.5e308, -1.5e308, 1e308, 8e307, complex(1.5e308, 1.5e308), complex(8e307, -8e307),
+        complex(-1e308, 1e308), complex(0.0, -1.5e308))
+
+
 @st.composite
 def validator_inputs(draw):
-    """Matrices on every side of each check the validator makes.
+    """Matrices on every side of each check the validator makes: the shape,
+    finiteness, Hermiticity and the trace, the Gershgorin threshold
+    EIG_FLOOR / 2 and the positivity floor EIG_FLOOR.
 
-    Entries stay within a few units, so neither validator overflows."""
+    Entries stay within a few units, except for the 1e308-scale ones."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    family = draw(st.sampled_from(["random", "hermitian", "density", "shape"]))
+    family = draw(st.sampled_from(["random", "hermitian", "density", "coherence", "mixture", "diagonal",
+                                   "shape"]))
     if family == "shape":
         shape = draw(st.sampled_from([(3, 3), (4,), (16,), (4, 5), (0,), (2, 4, 5), (2, 3, 4, 4)]))
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -203,6 +214,29 @@ def validator_inputs(draw):
         rest = rng.dirichlet(np.ones(3)) * (1.0 - low)
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         rho = (u * np.concatenate(([low], rest))) @ u.conj().T
+    elif family == "coherence":
+        rho = coherence_state(draw(st.sampled_from(COHERENCE_KINDS)))
+    elif family == "mixture":
+        # (1 - epsilon) I/4 + epsilon |psi><psi|, psi a coherence or a random ket.
+        kind = draw(st.sampled_from(COHERENCE_KINDS + ("random",)))
+        if kind == "random":
+            ket = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            pure = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        else:
+            pure = coherence_state(kind)
+        epsilon = draw(st.floats(0.0, 1.0))
+        rho = (1.0 - epsilon) * np.eye(4) / 4.0 + epsilon * pure
+    elif family == "diagonal":
+        # Least entry in [2 EIG_FLOOR, 0]; near-diagonal ones add Hermitian
+        # off-diagonal entries of up to 2 |EIG_FLOOR|, so the discs' lower
+        # edges fall on both sides of EIG_FLOOR / 2.
+        low = EIG_FLOOR * draw(st.floats(0.0, 2.0))
+        rest = rng.dirichlet(np.ones(3)) * (1.0 - low)
+        rho = np.diag(rng.permutation(np.concatenate(([low], rest)))).astype(complex)
+        if draw(st.booleans()):
+            off = np.triu(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), 1)
+            off = off + off.conj().T
+            rho = rho + off * (draw(st.floats(0.0, 2.0)) * -EIG_FLOOR / np.abs(off).max())
     else:
         rho = rng.uniform(-2, 2, (4, 4)) + 1j * rng.uniform(-2, 2, (4, 4))
         if family == "hermitian":
@@ -220,12 +254,16 @@ def validator_inputs(draw):
         # Trace offset near the trace tolerance, on one diagonal entry.
         i = draw(st.integers(0, 3))
         rho[i, i] += draw(st.floats(-2.0, 2.0)) * TRACE_TOL
-    finiteness = draw(st.sampled_from(["finite", "finite", "finite", "non-finite"]))
-    for _ in range(draw(st.integers(1, 3)) if finiteness == "non-finite" else 0):
+    finiteness = draw(st.sampled_from(["finite", "finite", "finite", "non-finite", "huge"]))
+    values = NON_FINITE if finiteness == "non-finite" else HUGE
+    for _ in range(draw(st.integers(1, 3)) if finiteness != "finite" else 0):
         r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        rho[r, c] = draw(st.sampled_from(NON_FINITE))
-        if draw(st.booleans()):
-            rho[c, r] = draw(st.sampled_from(NON_FINITE))  # the mirrored entry too
+        rho[r, c] = draw(st.sampled_from(values))
+        mirror = draw(st.sampled_from(["none", "drawn", "adjoint"]))
+        if mirror == "drawn":
+            rho[c, r] = draw(st.sampled_from(values))
+        elif mirror == "adjoint":
+            rho[c, r] = np.conj(rho[r, c])  # Hermitian at this pair
     return np.asfortranarray(rho) if draw(st.booleans()) else rho
 
 
@@ -236,19 +274,76 @@ def _verdict(validate, rho):
         return "reject", str(exc)
 
 
-# An inf entry makes the new Hermiticity difference compute inf - inf, which
-# numpy reports as a RuntimeWarning before the ValueError is raised.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def _reference_sees_overflow(rho, detail):
+    """Whether the reference hands eigvalsh a Hermitian part that overflowed.
+
+    The reference forms (rho + rho^H) / 2 even for an exactly Hermitian rho,
+    so 1e308-scale entries reach its eigvalsh as inf, and its verdict (nan
+    accepted, or LAPACK's "did not converge") says nothing about rho."""
+    if rho.shape != (4, 4) or not np.isfinite(rho).all():
+        return False
+    if isinstance(detail, str) and detail.startswith(("density matrix not Hermitian", "density matrix trace")):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.isfinite(0.5 * (rho + rho.conj().T)).all()
+
+
 @settings(max_examples=400, deadline=None)
 @given(validator_inputs())
 def test_validate_density_matrix_matches_reference(rho):
-    expected, detail = _verdict(_reference_validate_density_matrix, rho.copy())
+    # The reference warns on 1e308-scale entries; the validator must not.
+    with np.errstate(all="ignore"):
+        expected, detail = _verdict(_reference_validate_density_matrix, rho.copy())
     verdict, got = _verdict(validate_density_matrix, rho.copy())
+    if _reference_sees_overflow(rho, detail):
+        assert verdict == "reject"
+        return
     assert verdict == expected
     if verdict == "reject":
         assert got == detail
     else:
         assert np.array_equal(got, detail)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, message", [
+    (1.5e308, r"min eig -1\.500e\+308"),
+    (complex(1.5e308, 1.5e308), r"min eig nan"),  # the norm overflows and LAPACK returns nan
+])
+def test_validate_rejects_exactly_hermitian_overflow(entry, message):
+    # An exactly Hermitian, unit-trace matrix with one 1e308-scale pair goes
+    # to eigvalsh as it is, and fails positivity without a warning.
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1], rho[1, 0] = entry, np.conj(entry)
+    with pytest.raises(ValueError, match=rf"^density matrix not positive semidefinite \({message}\)$"):
+        validate_density_matrix(rho)
+
+
+def _pipeline_states():
+    """The paper's states: the four coherences, each preset's prepared
+    targets at three polarizations, and those propagated over the CLI grid."""
+    states = [coherence_state(kind) for kind in COHERENCE_KINDS]
+    for preset in PRESETS.values():
+        for kind in COHERENCE_KINDS:
+            for epsilon in (0.05, 0.5, 1.0):
+                rho = prepare_target(kind, preset.system, epsilon)
+                states.append(rho)
+                states.extend(propagate(rho, preset.noise, default_time_grid()))
+    return states
+
+
+def test_discs_decide_the_pipeline_states_without_eigvalsh(monkeypatch):
+    states = _pipeline_states()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    for rho in states:
+        assert validate_density_matrix(rho) is rho
+    assert calls == []
+    # |++><++| is a state, but its discs reach down to -1/2: eigvalsh decides.
+    plus = np.full((4, 4), 0.25, dtype=complex)
+    assert validate_density_matrix(plus) is plus
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("edge", TRACE_EDGES)
