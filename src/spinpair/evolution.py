@@ -116,10 +116,15 @@ def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float)
 
 def superoperator(params: NoiseParams, times) -> np.ndarray:
     """Exact exp(Z t) of the full generator at each of a 1-D array of times,
-    as a (T, 16, 16) real stack; a scalar time gives a stack of one."""
-    times = np.array(times, dtype=float, ndmin=1)
-    if times.ndim != 1:
+    as a (T, 16, 16) real stack; a scalar time gives a stack of one.  Times
+    of any dtype but bool, integer or float raise, so a complex time cannot
+    lose its imaginary part."""
+    times = np.asarray(times)
+    if times.dtype.kind not in "biuf":
+        raise ValueError(f"t must be real (bool, integer or float), got dtype {times.dtype}")
+    if times.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
+    times = times.reshape(-1).astype(float, copy=False)
     zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
     values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
     return (values.reshape(times.size, len(_BASIS)) @ _BASIS).reshape(-1, 16, 16)
@@ -138,7 +143,7 @@ def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     past it.
     """
     rho0 = validate_density_matrix(rho0)
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(t)
     states = (superoperator(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
     return states if t.ndim else states[0]
 

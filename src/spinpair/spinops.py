@@ -145,7 +145,10 @@ def free_evolution(h: np.ndarray, tau: float) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or not h.shape[0] == h.shape[1] > 0:
         raise ValueError(f"free_evolution requires a non-empty square H, got shape {h.shape}")
-    if not np.abs(h - h.conj().T).max() <= 1e-10:
+    # An overflowing deviation is inf, or nan from inf - inf, and fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.abs(h - h.conj().T).max()
+    if not deviation <= 1e-10:
         raise ValueError("free_evolution requires a Hermitian generator")
     eigvals, eigvecs = np.linalg.eigh(h)
     phases = np.exp(-1j * eigvals * tau)

@@ -35,12 +35,13 @@ EIG_FLOOR = -1e-10
 MAX_HALF_DELAY_PHASE = 2.0**20
 
 # The fixed pulses, built once: the refocusing pi and exciting pi/2 pulses of
-# the ZQ/DQ sequence on both spins, and the selective pi/2 that ends each
-# target's preparation.
+# the ZQ/DQ sequence on both spins, the selective pi/2 that ends each
+# target's preparation, and the ZQ/DQ echo's constant left factor.
 _REFOCUS = pulse(np.pi, "x", "both")
 _EXCITE = pulse(np.pi / 2.0, "y", "both")
 _SELECT = {"ZQ": pulse(np.pi / 2.0, "-x", "spin1"), "DQ": pulse(np.pi / 2.0, "x", "spin1"),
            "SQ1": pulse(np.pi / 2.0, "y", "spin1"), "SQ2": pulse(np.pi / 2.0, "y", "spin2")}
+_SELECT_REFOCUS = {kind: _SELECT[kind] @ _REFOCUS for kind in ("ZQ", "DQ")}
 
 
 # Python's abs(complex) is libm's hypot, and numpy's array abs may differ
@@ -182,7 +183,7 @@ def prepare_target(kind: str, system: SpinSystem, epsilon: float) -> np.ndarray:
         # Kept as matrix products: with this exact diagonal they round like an
         # eigh-based exp(-i H tau / 2), which a broadcast multiply might not.
         half_delay = np.diag(np.exp(-1j * h.diagonal().real * (tau / 2.0)))
-        u = u @ _REFOCUS @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
+        u = _SELECT_REFOCUS[kind] @ half_delay @ _REFOCUS @ half_delay @ _EXCITE
     rho = pseudopure_00(epsilon)
     if epsilon == 0.0:
         warnings.warn(

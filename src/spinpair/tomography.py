@@ -18,7 +18,7 @@ SETTINGS = ("II", "IX", "IY", "XX")
 # NMR-detectable single-quantum elements read after each setting's rotation:
 # spin-1 coherences (0,2), (1,3) and spin-2 coherences (0,1), (2,3).
 DETECTED_ELEMENTS = ((0, 2), (1, 3), (0, 1), (2, 3))
-_DETECTED_ROWS, _DETECTED_COLS = np.array(DETECTED_ELEMENTS).T
+_DETECTED_FLAT = np.array([4 * r + s for r, s in DETECTED_ELEMENTS])
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def _detected_observables(rho: np.ndarray, setting: str) -> list[float]:
         raise _unknown_setting(setting) from None
     rotated = u @ rho @ u_h
     # Viewed as floats, the complex elements read re, im, re, im, ...
-    return rotated[_DETECTED_ROWS, _DETECTED_COLS].view(float).tolist()
+    return rotated.ravel()[_DETECTED_FLAT].view(float).tolist()
 
 
 def simulate_readout(rho: np.ndarray, setting: str) -> TomographyRecord:
@@ -87,9 +87,8 @@ def _design_matrix() -> tuple[np.ndarray, np.ndarray]:
     """
     basis = _deviation_basis()
     u = np.stack([_READOUT[s][0] for s in SETTINGS])
-    rows = [4 * r + s for r, s in DETECTED_ELEMENTS]
     kron = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 16, 16)
-    response = kron[:, rows].reshape(-1, 16) @ basis.reshape(15, 16).T
+    response = kron[:, _DETECTED_FLAT].reshape(-1, 16) @ basis.reshape(15, 16).T
     return np.stack([response.real, response.imag], axis=1).reshape(-1, 15), basis
 
 
@@ -131,36 +130,36 @@ def reconstruct(records: list[TomographyRecord]) -> np.ndarray:
 PSD_CLAMP_TOL = 1e-12
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Hermitian square root with small negative eigenvalues clamped to zero."""
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    if eigvals.min() < -1e-8:
-        raise ValueError(f"matrix is significantly non-PSD (min eig {eigvals.min():.3e})")
-    clamped = np.where(eigvals > PSD_CLAMP_TOL, eigvals, 0.0)
-    return (eigvecs * np.sqrt(clamped)) @ eigvecs.conj().T
-
-
 def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """Jozsa-Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, in [0, 1].
 
     Evaluated as the squared trace norm of sqrt(a) sqrt(b): the singular
     values are the eigenvalue square roots, so rank-deficient states do not
-    suffer the sqrt amplification of eigenvalue-level noise.
+    suffer the sqrt amplification of eigenvalue-level noise.  Both Hermitian
+    square roots, with eigenvalues up to PSD_CLAMP_TOL clamped to zero, come
+    from one eigendecomposition of the stacked pair.  Checks fail in this
+    order: the shapes, a's then b's finiteness and Hermiticity, then a's
+    then b's "significantly non-PSD" (an eigenvalue below -1e-8).
     """
     shape = np.shape(rho_a)
     if shape != np.shape(rho_b):
         raise ValueError(f"fidelity requires inputs of one shape, got {shape} and {np.shape(rho_b)}")
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
         raise ValueError(f"fidelity requires non-empty square matrices, got shape {shape}")
-    for rho in (rho_a, rho_b):
-        rho = np.asarray(rho)
-        # A nan or inf entry makes the deviation nan or inf, failing the test.
-        if not float(np.abs(rho - rho.conj().T).max()) <= 1e-10:
+    pair = np.array((rho_a, rho_b), dtype=complex)
+    # A nan or inf entry makes its deviation nan or inf, failing the test.
+    deviations = np.abs(pair - pair.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    for rho, deviation in zip(pair, deviations.tolist()):
+        if not deviation <= 1e-10:
             if not np.isfinite(rho).all():
                 raise ValueError("fidelity requires finite inputs")
             raise ValueError("fidelity requires Hermitian inputs")
-    sqrt_a = _psd_sqrt(np.asarray(rho_a, dtype=complex))
-    sqrt_b = _psd_sqrt(np.asarray(rho_b, dtype=complex))
+    eigvals, eigvecs = np.linalg.eigh(pair)
+    for least in eigvals.min(axis=1).tolist():
+        if least < -1e-8:
+            raise ValueError(f"matrix is significantly non-PSD (min eig {least:.3e})")
+    clamped = np.where(eigvals > PSD_CLAMP_TOL, eigvals, 0.0)
+    sqrt_a, sqrt_b = (eigvecs * np.sqrt(clamped)[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
     singular_values = np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False)
     value = float(singular_values.sum() ** 2)
     # value is a Python float; a nan stays nan.

@@ -78,10 +78,19 @@ def test_propagate_long_time_reaches_maximally_mixed():
     assert np.abs(out - np.eye(4) / 4).max() < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
 def test_propagate_rejects_negative_time():
     for t in (-0.5, np.nan, np.inf, [0.1, -0.5], [0.1, np.nan]):
         with pytest.raises(ValueError, match="finite and non-negative"):
             propagate(np.eye(4) / 4, BTC_LIKE, t)
+    # A complex time must not lose its imaginary part, nor a huge int raise OverflowError.
+    for t, dtype in ((1j, "complex128"), (10**400, "object"), (np.array([0.1, 0.2j]), "complex128"),
+                     (np.complex128(0.5), "complex128")):
+        message = rf"^t must be real \(bool, integer or float\), got dtype {dtype}$"
+        with pytest.raises(ValueError, match=message):
+            propagate(np.eye(4) / 4, BTC_LIKE, t)
+        with pytest.raises(ValueError, match=message):
+            superoperator(BTC_LIKE, t)
 
 
 @pytest.mark.parametrize("kind", ["ZQ", "DQ"])

@@ -177,6 +177,7 @@ def test_free_evolution_unitary_random():
         assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_free_evolution_rejects_negative_time_and_nonhermitian():
     for tau in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be finite and non-negative"):
@@ -188,6 +189,10 @@ def test_free_evolution_rejects_negative_time_and_nonhermitian():
     h[0, 1], h[1, 0] = 1e6 + 10.0, 1e6
     with pytest.raises(ValueError, match="Hermitian"):
         free_evolution(h, 0.1)
+    # H - H^H overflows to inf, and inf - inf on an infinite diagonal is nan: both fail quietly.
+    for h in (np.array([[1e308, 1.7e308], [-1.7e308, 0.0]]), np.diag([np.inf, 1.0])):
+        with pytest.raises(ValueError, match="^free_evolution requires a Hermitian generator$"):
+            free_evolution(h, 0.1)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (0, 0), (4,), (2, 4, 4)])

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_density_matrix
+from spinpair.evolution import propagate
+from spinpair.presets import PRESETS
 from spinpair.spinops import _EYE2, _single_spin_rotation, pulse
-from spinpair.states import coherence_state, validate_density_matrix
+from spinpair.states import COHERENCE_KINDS, coherence_state, prepare_target, validate_density_matrix
 from spinpair.tomography import (
     DETECTED_ELEMENTS,
     SETTINGS,
@@ -335,3 +338,76 @@ def test_fidelity_rejects_non_finite(value, entry):
         with pytest.raises(ValueError) as exc:
             fidelity(*pair)
         assert str(exc.value) == "fidelity requires finite inputs"
+
+
+def _read_out_pipeline_states():
+    """I/4, the four coherences, and per preset and target the prepared,
+    propagated and reconstructed states of the read-out pipeline."""
+    states = [np.eye(4) / 4] + [coherence_state(kind) for kind in COHERENCE_KINDS]
+    for preset in PRESETS.values():
+        for kind in COHERENCE_KINDS:
+            prepared = prepare_target(kind, preset.system, 0.5)
+            for t in (0.0, 0.1, 10.0):
+                rho = propagate(prepared, preset.noise, t)
+                states += [rho, reconstruct(records_for(rho))]
+    return states
+
+
+_PIPELINE_STATES = _read_out_pipeline_states()
+
+
+def _fidelity_input(rng, pick):
+    """A random density matrix of rank pick + 1 for pick < 4, else a pipeline state."""
+    if pick >= 4:
+        return _PIPELINE_STATES[pick - 4]
+    g = rng.standard_normal((4, pick + 1)) + 1j * rng.standard_normal((4, pick + 1))
+    # Spread the eigenvalues down to about 1e-16, across PSD_CLAMP_TOL.
+    g *= 10.0 ** -rng.uniform(0.0, 8.0, pick + 1)
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3 + len(_PIPELINE_STATES)),
+       st.integers(0, 3 + len(_PIPELINE_STATES)))
+def test_fidelity_matches_two_root_reference(seed, pick_a, pick_b):
+    # One eigh on the stacked pair runs LAPACK on each matrix as two calls would.
+    rng = np.random.default_rng(seed)
+    a, b = _fidelity_input(rng, pick_a), _fidelity_input(rng, pick_b)
+    for pair in ((a, b), (b, a), (a, a)):
+        value = fidelity(*pair)
+        assert type(value) is float
+        assert value.hex() == oracles.fidelity(*pair).hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fidelity_check_order_and_non_psd_message():
+    mixed = np.eye(4) / 4
+    non_psd_a = np.diag([0.6, 0.5, 0.1, -0.2])
+    non_psd_b = np.diag([0.7, 0.4, 0.2, -0.3])
+    non_hermitian = mixed.astype(complex)
+    non_hermitian[0, 1] = 0.3
+    non_finite = mixed.astype(complex)
+    non_finite[1, 1] = np.nan
+    non_psd = "matrix is significantly non-PSD (min eig {})"
+    cases = [
+        ((non_psd_a, mixed), non_psd.format("-2.000e-01")),
+        ((mixed, non_psd_b), non_psd.format("-3.000e-01")),
+        # a is checked before b.
+        ((non_psd_a, non_psd_b), non_psd.format("-2.000e-01")),
+        ((non_psd_b, non_psd_a), non_psd.format("-3.000e-01")),
+        ((non_hermitian, non_finite), "fidelity requires Hermitian inputs"),
+        ((non_finite, non_hermitian), "fidelity requires finite inputs"),
+        # Both inputs' Hermiticity and finiteness come before either PSD check.
+        ((non_psd_a, non_hermitian), "fidelity requires Hermitian inputs"),
+        ((non_psd_a, non_finite), "fidelity requires finite inputs"),
+    ]
+    for pair, message in cases:
+        for implementation in (fidelity, oracles.fidelity):
+            with pytest.raises(ValueError) as exc:
+                implementation(*pair)
+            assert str(exc.value) == message
+    # Eigenvalues down to -1e-8 are clamped to zero, not rejected.
+    slightly_negative = np.diag([0.5, 0.5, 0.0, -1e-9])
+    value = fidelity(slightly_negative, mixed)
+    assert value == oracles.fidelity(slightly_negative, mixed) == pytest.approx(0.5, abs=1e-15)
