@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .estimation import (
     DataError,
     DecayCurve,
     RateEstimate,
+    add_noise,
     fit_exponential,
     fit_noise_model,
     gamma3_difference,
@@ -56,7 +57,7 @@ class RunConfig:
     system: SpinSystem | None = None
     noise: NoiseParams | None = None
     epsilon: float = 1.0
-    time_grid: np.ndarray | None = None
+    time_grid: np.ndarray = field(default_factory=default_time_grid)
     seed: int = 0
     noise_sigma: float = 0.0
 
@@ -69,9 +70,6 @@ class RunConfig:
         if self.noise is None:
             raise ConfigError("no noise rates configured; pass --preset or a config with 'noise'")
         return self.noise
-
-    def grid(self) -> np.ndarray:
-        return self.time_grid if self.time_grid is not None else default_time_grid()
 
 
 def _number(value, field: str) -> float:
@@ -102,71 +100,67 @@ def _preset(name: str, field: str = "") -> Preset:
         raise ConfigError(f"{field}{exc}") from None
 
 
+def _read(value, field: str, known, expected: str) -> dict:
+    """`value` if it is an object with only `known` keys; else a config error naming `field`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: {expected}")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"{field}: unknown config fields {unknown}")
+    return value
+
+
+def _build(cls, value, field: str, expected: str):
+    """A SpinSystem or NoiseParams from a config object keyed by its dataclass
+    fields: one without a default is required, and all but `name` are numbers."""
+    value = _read(value, field, [spec.name for spec in fields(cls)], expected)
+    kwargs = {}
+    for spec in fields(cls):
+        if spec.name in value:
+            raw = value[spec.name]
+            kwargs[spec.name] = str(raw) if spec.name == "name" else _number(raw, f"{field}.{spec.name}")
+        elif spec.default is MISSING:
+            raise ConfigError(f"{field}: missing field {spec.name!r}")
+    try:
+        return cls(**kwargs)
+    except NotCompletelyPositive as exc:
+        raise ConfigError(f"noise.gamma3: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 def _parse_system(value) -> SpinSystem:
     if isinstance(value, str):
         return _preset(value, "system: ").system
-    if not isinstance(value, dict):
-        raise ConfigError("system: expected a preset name or an object with nu1/nu2/j12")
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            system = SpinSystem(
-                nu1=_number(value["nu1"], "system.nu1"),
-                nu2=_number(value["nu2"], "system.nu2"),
-                j12=_number(value["j12"], "system.j12"),
-                name=str(value.get("name", "")),
-            )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"system: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"system: {exc}") from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        system = _build(SpinSystem, value, "system",
+                        "expected a preset name or an object with nu1/nu2/j12")
     for warning in caught:
         print(f"warning: system: {warning.message}", file=sys.stderr)
     return system
 
 
-def _parse_noise(value) -> NoiseParams:
-    if not isinstance(value, dict):
-        raise ConfigError("noise: expected an object with gamma1..Gamma2 rates in 1/s")
-    try:
-        return NoiseParams(
-            gamma1=_number(value["gamma1"], "noise.gamma1"),
-            gamma2=_number(value["gamma2"], "noise.gamma2"),
-            gamma3=_number(value["gamma3"], "noise.gamma3"),
-            Gamma1=_number(value["Gamma1"], "noise.Gamma1"),
-            Gamma2=_number(value["Gamma2"], "noise.Gamma2"),
-            nbar=_number(value.get("nbar", 0.5), "noise.nbar"),
-        )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"noise: missing field {exc.args[0]!r}") from None
-    except NotCompletelyPositive as exc:
-        raise ConfigError(f"noise.gamma3: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"noise: {exc}") from None
-
-
 def _parse_time_grid(value) -> np.ndarray:
-    if isinstance(value, dict):
-        start = _number(value.get("start", 1e-3), "time_grid.start")
-        stop = _number(value.get("stop", 10.0), "time_grid.stop")
-        points = _integer(value.get("points", 64), "time_grid.points")
-        if points > MAX_TIME_POINTS:
-            raise ConfigError(f"time_grid.points: at most {MAX_TIME_POINTS}, got {points}")
+    """A list of seconds, or default_time_grid's keyword arguments; either
+    form must give at least 2 strictly increasing, non-negative times."""
+    if isinstance(value, list):
+        if len(value) > MAX_TIME_POINTS:
+            raise ConfigError(f"time_grid: at most {MAX_TIME_POINTS} times, got {len(value)}")
+        grid = np.array([_number(v, f"time_grid[{i}]") for i, v in enumerate(value)], dtype=float)
+    else:
+        value = _read(value, "time_grid", ("start", "stop", "points"),
+                      "expected a list of seconds or {start, stop, points}")
+        spacing = {key: (_integer if key == "points" else _number)(value[key], f"time_grid.{key}")
+                   for key in ("start", "stop", "points") if key in value}
+        if spacing.get("points", 0) > MAX_TIME_POINTS:
+            raise ConfigError(f"time_grid.points: at most {MAX_TIME_POINTS}, got {spacing['points']}")
         try:
-            return default_time_grid(start=start, stop=stop, points=points)
+            grid = default_time_grid(**spacing)
         except ValueError as exc:
             raise ConfigError(f"time_grid: {exc}") from None
-    if not isinstance(value, list):
-        raise ConfigError("time_grid: expected a list of seconds or {start, stop, points}")
-    if len(value) > MAX_TIME_POINTS:
-        raise ConfigError(f"time_grid: at most {MAX_TIME_POINTS} times, got {len(value)}")
-    grid = np.array([_number(v, f"time_grid[{i}]") for i, v in enumerate(value)], dtype=float)
     if grid.size < 2 or np.any(grid[1:] <= grid[:-1]) or grid[0] < 0:
-        raise ConfigError("time_grid: must be a strictly increasing list of non-negative seconds")
+        raise ConfigError("time_grid: must hold at least 2 strictly increasing, non-negative seconds")
     return grid
 
 
@@ -185,15 +179,13 @@ def load_config(args) -> RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top-level config must be an object")
-        unknown = sorted(set(raw) - {field.name for field in fields(RunConfig)})
-        if unknown:
-            raise ConfigError(f"{path}: unknown config fields {unknown}")
+        raw = _read(raw, str(path), [spec.name for spec in fields(RunConfig)],
+                    "top-level config must be an object")
         if "system" in raw:
             config.system = _parse_system(raw["system"])
         if "noise" in raw:
-            config.noise = _parse_noise(raw["noise"])
+            config.noise = _build(NoiseParams, raw["noise"], "noise",
+                                  "expected an object with gamma1..Gamma2 rates in 1/s")
         if "epsilon" in raw:
             config.epsilon = _number(raw["epsilon"], "epsilon")
             if not 0.0 <= config.epsilon <= 1.0:
@@ -233,10 +225,6 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _scaled_target(kind: str, epsilon: float) -> np.ndarray:
-    return (1.0 - epsilon) * MAXIMALLY_MIXED + epsilon * coherence_state(kind)
-
-
 def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, float]:
     """The read-out step of `prepare` and `tomo`: prepare the target, evolve it
     for `tomo --time` under the noise model, read out the four settings and
@@ -268,7 +256,8 @@ def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, fl
         state = propagate(state, noise, time)
     records = [simulate_readout(state, s) for s in SETTINGS]
     reconstructed = reconstruct(records)
-    fid = fidelity(reconstructed, _scaled_target(args.target, config.epsilon))
+    target = (1.0 - config.epsilon) * MAXIMALLY_MIXED + config.epsilon * coherence_state(args.target)
+    fid = fidelity(reconstructed, target)
     return state, records, reconstructed, fid
 
 
@@ -316,11 +305,12 @@ def cmd_decay(args) -> int:
     out = _out_dir(args)
     if out is None:
         raise ConfigError("decay requires --out to write the curve")
-    times = config.grid()
+    times = config.time_grid
     signals = _decay_signals(args.kind, config, times)
-    if config.noise_sigma > 0.0:
-        rng = np.random.default_rng(config.seed)
-        signals = signals * (1.0 + config.noise_sigma * rng.standard_normal(times.size))
+    try:
+        signals = add_noise(signals, config.noise_sigma, np.random.default_rng(config.seed))
+    except ValueError as exc:
+        raise ConfigError(f"noise_sigma: {exc}") from None
     curve = DecayCurve(args.kind, times, signals)
     if args.format == "json":
         path = out / f"decay_{args.kind}.json"
@@ -422,19 +412,11 @@ def cmd_fit(args) -> int:
             payload[f"{kind}_rate_stderr"] = est.stderr
             payload[f"{kind}_amplitude"] = est.amplitude
         if config.noise is not None:
-            context = config.noise
-            c = model_consistency(estimates["ZQ"], estimates["DQ"], context.gamma1, context.gamma2,
-                                  context.Gamma1, context.Gamma2)
-            payload.update(
-                gamma1=context.gamma1,
-                gamma2=context.gamma2,
-                Gamma1=context.Gamma1,
-                Gamma2=context.Gamma2,
-                zq_rate_predicted=c.zq_rate_predicted,
-                dq_rate_predicted=c.dq_rate_predicted,
-                zq_rate_mismatch=c.zq_rate_mismatch,
-                dq_rate_mismatch=c.dq_rate_mismatch,
-            )
+            # The payload holds the measured rates already.
+            rates = {name: getattr(config.noise, name) for name in estimation.PINNING_KIND}
+            consistency = asdict(model_consistency(estimates["ZQ"], estimates["DQ"], **rates))
+            payload.update(rates, **{key: value for key, value in consistency.items()
+                                     if key.endswith(("_predicted", "_mismatch"))})
         fitted_rates = {kind: est.rate for kind, est in estimates.items()}
         fitted_amplitudes = {kind: est.amplitude for kind, est in estimates.items()}
         print(f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} 1/s (difference estimator)")

@@ -195,6 +195,22 @@ def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
         return offset + slope * np.exp(-rate * t)
 
 
+def add_noise(signals: np.ndarray, noise_sigma: float, rng: np.random.Generator | None) -> np.ndarray:
+    """`signals` times 1 + noise_sigma z, z standard normal from `rng` (a fresh
+    generator if None); noise_sigma = 0 draws nothing.  A nan or negative
+    noise_sigma, or one that overflows a finite signal, raises ValueError."""
+    if not noise_sigma >= 0.0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if noise_sigma == 0.0:
+        return signals
+    rng = np.random.default_rng() if rng is None else rng
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = signals * (1.0 + noise_sigma * rng.standard_normal(signals.size))
+    if not np.isfinite(noisy).all() and np.isfinite(signals).all():
+        raise ValueError(f"noise_sigma = {noise_sigma:g} overflows the noisy signal")
+    return noisy
+
+
 def synthetic_curve(
     kind: str,
     params: NoiseParams,
@@ -205,11 +221,7 @@ def synthetic_curve(
 ) -> DecayCurve:
     """Model-generated curve, optionally with multiplicative Gaussian noise."""
     times = np.asarray(times, dtype=float)
-    signals = amplitude * signal_model(kind, params, times)
-    if noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
-        signals = signals * (1.0 + noise_sigma * rng.standard_normal(times.size))
+    signals = add_noise(amplitude * signal_model(kind, params, times), noise_sigma, rng)
     return DecayCurve(kind, times, signals)
 
 

@@ -147,8 +147,9 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
         raise ValueError(f"fidelity requires non-empty square matrices, got shape {shape}")
     pair = np.array((rho_a, rho_b), dtype=complex)
-    # A nan or inf entry makes its deviation nan or inf, failing the test.
-    deviations = np.abs(pair - pair.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    # A nan or inf entry makes its deviation nan or inf, failing the test quietly.
+    with np.errstate(invalid="ignore", over="ignore"):
+        deviations = np.abs(pair - pair.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     for rho, deviation in zip(pair, deviations.tolist()):
         if not deviation <= 1e-10:
             if not np.isfinite(rho).all():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spinpair
 from conftest import random_cp_params
 from oracles import suggested_times
 from spinpair.channels import NoiseParams
@@ -573,6 +577,10 @@ def test_inadmissible_noise_config_message(tmp_path, capsys, rates, message):
         ({"time_grid": [float(t) for t in range(MAX_TIME_POINTS + 1)]}, [], "time_grid"),
         # Neighbouring times are compared, not subtracted, so this does not overflow.
         ({"time_grid": [1e308, -1e308]}, [], "time_grid"),
+        # The log grid's rule is the list's: geomspace repeats a time here.
+        ({"time_grid": {"start": 1.0, "stop": 1.0000000000000004, "points": 10}}, [], "time_grid"),
+        # 1e308 times a draw beyond 1.8 overflows, without numpy's warning.
+        ({"noise_sigma": 1e308}, [], "noise_sigma"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -682,6 +690,25 @@ def test_config_boundary_is_config_error(tmp_path, capsys, argv, fields, name):
 
 
 @pytest.mark.parametrize(
+    "fields, where, key",
+    [
+        ({"epsilonn": 0.5}, None, "epsilonn"),
+        ({"system": {**UNCOUPLED, "J12": 4.2}}, "system", "J12"),
+        ({"noise": {**NOISE, "nbar_typo": 0.5}}, "noise", "nbar_typo"),
+        ({"time_grid": {"stop": 5.0, "point": 10}}, "time_grid", "point"),
+    ],
+)
+def test_unknown_key_in_any_config_object_is_config_error(tmp_path, capsys, fields, where, key):
+    config = write_config(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert main(["decay", "--kind", "DQ", "--preset", "btc", "--config", config,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {where or config}: "
+                                       f"unknown config fields {[key]}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, code, message",
     [
         (["prepare", "--target", "DQ", "--config", "{tmp}/missing.json"], 2,
@@ -776,3 +803,23 @@ def test_tomo_without_out_prints_payload(capsys):
 def test_missing_system_is_config_error(capsys):
     assert main(["prepare", "--target", "DQ"]) == 2
     assert "no spin system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["report", "--preset", "btc"], 0, ""),
+        (["report", "--preset", "nope"], 2,
+         "config error: unknown preset 'nope'; available: ['btc', 'coumarin', 'cytosine']\n"),
+        (["fit", "--curve", "ZQ=missing.csv", "--curve", "DQ=missing.csv", "--out", "out"], 3,
+         "data error: missing.csv: cannot read the file (No such file or directory)\n"),
+    ],
+    ids=["success", "config-error", "data-error"],
+)
+def test_shell_sees_documented_exit_status(tmp_path, argv, code, message):
+    # `python -m spinpair.cli` exits through entry_point, as the console script does.
+    env = dict(os.environ, PYTHONPATH=str(Path(spinpair.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "spinpair.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == code
+    assert run.stderr == message

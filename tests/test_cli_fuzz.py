@@ -28,16 +28,19 @@ def _optional(**fields):
 
 RATE_FIELDS = ("gamma1", "gamma2", "gamma3", "Gamma1", "Gamma2")
 
-# Any field may hold any value, wrong types included.
+# Any field may hold any value, wrong types included, and any object may
+# hold one unknown key.
 any_config = _optional(
     system=st.one_of(st.sampled_from(["btc", "benzene"]), value,
-                     _optional(nu1=value, nu2=value, j12=value)),
-    noise=st.one_of(value, _optional(nbar=value, **{name: value for name in RATE_FIELDS})),
+                     _optional(nu1=value, nu2=value, j12=value, J12=value)),
+    noise=st.one_of(value, _optional(nbar=value, nbar_typo=value,
+                                     **{name: value for name in RATE_FIELDS})),
     epsilon=value,
     time_grid=st.one_of(value, st.lists(value, max_size=8),
-                        _optional(start=value, stop=value, points=value)),
+                        _optional(start=value, stop=value, points=value, point=value)),
     seed=value,
     noise_sigma=value,
+    epsilonn=value,
 )
 # Well-typed configs whose every number is an edge number.
 number_config = st.fixed_dictionaries(

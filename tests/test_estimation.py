@@ -206,6 +206,32 @@ def test_fit_exponential_recovery_kind():
     assert estimate.amplitude == pytest.approx(1.0, rel=1e-9)
 
 
+def test_synthetic_curve_noise_is_the_multiplicative_draw():
+    # One draw of rng per sample scales the model signal; sigma = 0 draws nothing.
+    t = np.linspace(0.0, 1.0, 65)
+    clean = synthetic_curve(KIND_DQ, BTC_LIKE, t, amplitude=0.7).signals
+    rng = np.random.default_rng(4)
+    noisy = synthetic_curve(KIND_DQ, BTC_LIKE, t, amplitude=0.7, noise_sigma=0.02, rng=rng)
+    z = np.random.default_rng(4).standard_normal(t.size)
+    assert np.array_equal(noisy.signals, clean * (1.0 + 0.02 * z))
+    state = rng.bit_generator.state
+    assert np.array_equal(synthetic_curve(KIND_DQ, BTC_LIKE, t, amplitude=0.7, rng=rng).signals, clean)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma, message", [
+    (float("nan"), "noise_sigma must be non-negative, got nan"),
+    (-0.01, "noise_sigma must be non-negative, got -0.01"),
+    (1e308, "noise_sigma = 1e+308 overflows the noisy signal"),
+], ids=["nan", "negative", "overflow"])
+def test_synthetic_curve_rejects_bad_noise_sigma(sigma, message):
+    t = np.linspace(0.0, 1.0, 65)
+    with pytest.raises(ValueError) as exc:
+        synthetic_curve(KIND_DQ, BTC_LIKE, t, noise_sigma=sigma, rng=np.random.default_rng(0))
+    assert str(exc.value) == message
+
+
 def test_fit_exponential_with_multiplicative_noise():
     # Multiplicative noise is heteroscedastic, so the per-point sigmas feed
     # the weighted fit; the quoted stderr then has proper coverage.

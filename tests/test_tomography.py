@@ -326,9 +326,9 @@ def test_fidelity_rejects_non_square_inputs():
         assert str(exc.value) == f"fidelity requires non-empty square matrices, got shape {shape}"
 
 
-# An inf on the diagonal makes the Hermiticity difference compute inf - inf,
-# which numpy reports as a RuntimeWarning before the ValueError is raised.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# An inf on the diagonal makes the Hermiticity difference compute inf - inf;
+# the ValueError comes without numpy's RuntimeWarning.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan), -np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
 def test_fidelity_rejects_non_finite(value, entry):
@@ -338,6 +338,15 @@ def test_fidelity_rejects_non_finite(value, entry):
         with pytest.raises(ValueError) as exc:
             fidelity(*pair)
         assert str(exc.value) == "fidelity requires finite inputs"
+
+
+@pytest.mark.filterwarnings("error")
+def test_fidelity_rejects_overflowing_non_hermitian_quietly():
+    # rho_01 - conj(rho_10) = 3.4e308 overflows to inf, which fails the test.
+    bad = np.eye(4, dtype=complex) / 4
+    bad[0, 1], bad[1, 0] = 1.7e308, -1.7e308
+    with pytest.raises(ValueError, match="fidelity requires Hermitian inputs"):
+        fidelity(bad, np.eye(4) / 4)
 
 
 def _read_out_pipeline_states():
