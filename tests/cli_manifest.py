@@ -98,7 +98,7 @@ def main() -> int:
             print(f"{digest(run.stdout)}  {ident} stdout")
             print(f"{digest(run.stderr)}  {ident} stderr")
             out = root / "out" / ident
-            for path in sorted(out.rglob("*")) if out.is_dir() else []:
+            for path in sorted(path for path in out.rglob("*") if path.is_file()):
                 print(f"{digest(path.read_bytes())}  {ident} {path.relative_to(out)}")
     return 0
 
