@@ -308,7 +308,7 @@ def cmd_decay(args) -> int:
     times = config.time_grid
     signals = _decay_signals(args.kind, config, times)
     try:
-        signals = add_noise(signals, config.noise_sigma, np.random.default_rng(config.seed))
+        signals = add_noise(signals, config.noise_sigma, config.seed)
     except ValueError as exc:
         raise ConfigError(f"noise_sigma: {exc}") from None
     curve = DecayCurve(args.kind, times, signals)

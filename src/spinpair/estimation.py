@@ -195,17 +195,18 @@ def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
         return offset + slope * np.exp(-rate * t)
 
 
-def add_noise(signals: np.ndarray, noise_sigma: float, rng: np.random.Generator | None) -> np.ndarray:
-    """`signals` times 1 + noise_sigma z, z standard normal from `rng` (a fresh
-    generator if None); noise_sigma = 0 draws nothing.  A nan or negative
-    noise_sigma, or one that overflows a finite signal, raises ValueError."""
+def add_noise(signals: np.ndarray, noise_sigma: float, rng: np.random.Generator | int | None) -> np.ndarray:
+    """`signals` times 1 + noise_sigma z, z standard normal from `rng`, or from
+    np.random.default_rng(rng) for a seed or None; noise_sigma = 0 draws nothing
+    and does not import numpy.random.  A nan or negative noise_sigma, or one
+    that overflows a finite signal, raises ValueError."""
     if not noise_sigma >= 0.0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
     if noise_sigma == 0.0:
         return signals
-    rng = np.random.default_rng() if rng is None else rng
+    z = np.random.default_rng(rng).standard_normal(signals.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        noisy = signals * (1.0 + noise_sigma * rng.standard_normal(signals.size))
+        noisy = signals * (1.0 + noise_sigma * z)
     if not np.isfinite(noisy).all() and np.isfinite(signals).all():
         raise ValueError(f"noise_sigma = {noise_sigma:g} overflows the noisy signal")
     return noisy

@@ -823,3 +823,14 @@ def test_shell_sees_documented_exit_status(tmp_path, argv, code, message):
                          capture_output=True, text=True, check=False)
     assert run.returncode == code
     assert run.stderr == message
+
+
+def test_decay_without_noise_leaves_numpy_random_unloaded(tmp_path):
+    # numpy loads numpy.random on first use, which costs each CLI run about 10 ms.
+    code = ("import sys; from spinpair.cli import main; "
+            "main(['decay', '--preset', 'btc', '--kind', 'DQ', '--out', 'out']); "
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(spinpair.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
