@@ -195,11 +195,13 @@ def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
         return offset + slope * np.exp(-rate * t)
 
 
-def add_noise(signals: np.ndarray, noise_sigma: float, rng: np.random.Generator | int | None) -> np.ndarray:
-    """`signals` times 1 + noise_sigma z, z standard normal from `rng`, or from
-    np.random.default_rng(rng) for a seed or None; noise_sigma = 0 draws nothing
-    and does not import numpy.random.  A nan or negative noise_sigma, or one
-    that overflows a finite signal, raises ValueError."""
+def add_noise(signals: np.ndarray, noise_sigma: float,
+              rng: np.random.Generator | int | None) -> np.ndarray:
+    """`signals` times 1 + noise_sigma z, with z standard normal from
+    np.random.default_rng(rng), so `rng` is a Generator, a seed or None.
+    noise_sigma = 0 returns `signals` without drawing or loading numpy.random.
+    A nan or negative noise_sigma, or one that overflows a finite signal,
+    raises ValueError."""
     if not noise_sigma >= 0.0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
     if noise_sigma == 0.0:
