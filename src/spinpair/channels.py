@@ -12,6 +12,7 @@ matrix, vec(rho)[d r + s] = rho[r, s].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,13 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "gamma3", "Gamma1", "Gamma2", "nbar"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real):
+                # A plain float: the checks below and the propagator rely on
+                # Python floats overflowing quietly where numpy scalars warn.
+                value = float(value)
+                object.__setattr__(self, name, value)
+            if not np.isfinite(value):
                 raise ValueError(f"NoiseParams.{name} must be finite")
         for name in ("gamma1", "gamma2", "Gamma1", "Gamma2"):
             if getattr(self, name) < 0:

@@ -302,8 +302,7 @@ def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarra
 
 def cmd_decay(args) -> int:
     config = load_config(args)
-    out = _out_dir(args)
-    if out is None:
+    if args.out is None:
         raise ConfigError("decay requires --out to write the curve")
     times = config.time_grid
     signals = _decay_signals(args.kind, config, times)
@@ -312,6 +311,7 @@ def cmd_decay(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"noise_sigma: {exc}") from None
     curve = DecayCurve(args.kind, times, signals)
+    out = _out_dir(args)
     if args.format == "json":
         path = out / f"decay_{args.kind}.json"
         _write_json(
@@ -390,8 +390,7 @@ def _fit_plot(curves: dict[str, DecayCurve], rates: dict[str, float],
 
 def cmd_fit(args) -> int:
     config = load_config(args)
-    out = _out_dir(args)
-    if out is None:
+    if args.out is None:
         raise ConfigError("fit requires --out to write the report")
     paths = _parse_curve_args(args.curve)
     for mandatory in ("ZQ", "DQ"):
@@ -441,6 +440,7 @@ def cmd_fit(args) -> int:
             f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} 1/s"
         )
 
+    out = _out_dir(args)
     report_path = out / "fit_report.json"
     _write_json(payload, report_path)
     svg_path = out / "fit_plot.svg"

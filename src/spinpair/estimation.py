@@ -248,23 +248,24 @@ def _levenberg_marquardt(residual_jac, x0):
     damping = 1e-3
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        gradient = jac.T @ r
-        if np.abs(gradient).max() < GRADIENT_TOL:
+        descent = -(jac.T @ r)
+        # On Python floats; a nan component fails the test, as np.max's nan would.
+        if all(abs(g) < GRADIENT_TOL for g in descent.tolist()):
             return x, r, jac, True, "gradient", iterations
         normal = jac.T @ jac
-        diagonal = normal.diagonal().copy()
-        diagonal[diagonal <= 0.0] = 1.0
+        diagonal = normal.diagonal()
         # damping * diag(d), not diag(damping * d): should damping overflow,
         # inf * 0 puts nan off the diagonal and every trial step fails.
-        scale = np.diag(diagonal)
+        scale = np.diag(np.where(diagonal <= 0.0, 1.0, diagonal))
         step = None
         for _ in range(60):
             try:
-                candidate = np.linalg.solve(normal + damping * scale, -gradient)
+                candidate = np.linalg.solve(normal + damping * scale, descent)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            r_new, jac_new = residual_jac(x + candidate)
+            trial = x + candidate
+            r_new, jac_new = residual_jac(trial)
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new <= cost:
                 step = candidate
@@ -273,8 +274,7 @@ def _levenberg_marquardt(residual_jac, x0):
         if step is None:
             # The gradient failed GRADIENT_TOL above, yet no damped step lowers the cost.
             return x, r, jac, False, "no_descent", iterations
-        x = x + step
-        r, jac, cost = r_new, jac_new, cost_new
+        x, r, jac, cost = trial, r_new, jac_new, cost_new
         damping = max(damping / 3.0, 1e-14)
         if math.sqrt(step @ step) < STEP_TOL * (math.sqrt(x @ x) + STEP_TOL):
             return x, r, jac, True, "step", iterations
@@ -331,12 +331,14 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     return amplitude, rate
 
 
-def _curve_model(t, amplitude, rate, offset, slope):
+def _curve_model(t, amplitude, rate, offset, slope, d_amp=None, d_rate=None):
     """Values of amplitude * (offset + slope exp(-rate t)) and their (d/dA, d/dR)
-    partials.  The arguments broadcast: one curve's scalars or per-sample arrays."""
+    partials.  The arguments broadcast: one curve's scalars or per-sample arrays.
+    The partials are written into `d_amp` and `d_rate` when they are given."""
     decay = np.exp(-rate * t)
-    d_amp = offset + slope * decay
-    return amplitude * d_amp, d_amp, -slope * amplitude * t * decay
+    d_amp = np.add(offset, slope * decay, out=d_amp)
+    d_rate = np.multiply(-slope * amplitude * t, decay, out=d_rate)
+    return amplitude * d_amp, d_amp, d_rate
 
 
 def fit_exponential(curve: DecayCurve) -> RateEstimate:
@@ -354,9 +356,10 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     offset, slope = CURVE_SHAPE[curve.kind]
 
     def residual_jac(x):
-        values, d_amp, d_rate = _curve_model(t, x[0], x[1], offset, slope)
-        r, jac = values - s, np.empty((t.size, 2))
-        jac[:, 0], jac[:, 1] = d_amp, d_rate
+        amplitude, rate = x.tolist()
+        jac = np.empty((t.size, 2))
+        values, _, _ = _curve_model(t, amplitude, rate, offset, slope, jac[:, 0], jac[:, 1])
+        r = values - s
         if weights is not None:
             r *= weights
             jac *= weights[:, None]
@@ -463,45 +466,62 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     fitted = (*free, "gamma3")
     n_rates = len(fitted)
     fitted_at = [RATE_NAMES.index(name) for name in fitted]
-    start = np.array([values[name] for name in RATE_NAMES])
-    # The table's columns for the fitted kinds, and each kind's coefficients
-    # of the fitted rates, which are its rate's partial derivatives.
-    columns = np.array([RATE_TABLE[kind] for kind in kinds]).T
-    fitted_coeffs = columns[fitted_at].T
+    start = [values[name] for name in RATE_NAMES]
+    table = [RATE_TABLE[kind] for kind in kinds]
+    # Each kind's coefficients of the fitted rates, which are its rate's partial
+    # derivatives: one row per fitted rate, one column per kind.
+    fitted_coeffs = np.array(table).T[fitted_at]
 
-    def unpack(x):
-        """The five rates in RATE_NAMES order."""
+    def unpack(xs):
+        """The five rates in RATE_NAMES order, from the fit vector as a list."""
         rates = start.copy()
-        rates[fitted_at[:-1]] = x[: n_rates - 1] ** 2
-        rates[fitted_at[-1]] = x[n_rates - 1]
+        for i, root in zip(fitted_at[:-1], xs):
+            rates[i] = root * root
+        rates[fitted_at[-1]] = xs[n_rates - 1]
         return rates
 
     # The curves stacked once in `kinds` order, with each sample's kind, model
-    # shape, weight, amplitude column and fitted-rate coefficients, so that
-    # one pass fills the residual and the Jacobian.
+    # shape, weight and amplitude entry in the flat Jacobian, so that one pass
+    # fills the residual and the Jacobian.  Without sigmas the weights are 1
+    # and are skipped.
     stack = [by_kind[kind] for kind in kinds]
     sizes = [len(c) for c in stack]
     sample_kind = np.repeat(np.arange(len(kinds)), sizes)
     t = np.concatenate([c.times for c in stack])
     s = np.concatenate([c.signals for c in stack])
-    w = np.concatenate([1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c)) for c in stack])
+    w = None
+    if any(c.sigmas is not None for c in stack):
+        w = np.concatenate([1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c))
+                            for c in stack])
     offset, slope = np.array([CURVE_SHAPE[kind] for kind in kinds])[sample_kind].T
-    rows, amplitude_col = np.arange(t.size), n_rates + sample_kind
-    sample_coeffs = fitted_coeffs[sample_kind]
+    amplitude_at = n_rates + sample_kind
+    n_params = n_rates + len(kinds)
+    amplitude_flat = np.arange(t.size) * n_params + amplitude_at
     all_weighted = all(c.sigmas is not None for c in stack)
 
     def residual_jac(x):
-        chain = 2.0 * x[:n_rates]
+        xs = x.tolist()
+        rates = unpack(xs)
+        sample_rates = np.array([_table_rates(row, rates) for row in table])[sample_kind]
+        values, d_amp, d_rate = _curve_model(t, x[amplitude_at], sample_rates, offset, slope)
+        chain = 2.0 * x[:n_rates, None]
         chain[-1] = 1.0
-        rates = _table_rates(columns, unpack(x))[sample_kind]
-        values, d_amp, d_rate = _curve_model(t, x[n_rates:][sample_kind], rates, offset, slope)
-        jac = np.zeros((t.size, x.size))
-        jac[:, :n_rates] = d_rate[:, None] * (sample_coeffs * chain) * w[:, None]
-        jac[rows, amplitude_col] = d_amp * w
-        return (values - s) * w, jac
+        # The rate block is built transposed, so that each numpy pass runs
+        # along the samples, and copied into the Jacobian's first columns.
+        block = np.take(fitted_coeffs * chain, sample_kind, axis=1)
+        block *= d_rate
+        r = values - s
+        if w is not None:
+            block *= w
+            d_amp *= w
+            r *= w
+        jac = np.zeros((t.size, n_params))
+        np.copyto(jac[:, :n_rates].T, block)
+        jac.ravel()[amplitude_flat] = d_amp
+        return r, jac
 
-    x0 = np.concatenate((np.sqrt(start[fitted_at[:-1]]), [difference.rate],
-                         [individual[kind].amplitude for kind in kinds]))
+    x0 = np.array([*(math.sqrt(start[i]) for i in fitted_at[:-1]), difference.rate,
+                   *(individual[kind].amplitude for kind in kinds)])
     x, r, jac, converged, reason, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
@@ -511,7 +531,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     stderr = dict(zip(fitted, (np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)) * scale).tolist()))
 
     try:
-        params = NoiseParams(**dict(zip(RATE_NAMES, unpack(x).tolist())))
+        params = NoiseParams(**dict(zip(RATE_NAMES, unpack(x.tolist()))))
     except ValueError as exc:
         raise ConvergenceError(f"fitted rates violate positivity constraints: {exc}") from exc
 

@@ -10,6 +10,7 @@ U = exp(-i * angle * I_axis) with perfect spin selectivity.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -43,7 +44,13 @@ class SpinSystem:
 
     def __post_init__(self):
         for field in ("nu1", "nu2", "j12"):
-            if not np.isfinite(getattr(self, field)):
+            value = getattr(self, field)
+            if isinstance(value, numbers.Real):
+                # A plain float, so that the weak-coupling check below
+                # overflows quietly where numpy scalars would warn.
+                value = float(value)
+                object.__setattr__(self, field, value)
+            if not np.isfinite(value):
                 raise ValueError(f"SpinSystem.{field} must be finite")
         if self.nu1 == self.nu2:
             raise ValueError("chemically shifted pair requires nu1 != nu2")

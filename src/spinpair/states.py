@@ -74,8 +74,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
       [EIG_FLOOR / 2, 2], so eigvalsh rounds by about 1e-15, against the
       5e-11 between EIG_FLOOR / 2 - 1.5 HERM_TOL and EIG_FLOOR.
     An exactly Hermitian rho equals its Hermitian part bit for bit and goes
-    to eigvalsh as it is.  A least eigenvalue of nan, which LAPACK returns
-    when the norm overflows, fails.
+    to eigvalsh as it is.  Otherwise the part is 0.5 rho + 0.5 rho^H, whose
+    halves cannot overflow where the sum rho + rho^H can.  A least
+    eigenvalue of nan, which LAPACK returns when the norm overflows, fails,
+    and so does an eigvalsh that does not converge.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -113,11 +115,13 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if bound >= 0.5 * EIG_FLOOR:
         return rho
     if any(devs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            hermitian = 0.5 * (rho + rho.conj().T)
+        hermitian = 0.5 * rho + 0.5 * rho.conj().T
     else:
         hermitian = rho
-    min_eig = float(np.linalg.eigvalsh(hermitian)[0])
+    try:
+        min_eig = float(np.linalg.eigvalsh(hermitian).min())
+    except np.linalg.LinAlgError:
+        min_eig = math.nan
     if not min_eig >= EIG_FLOOR:
         raise ValueError(f"density matrix not positive semidefinite (min eig {min_eig:.3e})")
     return rho

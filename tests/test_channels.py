@@ -17,8 +17,9 @@ from spinpair.channels import (
     lindblad_generator,
     vectorize,
 )
-from spinpair.evolution import matrix_exp, superoperator
+from spinpair.evolution import matrix_exp, propagate, superoperator
 from spinpair.spinops import SIGMA, pauli
+from spinpair.states import coherence_state
 
 # Row vector summing the vec positions of diag(rho): a generator preserves the
 # trace when it is a left null vector.
@@ -69,6 +70,17 @@ def test_noise_params_defaults_and_dict():
     p = NoiseParams(1.0, 2.0, 0.5, 0.1, 0.2)
     assert p.nbar == 0.5
     assert asdict(p)["gamma3"] == 0.5
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_params_stores_numpy_rates_as_plain_floats():
+    # Python floats overflow quietly in the propagator's arithmetic; the same
+    # rates as np.float64 used to raise numpy's "overflow encountered".
+    p = NoiseParams(np.float64(1e300), 1.0, 0, np.float64(1e300), 1.0)
+    rho = propagate(coherence_state("DQ"), p, 1e10)
+    assert np.array_equal(rho, propagate(coherence_state("DQ"),
+                                         NoiseParams(1e300, 1.0, 0.0, 1e300, 1.0), 1e10))
+    assert [type(v) for v in asdict(p).values()] == [float] * 6
 
 
 def test_noise_params_rejects_negative_rates():

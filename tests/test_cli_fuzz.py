@@ -1,6 +1,7 @@
 """Fuzz the CLI boundary: configs built from edge numbers and wrong types,
 and small CSV files, must end in a documented exit code, never a traceback
-or a numpy RuntimeWarning."""
+or a numpy RuntimeWarning, and a command that fails must leave no --out
+directory behind."""
 
 import contextlib
 import io
@@ -71,7 +72,8 @@ csv_text = st.one_of(
 
 def run(argv, fields, csvs, use_preset):
     """Exit code of main() on argv with the config and CSV files written to a
-    temporary directory; a RuntimeWarning raises."""
+    temporary directory; a RuntimeWarning raises.  A non-zero exit must not
+    have made the --out directory."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "config.json").write_text(json.dumps(fields), encoding="utf-8")
@@ -85,7 +87,9 @@ def run(argv, fields, csvs, use_preset):
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("ignore")
             warnings.simplefilter("error", RuntimeWarning)
-            return main(argv)
+            code = main(argv)
+        assert code == 0 or not (root / "out").exists(), f"exit {code} left --out behind"
+        return code
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -18,12 +19,14 @@ from spinpair.estimation import (
     KIND_T1_SPIN1,
     KIND_T1_SPIN2,
     KIND_ZQ,
+    MAX_ITERATIONS,
     PINNING_KIND,
     RATE_TABLE,
     ConvergenceError,
     DataError,
     DecayCurve,
     RateEstimate,
+    _levenberg_marquardt,
     fit_exponential,
     fit_noise_model,
     gamma3_difference,
@@ -334,14 +337,57 @@ def test_fit_exponential_non_convergence(monkeypatch):
 
 
 def test_levenberg_marquardt_reports_no_descent():
-    from spinpair.estimation import _levenberg_marquardt
-
     def residual_jac(x):
         # Finite at the start and inf at every other point, so no step lowers the cost.
         return np.array([1.0 if x[0] == 0.0 else np.inf]), np.ones((1, 1))
 
     x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [0.0])
     assert (x.tolist(), converged, reason, iterations) == ([0.0], False, "no_descent", 1)
+
+
+def test_levenberg_marquardt_never_stops_on_a_nan_gradient():
+    # The gradient is (0, nan): a max-abs test that dropped the nan would stop
+    # on "gradient" at once.  Every nan step is accepted at an equal cost.
+    def residual_jac(x):
+        return np.array([1.0]), np.array([[0.0, np.nan]])
+
+    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [0.0, 0.0])
+    assert (np.isnan(x).all(), converged, reason, iterations) == (
+        True, False, "max_iterations", MAX_ITERATIONS)
+
+
+def test_levenberg_marquardt_reports_no_descent_once_damping_overflows():
+    # Each iteration rejects 59 trials and accepts the 60th, so damping grows
+    # about 1e59 / 3 per iteration, and the Jacobian shrinks to match, so the
+    # step does not vanish.  In the sixth iteration damping overflows to inf;
+    # inf * 0 then puts nan off the diagonal, every trial point is nan, and
+    # the fit ends in no_descent at the last accepted point.
+    calls = itertools.count()
+    trials = []
+
+    def residual_jac(x):
+        n = next(calls)
+        trials.append(x.tolist())
+        if n % 60 == 0 and np.isfinite(x).all():
+            k = n // 60
+            jac = np.array([[0.0, 0.0], [10.0 ** (89 - 58.5 * min(k, 4)), 0.0]])
+            return np.array([1e153 * (1 - 1e-3 * k), 1e145]), jac
+        return np.array([2e153, 1e145]), np.array([[0.0, 0.0], [1.0, 0.0]])
+
+    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [0.0, 0.0])
+    assert (x.tolist(), converged, reason, iterations) == (
+        [-4.512498266295972, 0.0], False, "no_descent", 6)
+    assert len(trials) == 1 + 6 * 60 and np.isnan(trials[-1]).all()
+
+
+def test_levenberg_marquardt_stops_on_a_vanishing_step():
+    # The step of about 1e7 is below STEP_TOL relative to x = 1e20, while the
+    # gradient, also about 1e7, is far above GRADIENT_TOL.
+    def residual_jac(x):
+        return x - (1e20 + 1e7), np.eye(1)
+
+    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [1e20])
+    assert (x.tolist(), converged, reason, iterations) == ([1.0000000000000998e20], True, "step", 1)
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,14 @@ def test_spin_system_warns_when_not_weakly_coupled():
         SpinSystem(nu1=10.0, nu2=20.0, j12=9.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_spin_system_stores_numpy_numbers_as_plain_floats():
+    # The shift difference overflows to inf quietly, as it does for Python floats.
+    system = SpinSystem(np.float64(1.7e308), np.float64(-1.7e308), 1)
+    assert [type(v) for v in (system.nu1, system.nu2, system.j12)] == [float] * 3
+    assert system == SpinSystem(1.7e308, -1.7e308, 1.0)
+
+
 def test_spin_system_rejects_equal_shifts():
     with pytest.raises(ValueError):
         SpinSystem(nu1=50.0, nu2=50.0, j12=2.0)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRACE_EDGES
@@ -288,8 +288,20 @@ def _reference_sees_overflow(rho, detail):
         return not np.isfinite(0.5 * (rho + rho.conj().T)).all()
 
 
+def _overflowing_pair(r, c):
+    """I/4 with an exactly Hermitian pair 1e308 (1 + i) at (r, c) and a 1e-13i
+    non-Hermitian nudge at (1, 1), so that the Hermitian part is formed."""
+    rho = np.eye(4, dtype=complex) / 4
+    rho[r, c], rho[c, r] = 1e308 * (1 + 1j), 1e308 * (1 - 1j)
+    rho[1, 1] += 1e-13j
+    return rho
+
+
 @settings(max_examples=400, deadline=None)
 @given(validator_inputs())
+@example(_overflowing_pair(2, 3))  # the sum rho + rho^H overflows and eigvalsh returned nan last
+@example(_overflowing_pair(0, 1))  # ... and eigvalsh did not converge
+@example(_overflowing_pair(0, 3))
 def test_validate_density_matrix_matches_reference(rho):
     # The reference warns on 1e308-scale entries; the validator must not.
     with np.errstate(all="ignore"):
@@ -316,6 +328,16 @@ def test_validate_rejects_exactly_hermitian_overflow(entry, message):
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1], rho[1, 0] = entry, np.conj(entry)
     with pytest.raises(ValueError, match=rf"^density matrix not positive semidefinite \({message}\)$"):
+        validate_density_matrix(rho)
+
+
+def test_validate_reports_unconverged_eigvalsh_as_not_positive(monkeypatch):
+    def unconverged(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+    rho = np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex)
+    with pytest.raises(ValueError, match=r"^density matrix not positive semidefinite \(min eig nan\)$"):
         validate_density_matrix(rho)
 
 
