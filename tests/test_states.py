@@ -290,7 +290,9 @@ def _reference_sees_overflow(rho, detail):
 
 def _overflowing_pair(r, c):
     """I/4 with an exactly Hermitian pair 1e308 (1 + i) at (r, c) and a 1e-13i
-    non-Hermitian nudge at (1, 1), so that the Hermitian part is formed."""
+    non-Hermitian nudge at (1, 1), so that the Hermitian part is formed.  The
+    sum rho + rho^H overflows; eigvalsh of half that sum returns nan at
+    (2, 3) and does not converge at (0, 1) and (0, 3)."""
     rho = np.eye(4, dtype=complex) / 4
     rho[r, c], rho[c, r] = 1e308 * (1 + 1j), 1e308 * (1 - 1j)
     rho[1, 1] += 1e-13j
@@ -299,8 +301,8 @@ def _overflowing_pair(r, c):
 
 @settings(max_examples=400, deadline=None)
 @given(validator_inputs())
-@example(_overflowing_pair(2, 3))  # the sum rho + rho^H overflows and eigvalsh returned nan last
-@example(_overflowing_pair(0, 1))  # ... and eigvalsh did not converge
+@example(_overflowing_pair(2, 3))
+@example(_overflowing_pair(0, 1))
 @example(_overflowing_pair(0, 3))
 def test_validate_density_matrix_matches_reference(rho):
     # The reference warns on 1e308-scale entries; the validator must not.
