@@ -12,12 +12,11 @@ matrix, vec(rho)[d r + s] = rho[r, s].
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import pauli
+from .spinops import _finite_real, pauli
 
 
 class NotCompletelyPositive(ValueError):
@@ -47,14 +46,7 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "gamma3", "Gamma1", "Gamma2", "nbar"):
-            value = getattr(self, name)
-            if isinstance(value, numbers.Real):
-                # A plain float: the checks below and the propagator rely on
-                # Python floats overflowing quietly where numpy scalars warn.
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if not np.isfinite(value):
-                raise ValueError(f"NoiseParams.{name} must be finite")
+            object.__setattr__(self, name, _finite_real(getattr(self, name), f"NoiseParams.{name}"))
         for name in ("gamma1", "gamma2", "Gamma1", "Gamma2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"NoiseParams.{name} must be non-negative")

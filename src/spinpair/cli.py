@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -38,7 +37,7 @@ from .estimation import (
 from .evolution import default_time_grid, propagate
 from .plotting import Series, render_decay_plot
 from .presets import PRESETS, Preset, get_preset
-from .spinops import SpinSystem
+from .spinops import SpinSystem, _finite_real
 from .states import COHERENCE_KINDS, MAXIMALLY_MIXED, coherence_state, prepare_target
 from .tomography import SETTINGS, fidelity, reconstruct, simulate_readout
 
@@ -73,16 +72,13 @@ class RunConfig:
 
 
 def _number(value, field: str) -> float:
-    """A config number, which must be finite and not a JSON boolean."""
+    """A config number: a finite JSON number, not a string or a boolean."""
     if isinstance(value, bool):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{field}: must be finite, got {number}")
-    return number
+        return _finite_real(value, field)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _integer(value, field: str) -> int:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import NoiseParams
+from .spinops import _finite_real
 
 KIND_T1_SPIN1 = "T1_inversion_recovery_spin1"
 KIND_T1_SPIN2 = "T1_inversion_recovery_spin2"
@@ -172,11 +173,14 @@ def _table_rates(coeffs, rates):
 
 
 def rate_for_kind(kind: str, params: NoiseParams) -> float:
-    """Model decay rate (1/s) probed by the experiment kind: its RATE_TABLE row."""
+    """Model decay rate (1/s) probed by the experiment kind: its RATE_TABLE row,
+    and at least its damping part: NoiseParams keeps the dephasing part >= 0,
+    but the row's sum drops Gamma where dephasing rates are 2**53 times larger."""
     if kind not in RATE_TABLE:
         raise ValueError(f"unknown curve kind {kind!r}")
+    row = RATE_TABLE[kind]
     rates = (params.gamma1, params.gamma2, params.gamma3, params.Gamma1, params.Gamma2)
-    return _table_rates(RATE_TABLE[kind], rates)
+    return max(_table_rates(row, rates), row[3] * params.Gamma1 + row[4] * params.Gamma2)
 
 
 def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
@@ -186,8 +190,8 @@ def signal_model(kind: str, params: NoiseParams, t) -> np.ndarray:
     t = 0 to its unit asymptote as 1 - 2 exp(-Gamma t).
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be non-negative")
+    if not np.all(t >= 0):
+        raise ValueError("t must be non-negative and not nan")
     rate = rate_for_kind(kind, params)
     offset, slope = CURVE_SHAPE[kind]
     # -rate t overflows to -inf at long times, and exp(-inf) = 0 is the decayed signal.
@@ -438,8 +442,9 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         if name not in PINNING_KIND:
             raise ValueError(f"fixed rate {name!r} is unknown; expected one of {tuple(PINNING_KIND)}")
         try:
-            admissible = 0.0 <= float(value) < math.inf
-        except (TypeError, ValueError):
+            fixed[name] = _finite_real(value, name)
+            admissible = fixed[name] >= 0.0
+        except ValueError:
             admissible = False
         if not admissible:
             raise ValueError(f"fixed rate {name!r} = {value!r} must be a finite non-negative number")
@@ -451,7 +456,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     values = {"gamma3": difference.rate}
     for name, pinning in PINNING_KIND.items():
         if name in fixed:
-            values[name] = float(fixed[name])
+            values[name] = fixed[name]
         elif pinning in by_kind:
             free.append(name)
             values[name] = max(individual[pinning].rate, 1e-6)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .channels import NoiseParams, vectorize
 from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
+from .spinops import _finite_real
 from .states import validate_density_matrix
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential.
@@ -150,6 +151,7 @@ def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
 
 def default_time_grid(start: float = 1e-3, stop: float = 10.0, points: int = 64) -> np.ndarray:
     """Log-spaced sweep grid with a leading t = 0 sample."""
+    start, stop = _finite_real(start, "start"), _finite_real(stop, "stop")
     if start <= 0 or stop <= start or points < 2:
         raise ValueError("need 0 < start < stop and at least 2 points")
     return np.concatenate(([0.0], np.geomspace(start, stop, points)))

@@ -33,6 +33,20 @@ TARGETS = ("spin1", "spin2", "both")
 WEAK_COUPLING_FACTOR = 10.0
 
 
+def _finite_real(value, name: str) -> float:
+    """float(value) for a real number whose float is finite (an int too large
+    for a float is not), else ValueError naming `name`.  Python floats
+    overflow quietly where numpy scalars warn, and the model relies on that."""
+    if isinstance(value, numbers.Real):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{name}: must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Chemical shifts (Hz) and scalar coupling (Hz) of a homonuclear pair."""
@@ -44,14 +58,7 @@ class SpinSystem:
 
     def __post_init__(self):
         for field in ("nu1", "nu2", "j12"):
-            value = getattr(self, field)
-            if isinstance(value, numbers.Real):
-                # A plain float, so that the weak-coupling check below
-                # overflows quietly where numpy scalars would warn.
-                value = float(value)
-                object.__setattr__(self, field, value)
-            if not np.isfinite(value):
-                raise ValueError(f"SpinSystem.{field} must be finite")
+            object.__setattr__(self, field, _finite_real(getattr(self, field), f"SpinSystem.{field}"))
         if self.nu1 == self.nu2:
             raise ValueError("chemically shifted pair requires nu1 != nu2")
         if abs(self.nu1 - self.nu2) < WEAK_COUPLING_FACTOR * abs(self.j12):
@@ -98,9 +105,7 @@ def hamiltonian(system: SpinSystem, nu_rf: float) -> np.ndarray:
     A system whose H has an entry beyond the largest float raises
     ValueError, naming nu1, nu2, J12 and nu_rf.
     """
-    if not np.isfinite(nu_rf):
-        raise ValueError("nu_rf must be finite")
-    nu1, nu2, j12, nu_rf = float(system.nu1), float(system.nu2), float(system.j12), float(nu_rf)
+    nu1, nu2, j12, nu_rf = system.nu1, system.nu2, system.j12, _finite_real(nu_rf, "nu_rf")
     two_pi = 2.0 * np.pi
     # Python floats overflow to inf quietly, where numpy would warn.  Each
     # diagonal entry is +-w1/2 +- w2/2 +- wj/4 and one of them adds all three
@@ -126,8 +131,7 @@ def pulse(angle: float, phase_axis: str, target: str) -> np.ndarray:
     Spin-selective pulses act as the identity on the other spin; target
     'both' rotates the two spins simultaneously about the same axis.
     """
-    if not np.isfinite(angle):
-        raise ValueError("pulse angle must be finite")
+    angle = _finite_real(angle, "angle")
     if phase_axis not in PULSE_AXES:
         raise ValueError(f"phase_axis must be one of {PULSE_AXES}, got {phase_axis!r}")
     if target not in TARGETS:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .spinops import SpinSystem, hamiltonian, pulse
+from .spinops import SpinSystem, _finite_real, hamiltonian, pulse
 
 COHERENCE_KINDS = ("ZQ", "DQ", "SQ1", "SQ2")
 
@@ -129,11 +129,11 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 def pseudopure_00(epsilon: float) -> np.ndarray:
     """Pseudopure |00> state (1 - epsilon) I/4 + epsilon |00><00|."""
-    if not 0.0 <= epsilon <= 1.0:
+    weight = _finite_real(epsilon, "epsilon")
+    if not 0.0 <= weight <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    epsilon = float(epsilon)
-    rho = (1.0 - epsilon) * np.eye(4, dtype=complex) / 4.0
-    rho[0, 0] += epsilon
+    rho = (1.0 - weight) * np.eye(4, dtype=complex) / 4.0
+    rho[0, 0] += weight
     return rho
 
 

@@ -581,6 +581,21 @@ def test_inadmissible_noise_config_message(tmp_path, capsys, rates, message):
         ({"time_grid": {"start": 1.0, "stop": 1.0000000000000004, "points": 10}}, [], "time_grid"),
         # 1e308 times a draw beyond 1.8 overflows, without numpy's warning.
         ({"noise_sigma": 1e308}, [], "noise_sigma"),
+        # A JSON integer beyond the float range is not finite.
+        ({"epsilon": 10**400}, [], "epsilon"),
+        ({"time_grid": {"start": 10**400}}, [], "time_grid.start"),
+        ({"time_grid": {"stop": -10**400}}, [], "time_grid.stop"),
+        ({"time_grid": [0.0, 10**400]}, [], "time_grid[1]"),
+        ({"noise_sigma": 10**400}, [], "noise_sigma"),
+        ({"system": {"nu1": 10**400, "nu2": 400.0, "j12": 4.2}}, [], "system.nu1"),
+        ({"noise": {**asdict(PRESETS["btc"].noise), "Gamma2": 10**400}}, [], "noise.Gamma2"),
+        # A number written as a string is not a number.
+        ({"epsilon": "0.5"}, [], "epsilon"),
+        ({"time_grid": ["0", "1"]}, [], "time_grid[0]"),
+        ({"time_grid": {"start": "0.001"}}, [], "time_grid.start"),
+        ({"noise_sigma": "0.1"}, [], "noise_sigma"),
+        ({"system": {"nu1": "100", "nu2": 400.0, "j12": 4.2}}, [], "system.nu1"),
+        ({"noise": {**asdict(PRESETS["btc"].noise), "gamma3": "0"}}, [], "noise.gamma3"),
     ],
 )
 @pytest.mark.filterwarnings("error")

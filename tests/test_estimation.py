@@ -78,8 +78,9 @@ def test_signal_model_dq_zq_ratio():
 
 
 def test_signal_model_rejects_negative_time():
-    with pytest.raises(ValueError):
-        signal_model(KIND_ZQ, BTC_LIKE, -0.1)
+    for t in (-0.1, math.nan, [0.0, math.nan]):
+        with pytest.raises(ValueError, match="^t must be non-negative"):
+            signal_model(KIND_ZQ, BTC_LIKE, t)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -106,6 +107,9 @@ def test_rate_for_kind_examples():
     ones = NoiseParams(1, 1, 1, 0, 0)
     assert rate_for_kind(KIND_ZQ, ones) == pytest.approx(1.0)
     assert rate_for_kind(KIND_DQ, ones) == pytest.approx(3.0)
+    # The row's sum would round the damping part away; the rate keeps it.
+    assert rate_for_kind(KIND_ZQ, NoiseParams(1e63, 1e63, 2e63, 0.0, 1.0)) == 0.5
+    assert rate_for_kind(KIND_DQ, NoiseParams(1e63, 1e63, -2e63, 1.0, 0.0)) == 0.5
     for bad in ("XQ", "zq", None):
         with pytest.raises(ValueError, match="unknown curve kind"):
             rate_for_kind(bad, ones)

@@ -1,9 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRACE_EDGES, admissible_params, random_cp_params, random_density_matrix
@@ -239,16 +240,37 @@ def test_superoperator_assembly():
 
 
 # ----------------------------------------------------------------------
-# Property tests over admissible rates and times in [0, 1e8] s
+# Property tests over admissible rates and times in [0, 1e8] s, and over
+# the float range
 # ----------------------------------------------------------------------
 
 params_strategy = st.integers(0, 2**32 - 1).map(lambda seed: random_cp_params(np.random.default_rng(seed)))
 states_strategy = st.integers(0, 2**32 - 1).map(lambda seed: random_density_matrix(np.random.default_rng(seed)))
 times_strategy = st.floats(0.0, 1e8)
+wide_times = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 
-@settings(max_examples=60, deadline=None)
-@given(params_strategy, states_strategy, times_strategy)
+@st.composite
+def wide_params(draw):
+    """Completely positive rates log-uniform over 1e-300 to 1e300, given as
+    Python floats, np.float64 or ints (from 1); gamma3 often on the boundary
+    |gamma3| = 2 sqrt(gamma1) sqrt(gamma2), and damping often off."""
+    cast = draw(st.sampled_from([float, np.float64, int]))
+    rate = st.floats(0.0 if cast is int else -300.0, 300.0).map(lambda e: 10.0**e)
+    g1, g2 = draw(rate), draw(rate)
+    fraction = draw(st.sampled_from([1.0, -1.0, 0.0]) | st.floats(-1.0, 1.0))
+    g3 = fraction * 2.0 * math.sqrt(g1) * math.sqrt(g2)
+    damping = st.just(0.0) | rate
+    try:
+        return NoiseParams(*(cast(r) for r in (g1, g2, g3, draw(damping), draw(damping))))
+    except ValueError:  # the boundary, where its float rounds up
+        assume(False)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None)
+@given(params_strategy | wide_params(), states_strategy, times_strategy | wide_times)
+@example(NoiseParams(1e63, 1e63, 2e63, 0.0, 1.0), random_density_matrix(np.random.default_rng(0)), 1.0)
 def test_property_trace_hermiticity_positivity(params, rho, t):
     out = propagate(rho, params, t)
     assert abs(np.trace(out) - 1.0) <= 1e-12
@@ -319,8 +341,9 @@ def test_propagate_at_the_trace_tolerance():
         assert np.linalg.eigvalsh(state)[0] >= EIG_FLOOR
 
 
-@settings(max_examples=60, deadline=None)
-@given(params_strategy, states_strategy, times_strategy, times_strategy)
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None)
+@given(params_strategy | wide_params(), states_strategy, times_strategy | wide_times, times_strategy | wide_times)
 def test_property_semigroup(params, rho, t1, t2):
     once = propagate(rho, params, t1 + t2)
     twice = propagate(propagate(rho, params, t1), params, t2)

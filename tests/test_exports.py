@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and the names its modules import."""
+
+import ast
+from pathlib import Path
 
 import spinpair
 
@@ -52,3 +55,19 @@ def test_public_api_is_pinned():
         "synthetic_curve",
         "validate_density_matrix",
     ]
+
+
+def test_every_import_in_src_is_used():
+    # A name a module imports is read in that module or, in the package
+    # itself, re-exported in __all__.
+    for path in sorted(Path(spinpair.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(spinpair.__all__) if path.name == "__init__.py" else set()
+        assert imported <= used | exported, (path.name, sorted(imported - used - exported))

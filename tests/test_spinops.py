@@ -1,9 +1,14 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from oracles import suggested_times
+from spinpair.channels import NoiseParams
+from spinpair.estimation import KIND_DQ, KIND_ZQ, fit_noise_model, synthetic_curve
+from spinpair.evolution import default_time_grid
 from spinpair.spinops import (
     SpinSystem,
     _kron2,
@@ -264,3 +269,87 @@ def test_echo_sandwich_cancels_chemical_shift():
     rho_echo = echo @ rho0 @ echo.conj().T
     rho_j = plain_j @ rho0 @ plain_j.conj().T
     assert np.abs(np.abs(rho_echo) - np.abs(rho_j)).max() < 1e-12
+
+
+# ----------------------------------------------------------------------
+# One finite-number rule for every scalar argument
+# ----------------------------------------------------------------------
+
+_BTC_NOISE = NoiseParams(3.741, 3.048, 5.876, 0.264, 0.255)
+_ZQ_DQ = [synthetic_curve(kind, _BTC_NOISE, suggested_times(kind, _BTC_NOISE)) for kind in (KIND_ZQ, KIND_DQ)]
+_FIXED = {"gamma1": 3.741, "gamma2": 3.048, "Gamma1": 0.264}
+
+# Each scalar argument, keyed by the name its ValueError gives, as a call of its value.
+SCALAR_ARGUMENTS = {
+    "SpinSystem.nu1": lambda v: SpinSystem(v, 400.0, 4.0),
+    "SpinSystem.nu2": lambda v: SpinSystem(100.0, v, 4.0),
+    "SpinSystem.j12": lambda v: SpinSystem(100.0, 400.0, v),
+    "NoiseParams.gamma1": lambda v: NoiseParams(v, 2.0, 0.0, 1.0, 1.0),
+    "NoiseParams.gamma2": lambda v: NoiseParams(2.0, v, 0.0, 1.0, 1.0),
+    "NoiseParams.gamma3": lambda v: NoiseParams(2.0, 2.0, v, 1.0, 1.0),
+    "NoiseParams.Gamma1": lambda v: NoiseParams(2.0, 2.0, 0.0, v, 1.0),
+    "NoiseParams.Gamma2": lambda v: NoiseParams(2.0, 2.0, 0.0, 1.0, v),
+    "NoiseParams.nbar": lambda v: NoiseParams(2.0, 2.0, 0.0, 1.0, 1.0, v),
+    "nu_rf": lambda v: hamiltonian(SpinSystem(100.0, 400.0, 4.0), v),
+    "angle": lambda v: pulse(v, "x", "both"),
+    "epsilon": pseudopure_00,
+    "start": lambda v: default_time_grid(start=v),
+    "stop": lambda v: default_time_grid(stop=v),
+    "fixed rate 'Gamma2'": lambda v: fit_noise_model(_ZQ_DQ, fixed={**_FIXED, "Gamma2": v}),
+}
+
+NOT_FINITE_REAL = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "np.float64 nan": np.float64(math.nan),
+    "10**400": 10**400,
+    "-10**400": -(10**400),
+    "1+1j": 1 + 1j,
+    "1+0j": 1 + 0j,
+    "numeric str": "1.0",
+    "None": None,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NOT_FINITE_REAL.values(), ids=NOT_FINITE_REAL.keys())
+@pytest.mark.parametrize("name", SCALAR_ARGUMENTS)
+def test_scalar_argument_must_be_a_finite_real_number(name, value):
+    if name.startswith("fixed rate"):
+        message = rf"^{re.escape(name)} = .* must be a finite non-negative number$"
+    else:
+        message = rf"^{re.escape(name)}: must be a finite real number, got "
+    with pytest.raises(ValueError, match=message):
+        SCALAR_ARGUMENTS[name](value)
+
+
+def _bits(result):
+    """`result` with its floats as hex digits and its arrays as bytes, so that == is bitwise."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if hasattr(result, "to_dict"):
+        return _bits(result.to_dict())
+    if dataclasses.is_dataclass(result):
+        return _bits(dataclasses.asdict(result))
+    if isinstance(result, dict):
+        return {key: _bits(item) for key, item in result.items()}
+    if isinstance(result, float):
+        return "float", result.hex()
+    return result
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, value", [
+    *((name, 1.0) for name in SCALAR_ARGUMENTS if name not in ("NoiseParams.nbar", "stop")),
+    ("NoiseParams.gamma3", -3.0), ("NoiseParams.Gamma1", 0.0), ("nu_rf", 4445.0), ("angle", -3.0),
+    ("epsilon", 0.0), ("stop", 12.0), ("fixed rate 'Gamma2'", 0.0),
+])
+def test_real_argument_of_each_type_gives_the_float_result(name, value):
+    # Python ints and bools, and numpy's integer and float scalars, are the
+    # float they equal, bit for bit.
+    call = SCALAR_ARGUMENTS[name]
+    expected = _bits(call(value))
+    same = [int(value), np.float64(value), np.int64(value), *([bool(value)] if value in (0.0, 1.0) else [])]
+    for variant in same:
+        assert _bits(call(variant)) == expected, repr(variant)

@@ -27,9 +27,11 @@ def test_pseudopure_limits_and_interpolation():
     assert np.allclose(pseudopure_00(1.0), np.diag([1.0, 0, 0, 0]))
     assert np.allclose(pseudopure_00(0.0), np.eye(4) / 4)
     assert np.allclose(pseudopure_00(0.4), np.diag([0.55, 0.15, 0.15, 0.15]))
-    for epsilon in (-0.1, 1.5, 2.0, math.nan):
+    for epsilon in (-0.1, 1.5, 2.0):
         with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\], got "):
             pseudopure_00(epsilon)
+    with pytest.raises(ValueError, match=r"^epsilon: must be a finite real number, got nan$"):
+        pseudopure_00(math.nan)
 
 
 def test_coherence_state_elements():
