@@ -25,6 +25,7 @@ from .estimation import (
     DataError,
     DecayCurve,
     RateEstimate,
+    _read_text,
     add_noise,
     fit_exponential,
     fit_noise_model,
@@ -169,11 +170,10 @@ def load_config(args) -> RunConfig:
         config.noise = preset.noise
     if args.config:
         path = Path(args.config)
+        text = _read_text(path, ConfigError)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         raw = _read(raw, str(path), [spec.name for spec in fields(RunConfig)],
                     "top-level config must be an object")
@@ -201,24 +201,36 @@ def load_config(args) -> RunConfig:
     return config
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    path = Path(args.out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot create directory {path} ({exc.strerror or exc})") from None
-    return path
-
-
 def _matrix_json(rho: np.ndarray) -> list[list[list[float]]]:
     """Nested [re, im] pairs for a complex matrix."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(rho, dtype=complex)]
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(out: str, outputs: dict) -> None:
+    """Create the --out directory, write each named output into it (text, or a
+    function that writes the file at the path it is given), then print `wrote
+    <path>` for each.  An OSError leaves none of them and names --out and the file."""
+    path = Path(out)
+    written: list[Path] = []
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs.items():
+            path = Path(out, name)
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content, encoding="utf-8")
+            written.append(path)
+    except OSError as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
+        raise ConfigError(f"--out: cannot write {path} ({exc.strerror or exc})") from None
+    for path in written:
+        print(f"wrote {path}")
 
 
 def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, float]:
@@ -262,8 +274,7 @@ def cmd_prepare(args) -> int:
     state, _, reconstructed, fid = _read_out(args, config)
     print(f"prepared {args.target} (epsilon = {config.epsilon:g}): "
           f"fidelity vs target = {fid:.6f}")
-    out = _out_dir(args)
-    if out is not None:
+    if args.out is not None:
         payload = {
             "target": args.target,
             "epsilon": config.epsilon,
@@ -271,9 +282,7 @@ def cmd_prepare(args) -> int:
             "state": _matrix_json(state),
             "reconstructed": _matrix_json(reconstructed),
         }
-        path = out / f"state_{args.target}.json"
-        _write_json(payload, path)
-        print(f"wrote {path}")
+        _write(args.out, {f"state_{args.target}.json": _json(payload)})
     return 0
 
 
@@ -307,18 +316,12 @@ def cmd_decay(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"noise_sigma: {exc}") from None
     curve = DecayCurve(args.kind, times, signals)
-    out = _out_dir(args)
     if args.format == "json":
-        path = out / f"decay_{args.kind}.json"
-        _write_json(
-            {"kind": args.kind, "t": [float(v) for v in times],
-             "signal": [float(v) for v in signals]},
-            path,
-        )
+        payload = {"kind": args.kind, "t": [float(v) for v in times],
+                   "signal": [float(v) for v in signals]}
+        _write(args.out, {f"decay_{args.kind}.json": _json(payload)})
     else:
-        path = out / f"decay_{args.kind}.csv"
-        save_curve(curve, path)
-    print(f"wrote {path}")
+        _write(args.out, {f"decay_{args.kind}.csv": lambda path: save_curve(curve, path)})
     return 0
 
 
@@ -334,13 +337,10 @@ def cmd_tomo(args) -> int:
         "records": {rec.setting: list(rec.observables) for rec in records},
     }
     print(f"tomography of {args.target}: fidelity vs target = {fid:.6f}")
-    out = _out_dir(args)
-    if out is not None:
-        path = out / f"tomo_{args.target}.json"
-        _write_json(payload, path)
-        print(f"wrote {path}")
+    if args.out is not None:
+        _write(args.out, {f"tomo_{args.target}.json": _json(payload)})
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(_json(payload))
     return 0
 
 
@@ -436,13 +436,11 @@ def cmd_fit(args) -> int:
             f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} 1/s"
         )
 
-    out = _out_dir(args)
-    report_path = out / "fit_report.json"
-    _write_json(payload, report_path)
-    svg_path = out / "fit_plot.svg"
-    svg_path.write_text(_fit_plot(curves, fitted_rates, fitted_amplitudes), encoding="utf-8")
-    print(f"wrote {report_path}")
-    print(f"wrote {svg_path}")
+    try:
+        svg = _fit_plot(curves, fitted_rates, fitted_amplitudes)
+    except ValueError as exc:  # no sample or fitted value is positive
+        raise DataError(f"{Path(args.out, 'fit_plot.svg')}: {exc}") from None
+    _write(args.out, {"fit_report.json": _json(payload), "fit_plot.svg": svg})
     return 0
 
 
@@ -474,8 +472,7 @@ def cmd_report(args) -> int:
             f"+/- {entry['gamma3_stderr']:.3g} 1/s "
             f"(ZQ {entry['zq_rate_measured']:g}, DQ {entry['dq_rate_measured']:g})"
         )
-    out = _out_dir(args)
-    if out is not None:
+    if args.out is not None:
         if args.format == "csv":
             lines = ["preset,molecule,gamma3,gamma3_stderr,zq_rate,dq_rate"]
             lines.extend(
@@ -483,12 +480,9 @@ def cmd_report(args) -> int:
                 f"{e['zq_rate_measured']:.12g},{e['dq_rate_measured']:.12g}"
                 for e in entries
             )
-            path = out / "report.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write(args.out, {"report.csv": "\n".join(lines) + "\n"})
         else:
-            path = out / "report.json"
-            _write_json({"molecules": entries}, path)
-        print(f"wrote {path}")
+            _write(args.out, {"report.json": _json({"molecules": entries})})
     return 0
 
 

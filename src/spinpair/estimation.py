@@ -562,18 +562,22 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
 # ----------------------------------------------------------------------
 
 
+def _read_text(path: Path, error: type[Exception]) -> str:
+    """The UTF-8 text of a file; a fault raises `error` naming the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read the file ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_curve(path, kind: str) -> DecayCurve:
     """Read a decay curve from CSV: header `t,signal[,sigma]`, `#` comments."""
     path = Path(path)
     rows: list[tuple[int, list[float]]] = []
     header: list[str] | None = None
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read the file ({exc.strerror or exc})") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_read_text(path, DataError).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

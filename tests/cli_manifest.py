@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's outputs: run a fixed matrix of 63 commands, each as
+"""Fingerprint the CLI's outputs: run a fixed matrix of 67 commands, each as
 `python -m spinpair.cli` in one temporary directory, and print one SHA-256
 line for each output file, stdout, stderr and exit code.
 
@@ -32,7 +32,7 @@ TARGETS = ("ZQ", "DQ", "SQ1", "SQ2")
 def write_configs(root: Path) -> None:
     """Per preset, one config that states the system and the noise as objects,
     with a {start, stop, points} grid and multiplicative noise, and one with
-    a list grid."""
+    a list grid; then the faulty inputs of the four failing commands."""
     for name in PRESETS:
         preset = TABLE[name]
         objects = {
@@ -46,11 +46,16 @@ def write_configs(root: Path) -> None:
         (root / f"{name}.json").write_text(json.dumps(objects), encoding="utf-8")
         listed = {"time_grid": [0.0, 0.01, 0.1, 0.5, 1.0, 2.5, 5.0]}
         (root / f"{name}_list.json").write_text(json.dumps(listed), encoding="utf-8")
+    (root / "directory.json").mkdir()
+    (root / "latin1.json").write_bytes(b'{"epsilon": 0.5\xff}')
+    (root / "negative.csv").write_text("t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n",
+                                       encoding="utf-8")
+    (root / "out" / "fault_out_collision" / "report.json").mkdir(parents=True)
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(id, argv) of the 63 commands, in the order they run.  Each writes to
-    out/<id>; fit reads the curves that decay wrote."""
+    """(id, argv) of the 67 commands, in the order they run.  Each writes to
+    out/<id>; fit reads the curves that decay wrote.  The last four fail."""
     matrix = []
     for p in PRESETS:
         for kind in KINDS:
@@ -76,9 +81,18 @@ def commands() -> list[tuple[str, list[str]]]:
         ("report_all", ["report"]),
         ("report_all_csv", ["report", "--format", "csv"]),
     ]
+    faults = [
+        ("fault_config_directory", ["prepare", "--preset", "btc", "--target", "DQ",
+                                    "--config", "directory.json"]),
+        ("fault_config_not_utf8", ["prepare", "--preset", "btc", "--target", "DQ",
+                                   "--config", "latin1.json"]),
+        ("fault_out_collision", ["report", "--preset", "btc"]),
+        ("fault_fit_nothing_to_plot", ["fit", "--curve=ZQ=negative.csv",
+                                       "--curve=DQ=negative.csv"]),
+    ]
     return [(ident, [*argv, "--out", f"out/{ident}"]) for ident, argv in matrix] + [
         ("report_stdout", ["report", "--preset", "all"]),
-    ]
+    ] + [(ident, [*argv, "--out", f"out/{ident}"]) for ident, argv in faults]
 
 
 def digest(data: bytes) -> str:

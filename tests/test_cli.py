@@ -727,7 +727,7 @@ def test_unknown_key_in_any_config_object_is_config_error(tmp_path, capsys, fiel
     "argv, code, message",
     [
         (["prepare", "--target", "DQ", "--config", "{tmp}/missing.json"], 2,
-         "config error: config file not found: {tmp}/missing.json"),
+         "config error: {tmp}/missing.json: cannot read the file (No such file or directory)"),
         (["prepare", "--target", "DQ", "--config", "{tmp}/list.json"], 2,
          "config error: {tmp}/list.json: top-level config must be an object"),
         (["fit", "--curve", "ZQ", "--out", "{tmp}/out"], 2,
@@ -755,6 +755,76 @@ def test_cli_error_branch_exit_code_and_message(tmp_path, capsys, argv, code, me
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     assert capsys.readouterr() == ("", message.format(tmp=tmp_path) + "\n")
     assert not (tmp_path / "out" / "fit_report.json").exists()
+
+
+NEGATIVE_CSV = b"t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n"
+LONG_INTEGER = '{"seed": ' + "1" * 5000 + "}"
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
+
+def json_error(text):
+    """What json.loads says of a text it cannot parse."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+
+
+# Each file the CLI reads or writes: a fault names the path and writes nothing.
+@pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        (["prepare", "--target", "DQ", "--config", "{tmp}/config"], {"config": None}, 2,
+         "config error: {tmp}/config: cannot read the file (Is a directory)"),
+        (["prepare", "--target", "DQ", "--config", "{tmp}/config"],
+         {"config": b'{"epsilon": 0.5\xff}'}, 2,
+         "config error: {tmp}/config: not UTF-8 text (invalid start byte at byte 15)"),
+        (["prepare", "--target", "DQ", "--config", "{tmp}/config"],
+         {"config": LONG_INTEGER.encode()}, 2,
+         f"config error: {{tmp}}/config: invalid JSON ({json_error(LONG_INTEGER)})"),
+        (["tomo", "--target", "DQ", "--config", "{tmp}/config"], {"config": DEEP_LIST.encode()}, 2,
+         f"config error: {{tmp}}/config: invalid JSON ({json_error(DEEP_LIST)})"),
+        (["decay", "--kind", "ZQ"], {"out/decay_ZQ.csv": None}, 2,
+         "config error: --out: cannot write {tmp}/out/decay_ZQ.csv (Is a directory)"),
+        (["decay", "--kind", "DQ", "--format", "json"], {"out/decay_DQ.json": None}, 2,
+         "config error: --out: cannot write {tmp}/out/decay_DQ.json (Is a directory)"),
+        (["fit", "--curve", "ZQ={tmp}/neg.csv", "--curve", "DQ={tmp}/neg.csv"],
+         {"neg.csv": NEGATIVE_CSV}, 3, "data error: {tmp}/out/fit_plot.svg: nothing to plot"),
+        (["fit", "--mode", "joint", "--curve", "ZQ={tmp}/neg.csv", "--curve", "DQ={tmp}/neg.csv"],
+         {"neg.csv": NEGATIVE_CSV}, 3, "data error: {tmp}/out/fit_plot.svg: nothing to plot"),
+        # The report is written first, and removed when the plot cannot be.
+        (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/dq.csv"],
+         {"out/fit_plot.svg": None}, 2,
+         "config error: --out: cannot write {tmp}/out/fit_plot.svg (Is a directory)"),
+        (["report"], {"out/report.json": None}, 2,
+         "config error: --out: cannot write {tmp}/out/report.json (Is a directory)"),
+        (["report", "--format", "csv"], {"out/report.csv": None}, 2,
+         "config error: --out: cannot write {tmp}/out/report.csv (Is a directory)"),
+        (["prepare", "--target", "ZQ"], {"out/state_ZQ.json": None}, 2,
+         "config error: --out: cannot write {tmp}/out/state_ZQ.json (Is a directory)"),
+        (["tomo", "--target", "SQ1"], {"out/tomo_SQ1.json": None}, 2,
+         "config error: --out: cannot write {tmp}/out/tomo_SQ1.json (Is a directory)"),
+    ],
+    ids=["config-directory", "config-not-utf8", "config-long-integer", "config-too-deep",
+         "decay-csv-collision", "decay-json-collision", "fit-nothing-to-plot",
+         "joint-fit-nothing-to-plot", "fit-plot-collision", "report-collision",
+         "report-csv-collision", "prepare-collision", "tomo-collision"],
+)
+def test_file_fault_names_the_path_and_writes_nothing(tmp_path, capsys, argv, files, code,
+                                                      message):
+    measured_rate_curves(tmp_path)  # zq.csv and dq.csv
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [*argv, "--preset", "btc", "--out", "{tmp}/out"]
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr().err == message.format(tmp=tmp_path) + "\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,7 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpair.cli import main
@@ -118,8 +118,15 @@ def test_prepare_and_tomo_end_in_documented_exit_code(argv, fields, use_preset):
     assert run(argv, fields, {}, use_preset) in (0, 2, 3, 4)
 
 
+# No sample of either curve is positive, so the fit's plot has nothing on its
+# log axis; the derandomized draws never make this case.
+NEGATIVE = "t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n"
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(curve_commands(), config, st.booleans())
+@example((["fit", "--mode", "difference"], {"ZQ": NEGATIVE, "DQ": NEGATIVE}), {}, False)
+@example((["fit", "--mode", "joint"], {"ZQ": NEGATIVE, "DQ": NEGATIVE}), {}, True)
 def test_decay_and_fit_end_in_documented_exit_code(command, fields, use_preset):
     argv, csvs = command
     assert run(argv, fields, csvs, use_preset) in (0, 2, 3, 4)
