@@ -210,10 +210,10 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(out: str, outputs: dict) -> None:
+def _write(out: str, outputs: dict) -> list[Path]:
     """Create the --out directory, write each named output into it (text, or a
-    function that writes the file at the path it is given), then print `wrote
-    <path>` for each.  An OSError leaves none of them and names --out and the file."""
+    function that writes the file at the path it is given), and return the
+    paths written.  An OSError leaves none of them and names --out and the file."""
     path = Path(out)
     written: list[Path] = []
     try:
@@ -229,8 +229,7 @@ def _write(out: str, outputs: dict) -> None:
         for done in written:
             done.unlink(missing_ok=True)
         raise ConfigError(f"--out: cannot write {path} ({exc.strerror or exc})") from None
-    for path in written:
-        print(f"wrote {path}")
+    return written
 
 
 def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, float]:
@@ -269,21 +268,19 @@ def _read_out(args, config: RunConfig) -> tuple[np.ndarray, list, np.ndarray, fl
     return state, records, reconstructed, fid
 
 
-def cmd_prepare(args) -> int:
+def cmd_prepare(args) -> tuple[str, dict]:
     config = load_config(args)
     state, _, reconstructed, fid = _read_out(args, config)
-    print(f"prepared {args.target} (epsilon = {config.epsilon:g}): "
-          f"fidelity vs target = {fid:.6f}")
-    if args.out is not None:
-        payload = {
-            "target": args.target,
-            "epsilon": config.epsilon,
-            "fidelity": fid,
-            "state": _matrix_json(state),
-            "reconstructed": _matrix_json(reconstructed),
-        }
-        _write(args.out, {f"state_{args.target}.json": _json(payload)})
-    return 0
+    payload = {
+        "target": args.target,
+        "epsilon": config.epsilon,
+        "fidelity": fid,
+        "state": _matrix_json(state),
+        "reconstructed": _matrix_json(reconstructed),
+    }
+    return (f"prepared {args.target} (epsilon = {config.epsilon:g}): "
+            f"fidelity vs target = {fid:.6f}\n",
+            {f"state_{args.target}.json": _json(payload)})
 
 
 def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarray:
@@ -305,10 +302,8 @@ def _decay_signals(kind: str, config: RunConfig, times: np.ndarray) -> np.ndarra
     return signal_model(kind, noise, times)
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> tuple[str, dict]:
     config = load_config(args)
-    if args.out is None:
-        raise ConfigError("decay requires --out to write the curve")
     times = config.time_grid
     signals = _decay_signals(args.kind, config, times)
     try:
@@ -319,13 +314,11 @@ def cmd_decay(args) -> int:
     if args.format == "json":
         payload = {"kind": args.kind, "t": [float(v) for v in times],
                    "signal": [float(v) for v in signals]}
-        _write(args.out, {f"decay_{args.kind}.json": _json(payload)})
-    else:
-        _write(args.out, {f"decay_{args.kind}.csv": lambda path: save_curve(curve, path)})
-    return 0
+        return "", {f"decay_{args.kind}.json": _json(payload)}
+    return "", {f"decay_{args.kind}.csv": lambda path: save_curve(curve, path)}
 
 
-def cmd_tomo(args) -> int:
+def cmd_tomo(args) -> tuple[str, dict]:
     config = load_config(args)
     _, records, reconstructed, fid = _read_out(args, config)
     payload = {
@@ -336,12 +329,10 @@ def cmd_tomo(args) -> int:
         "matrix": _matrix_json(reconstructed),
         "records": {rec.setting: list(rec.observables) for rec in records},
     }
-    print(f"tomography of {args.target}: fidelity vs target = {fid:.6f}")
-    if args.out is not None:
-        _write(args.out, {f"tomo_{args.target}.json": _json(payload)})
-    else:
-        sys.stdout.write(_json(payload))
-    return 0
+    text = f"tomography of {args.target}: fidelity vs target = {fid:.6f}\n"
+    if args.out is None:
+        return text + _json(payload), {}
+    return text, {f"tomo_{args.target}.json": _json(payload)}
 
 
 def _parse_curve_args(pairs: list[str]) -> dict[str, Path]:
@@ -384,10 +375,8 @@ def _fit_plot(curves: dict[str, DecayCurve], rates: dict[str, float],
     return render_decay_plot(series)
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[str, dict]:
     config = load_config(args)
-    if args.out is None:
-        raise ConfigError("fit requires --out to write the report")
     paths = _parse_curve_args(args.curve)
     for mandatory in ("ZQ", "DQ"):
         if mandatory not in paths:
@@ -396,6 +385,10 @@ def cmd_fit(args) -> int:
 
     if args.mode == "difference":
         estimates = {kind: fit_exponential(curve) for kind, curve in curves.items()}
+        for kind, est in estimates.items():
+            if est.rate < 0:
+                raise DataError(f"{paths[kind]}: fitted decay rate {est.rate:g} 1/s is negative; "
+                                "the curve grows")
         diff = gamma3_difference(estimates["ZQ"], estimates["DQ"])
         payload: dict = {
             "mode": "difference",
@@ -414,7 +407,7 @@ def cmd_fit(args) -> int:
                                      if key.endswith(("_predicted", "_mismatch"))})
         fitted_rates = {kind: est.rate for kind, est in estimates.items()}
         fitted_amplitudes = {kind: est.amplitude for kind, est in estimates.items()}
-        print(f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} 1/s (difference estimator)")
+        text = f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} 1/s (difference estimator)\n"
     else:
         fixed: dict[str, float] = {}
         for name, kind in estimation.PINNING_KIND.items():
@@ -431,17 +424,14 @@ def cmd_fit(args) -> int:
             kind: estimation.rate_for_kind(kind, report.params) for kind in curves
         }
         fitted_amplitudes = report.amplitudes
-        print(
-            f"joint fit converged ({report.convergence_reason}, "
-            f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} 1/s"
-        )
+        text = (f"joint fit converged ({report.convergence_reason}, "
+                f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} 1/s\n")
 
     try:
         svg = _fit_plot(curves, fitted_rates, fitted_amplitudes)
     except ValueError as exc:  # no sample or fitted value is positive
         raise DataError(f"{Path(args.out, 'fit_plot.svg')}: {exc}") from None
-    _write(args.out, {"fit_report.json": _json(payload), "fit_plot.svg": svg})
-    return 0
+    return text, {"fit_report.json": _json(payload), "fit_plot.svg": svg}
 
 
 def _report_entry(name: str) -> dict:
@@ -463,27 +453,23 @@ def _report_entry(name: str) -> dict:
     }
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[str, dict]:
     names = sorted(PRESETS) if args.preset in (None, "all") else [args.preset]
     entries = [_report_entry(name) for name in names]
-    for entry in entries:
-        print(
-            f"{entry['molecule']}: gamma3 = {entry['gamma3']:.6g} "
-            f"+/- {entry['gamma3_stderr']:.3g} 1/s "
-            f"(ZQ {entry['zq_rate_measured']:g}, DQ {entry['dq_rate_measured']:g})"
-        )
-    if args.out is not None:
-        if args.format == "csv":
-            lines = ["preset,molecule,gamma3,gamma3_stderr,zq_rate,dq_rate"]
-            lines.extend(
-                f"{e['preset']},{e['molecule']},{e['gamma3']:.12g},{e['gamma3_stderr']:.12g},"
-                f"{e['zq_rate_measured']:.12g},{e['dq_rate_measured']:.12g}"
-                for e in entries
-            )
-            _write(args.out, {"report.csv": "\n".join(lines) + "\n"})
-        else:
-            _write(args.out, {"report.json": _json({"molecules": entries})})
-    return 0
+    text = "".join(
+        f"{e['molecule']}: gamma3 = {e['gamma3']:.6g} +/- {e['gamma3_stderr']:.3g} 1/s "
+        f"(ZQ {e['zq_rate_measured']:g}, DQ {e['dq_rate_measured']:g})\n"
+        for e in entries
+    )
+    if args.format == "json":
+        return text, {"report.json": _json({"molecules": entries})}
+    lines = ["preset,molecule,gamma3,gamma3_stderr,zq_rate,dq_rate"]
+    lines.extend(
+        f"{e['preset']},{e['molecule']},{e['gamma3']:.12g},{e['gamma3_stderr']:.12g},"
+        f"{e['zq_rate_measured']:.12g},{e['dq_rate_measured']:.12g}"
+        for e in entries
+    )
+    return text, {"report.csv": "\n".join(lines) + "\n"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, help="random seed override"),
     }
 
-    def add_flags(p, *names):
+    def add_flags(p, *names, **extra):
         for name in names:
-            p.add_argument(name, **flags[name])
+            p.add_argument(name, **flags[name], **extra)
 
     p_prepare = sub.add_parser("prepare", help="simulate state preparation and report fidelity")
     add_flags(p_prepare, "--config", "--preset", "--out")
@@ -510,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prepare.set_defaults(func=cmd_prepare)
 
     p_decay = sub.add_parser("decay", help="sweep a decay curve and write CSV")
-    add_flags(p_decay, "--config", "--preset", "--out", "--seed")
+    add_flags(p_decay, "--config", "--preset")
+    add_flags(p_decay, "--out", required=True)
+    add_flags(p_decay, "--seed")
     p_decay.add_argument("--kind", choices=CURVE_KINDS, required=True)
     p_decay.add_argument("--format", choices=("csv", "json"), default="csv")
     p_decay.set_defaults(func=cmd_decay)
@@ -522,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.set_defaults(func=cmd_tomo)
 
     p_fit = sub.add_parser("fit", help="estimate noise rates from decay-curve CSVs")
-    add_flags(p_fit, "--config", "--preset", "--out")
+    add_flags(p_fit, "--config", "--preset")
+    add_flags(p_fit, "--out", required=True)
     p_fit.add_argument("--curve", action="append", default=[], metavar="KIND=PATH",
                        help="decay curve CSV (repeatable)")
     p_fit.add_argument("--mode", choices=("difference", "joint"), default="difference")
@@ -537,10 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  It renders its stdout text and its named outputs;
+    only when every check has passed and every output is written does this
+    print the text and one `wrote <path>` line per file."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, outputs = args.func(args)
+        written = [] if args.out is None else _write(args.out, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -550,6 +543,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 4
+    sys.stdout.write(text + "".join(f"wrote {path}\n" for path in written))
+    return 0
 
 
 def entry_point() -> None:

@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's outputs: run a fixed matrix of 67 commands, each as
+"""Fingerprint the CLI's outputs: run a fixed matrix of 68 commands, each as
 `python -m spinpair.cli` in one temporary directory, and print one SHA-256
 line for each output file, stdout, stderr and exit code.
 
@@ -32,7 +32,7 @@ TARGETS = ("ZQ", "DQ", "SQ1", "SQ2")
 def write_configs(root: Path) -> None:
     """Per preset, one config that states the system and the noise as objects,
     with a {start, stop, points} grid and multiplicative noise, and one with
-    a list grid; then the faulty inputs of the four failing commands."""
+    a list grid; then the faulty inputs of the five failing commands."""
     for name in PRESETS:
         preset = TABLE[name]
         objects = {
@@ -50,12 +50,13 @@ def write_configs(root: Path) -> None:
     (root / "latin1.json").write_bytes(b'{"epsilon": 0.5\xff}')
     (root / "negative.csv").write_text("t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n",
                                        encoding="utf-8")
+    (root / "growing.csv").write_text("t,signal\n0,1\n1,2\n2,4\n3,8\n4,16\n", encoding="utf-8")
     (root / "out" / "fault_out_collision" / "report.json").mkdir(parents=True)
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(id, argv) of the 67 commands, in the order they run.  Each writes to
-    out/<id>; fit reads the curves that decay wrote.  The last four fail."""
+    """(id, argv) of the 68 commands, in the order they run.  Each writes to
+    out/<id>; fit reads the curves that decay wrote.  The last five fail."""
     matrix = []
     for p in PRESETS:
         for kind in KINDS:
@@ -89,6 +90,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fault_out_collision", ["report", "--preset", "btc"]),
         ("fault_fit_nothing_to_plot", ["fit", "--curve=ZQ=negative.csv",
                                        "--curve=DQ=negative.csv"]),
+        ("fault_fit_growing", ["fit", "--curve=ZQ=growing.csv", "--curve=DQ=growing.csv"]),
     ]
     return [(ident, [*argv, "--out", f"out/{ident}"]) for ident, argv in matrix] + [
         ("report_stdout", ["report", "--preset", "all"]),

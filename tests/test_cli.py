@@ -154,20 +154,34 @@ def test_decay_json_format(tmp_path):
     assert payload["signal"][0] == 1.0
 
 
-def test_decay_without_out_is_config_error(capsys):
-    assert main(["decay", "--kind", "ZQ", "--preset", "btc"]) == 2
-    assert "config error" in capsys.readouterr().err
+def out_required(command):
+    """The last stderr line argparse prints when `command` is run without --out."""
+    return f"spinpair {command}: error: the following arguments are required: --out\n"
 
 
-def test_decay_without_out_fails_before_propagating(capsys, monkeypatch):
+def test_decay_without_out_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decay", "--kind", "ZQ", "--preset", "btc"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines(keepends=True)[-1]) == ("", out_required("decay"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decay_without_out_fails_before_propagating(tmp_path, capsys, monkeypatch):
     import spinpair.cli as cli_module
 
     def explode(*args):
         raise AssertionError("propagate called before --out was checked")
 
     monkeypatch.setattr(cli_module, "propagate", explode)
-    assert main(["decay", "--kind", "ZQ", "--preset", "btc"]) == 2
-    assert capsys.readouterr().err == "config error: decay requires --out to write the curve\n"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decay", "--kind", "ZQ", "--preset", "btc"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(out_required("decay"))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +379,27 @@ def test_long_grid_overflow_is_quiet(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_fit_without_out_fails_before_fitting(tmp_path, capsys):
+def test_fit_without_out_fails_before_fitting(tmp_path, capsys, monkeypatch):
     # This ZQ curve cannot converge, but the missing --out is found first.
+    import spinpair.cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise AssertionError("a curve was read or fitted before --out was checked")
+
+    for name in ("load_curve", "fit_exponential", "fit_noise_model"):
+        monkeypatch.setattr(cli_module, name, explode)
     paths = measured_rate_curves(tmp_path)
     zq = tmp_path / "steep.csv"
     zq.write_text("t,signal\n1,1e300\n2,1e295\n3,1e290\n4,1e285\n", encoding="utf-8")
-    assert main(["fit", "--curve", f"ZQ={zq}", "--curve", f"DQ={paths[KIND_DQ]}"]) == 2
-    assert capsys.readouterr() == ("", "config error: fit requires --out to write the report\n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    for mode in ("difference", "joint"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--mode", mode, "--curve", f"ZQ={zq}", "--curve", f"DQ={paths[KIND_DQ]}"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines(keepends=True)[-1]) == ("", out_required("fit"))
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.filterwarnings("error")
@@ -758,6 +786,7 @@ def test_cli_error_branch_exit_code_and_message(tmp_path, capsys, argv, code, me
 
 
 NEGATIVE_CSV = b"t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n"
+GROWING_CSV = b"t,signal\n0,1\n1,2\n2,4\n3,8\n4,16\n"
 LONG_INTEGER = '{"seed": ' + "1" * 5000 + "}"
 DEEP_LIST = "[" * 100_000 + "]" * 100_000
 
@@ -770,7 +799,8 @@ def json_error(text):
         return str(exc)
 
 
-# Each file the CLI reads or writes: a fault names the path and writes nothing.
+# Each file the CLI reads or writes: a fault names the path, prints nothing on
+# stdout and writes nothing.
 @pytest.mark.parametrize(
     "argv, files, code, message",
     [
@@ -792,6 +822,9 @@ def json_error(text):
          {"neg.csv": NEGATIVE_CSV}, 3, "data error: {tmp}/out/fit_plot.svg: nothing to plot"),
         (["fit", "--mode", "joint", "--curve", "ZQ={tmp}/neg.csv", "--curve", "DQ={tmp}/neg.csv"],
          {"neg.csv": NEGATIVE_CSV}, 3, "data error: {tmp}/out/fit_plot.svg: nothing to plot"),
+        (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
+         {"grow.csv": GROWING_CSV}, 3,
+         "data error: {tmp}/grow.csv: fitted decay rate -0.693147 1/s is negative; the curve grows"),
         # The report is written first, and removed when the plot cannot be.
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/dq.csv"],
          {"out/fit_plot.svg": None}, 2,
@@ -807,7 +840,7 @@ def json_error(text):
     ],
     ids=["config-directory", "config-not-utf8", "config-long-integer", "config-too-deep",
          "decay-csv-collision", "decay-json-collision", "fit-nothing-to-plot",
-         "joint-fit-nothing-to-plot", "fit-plot-collision", "report-collision",
+         "joint-fit-nothing-to-plot", "fit-growing-curve", "fit-plot-collision", "report-collision",
          "report-csv-collision", "prepare-collision", "tomo-collision"],
 )
 def test_file_fault_names_the_path_and_writes_nothing(tmp_path, capsys, argv, files, code,
@@ -823,7 +856,7 @@ def test_file_fault_names_the_path_and_writes_nothing(tmp_path, capsys, argv, fi
     before = sorted(tmp_path.rglob("*"))
     argv = [*argv, "--preset", "btc", "--out", "{tmp}/out"]
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
-    assert capsys.readouterr().err == message.format(tmp=tmp_path) + "\n"
+    assert capsys.readouterr() == ("", message.format(tmp=tmp_path) + "\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -1,7 +1,7 @@
 """Fuzz the CLI boundary: configs built from edge numbers and wrong types,
 and small CSV files, must end in a documented exit code, never a traceback
-or a numpy RuntimeWarning, and a command that fails must leave no --out
-directory behind."""
+or a numpy RuntimeWarning, and a command that fails must print nothing on
+stdout and leave no --out directory behind."""
 
 import contextlib
 import io
@@ -73,7 +73,7 @@ csv_text = st.one_of(
 def run(argv, fields, csvs, use_preset):
     """Exit code of main() on argv with the config and CSV files written to a
     temporary directory; a RuntimeWarning raises.  A non-zero exit must not
-    have made the --out directory."""
+    have printed anything on stdout or made the --out directory."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "config.json").write_text(json.dumps(fields), encoding="utf-8")
@@ -83,12 +83,14 @@ def run(argv, fields, csvs, use_preset):
         for kind, text in csvs.items():
             (root / f"{kind}.csv").write_text(text, encoding="utf-8")
             argv.append(f"--curve={kind}={root / f'{kind}.csv'}")
-        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+        stdout = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("ignore")
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)
         assert code == 0 or not (root / "out").exists(), f"exit {code} left --out behind"
+        assert code == 0 or stdout.getvalue() == "", f"exit {code} printed {stdout.getvalue()!r}"
         return code
 
 
