@@ -382,13 +382,25 @@ def cmd_fit(args) -> tuple[str, dict]:
         if mandatory not in paths:
             raise DataError(f"fit requires a {mandatory} curve (--curve {mandatory}=PATH)")
     curves = {kind: load_curve(path, kind) for kind, path in paths.items()}
+    fixed: dict[str, float] = {}
+    if args.mode == "joint":
+        for name, kind in estimation.PINNING_KIND.items():
+            if kind not in curves:
+                if config.noise is None:
+                    raise DataError(
+                        f"joint fit without a {kind} curve needs --preset/--config noise "
+                        f"to fix {name}"
+                    )
+                fixed[name] = getattr(config.noise, name)
+
+    # Both modes fit each curve once here, and refuse one that grows.
+    estimates = {kind: fit_exponential(curve) for kind, curve in curves.items()}
+    for kind, est in estimates.items():
+        if est.rate < 0:
+            raise DataError(f"{paths[kind]}: fitted decay rate {est.rate:g} 1/s is negative; "
+                            "the curve grows")
 
     if args.mode == "difference":
-        estimates = {kind: fit_exponential(curve) for kind, curve in curves.items()}
-        for kind, est in estimates.items():
-            if est.rate < 0:
-                raise DataError(f"{paths[kind]}: fitted decay rate {est.rate:g} 1/s is negative; "
-                                "the curve grows")
         diff = gamma3_difference(estimates["ZQ"], estimates["DQ"])
         payload: dict = {
             "mode": "difference",
@@ -409,16 +421,7 @@ def cmd_fit(args) -> tuple[str, dict]:
         fitted_amplitudes = {kind: est.amplitude for kind, est in estimates.items()}
         text = f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} 1/s (difference estimator)\n"
     else:
-        fixed: dict[str, float] = {}
-        for name, kind in estimation.PINNING_KIND.items():
-            if kind not in curves:
-                if config.noise is None:
-                    raise DataError(
-                        f"joint fit without a {kind} curve needs --preset/--config noise "
-                        f"to fix {name}"
-                    )
-                fixed[name] = getattr(config.noise, name)
-        report = fit_noise_model(list(curves.values()), fixed=fixed)
+        report = fit_noise_model(list(curves.values()), fixed=fixed, individual=estimates)
         payload = {"mode": "joint", **report.to_dict()}
         fitted_rates = {
             kind: estimation.rate_for_kind(kind, report.params) for kind in curves

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +82,11 @@ class DecayCurve:
             raise DataError("times and signals must be 1-d arrays of equal length")
         if not (np.isfinite(self.times).all() and np.isfinite(self.signals).all()):
             raise DataError("times and signals must be finite")
-        bad = np.flatnonzero(self.times[1:] <= self.times[:-1])
-        if bad.size:
-            raise DataError(f"times must be strictly increasing (violated at sample {bad[0] + 1})")
+        increasing = self.times[1:] > self.times[:-1]
+        if not increasing.all():
+            # argmin finds the first False: the first sample not above its predecessor.
+            raise DataError("times must be strictly increasing "
+                            f"(violated at sample {increasing.argmin() + 1})")
         if self.sigmas is not None:
             object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=float))
             if self.sigmas.shape != self.times.shape:
@@ -250,6 +253,12 @@ def _levenberg_marquardt(residual_jac, x0):
     r, jac = residual_jac(x)
     cost = 0.5 * float(r @ r)
     damping = 1e-3
+    # The damping scale diag(d), d the diagonal of J^T J with 1.0 for entries
+    # <= 0, allocated once; each iteration writes its diagonal through a view.
+    # damping * scale, not diag(damping * d): should damping overflow, inf * 0
+    # puts nan off the diagonal and every trial step fails.
+    scale = np.zeros((x.size, x.size))
+    scale_diagonal = scale.ravel()[:: x.size + 1]
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         descent = -(jac.T @ r)
@@ -257,10 +266,8 @@ def _levenberg_marquardt(residual_jac, x0):
         if all(abs(g) < GRADIENT_TOL for g in descent.tolist()):
             return x, r, jac, True, "gradient", iterations
         normal = jac.T @ jac
-        diagonal = normal.diagonal()
-        # damping * diag(d), not diag(damping * d): should damping overflow,
-        # inf * 0 puts nan off the diagonal and every trial step fails.
-        scale = np.diag(np.where(diagonal <= 0.0, 1.0, diagonal))
+        # d <= 0.0 is False for nan, so a nan entry stays nan.
+        scale_diagonal[:] = [1.0 if d <= 0.0 else d for d in normal.diagonal().tolist()]
         step = None
         for _ in range(60):
             try:
@@ -335,16 +342,6 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     return amplitude, rate
 
 
-def _curve_model(t, amplitude, rate, offset, slope, d_amp=None, d_rate=None):
-    """Values of amplitude * (offset + slope exp(-rate t)) and their (d/dA, d/dR)
-    partials.  The arguments broadcast: one curve's scalars or per-sample arrays.
-    The partials are written into `d_amp` and `d_rate` when they are given."""
-    decay = np.exp(-rate * t)
-    d_amp = np.add(offset, slope * decay, out=d_amp)
-    d_rate = np.multiply(-slope * amplitude * t, decay, out=d_rate)
-    return amplitude * d_amp, d_amp, d_rate
-
-
 def fit_exponential(curve: DecayCurve) -> RateEstimate:
     """Weighted nonlinear least-squares fit of amplitude and decay rate.
 
@@ -352,18 +349,28 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     """
     if len(curve) < 4:
         raise DataError(f"{curve.kind}: need at least 4 samples to fit, got {len(curve)}")
-    if curve.signals.max() == curve.signals.min():
+    # 0.0 == -0.0, so signed zeros alone are a constant signal.
+    if (curve.signals == curve.signals[0]).all():
         raise DataError(f"{curve.kind}: constant signal, decay rate undetermined")
 
     weights = None if curve.sigmas is None else 1.0 / curve.sigmas
     t, s = curve.times, curve.signals
     offset, slope = CURVE_SHAPE[curve.kind]
+    recovery = curve.kind in RECOVERY_KINDS
 
     def residual_jac(x):
+        """Model amplitude * (offset + slope exp(-rate t)), its residual and
+        its (d/dA, d/dR) Jacobian columns."""
         amplitude, rate = x.tolist()
         jac = np.empty((t.size, 2))
-        values, _, _ = _curve_model(t, amplitude, rate, offset, slope, jac[:, 0], jac[:, 1])
-        r = values - s
+        # exp(-rate t) is d/dA itself at a coherence kind's offset 0 and slope 1.
+        d_amp = np.exp(-rate * t, out=jac[:, 0])
+        np.multiply(-slope * amplitude * t, d_amp, out=jac[:, 1])
+        if recovery:
+            d_amp *= slope
+            d_amp += offset
+        r = amplitude * d_amp
+        r -= s
         if weights is not None:
             r *= weights
             jac *= weights[:, None]
@@ -418,7 +425,8 @@ def model_consistency(zq: RateEstimate, dq: RateEstimate, gamma1: float, gamma2:
 # ----------------------------------------------------------------------
 
 
-def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = None) -> FitReport:
+def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = None,
+                    individual: dict[str, RateEstimate] | None = None) -> FitReport:
     """Joint weighted least squares of the five noise rates over decay curves.
 
     ZQ and DQ curves are mandatory.  Each of gamma1, gamma2, Gamma1, Gamma2
@@ -426,6 +434,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     and the value is not supplied in `fixed`; otherwise it must appear in
     `fixed`.  gamma3 is always fitted.  The non-negative rates are
     reparameterized as squares; every curve carries a free amplitude.
+    The start values come from each curve's `fit_exponential` estimate:
+    `individual` maps each kind to it when the caller has made them already.
     """
     fixed = dict(fixed or {})
     by_kind: dict[str, DecayCurve] = {}
@@ -449,7 +459,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         if not admissible:
             raise ValueError(f"fixed rate {name!r} = {value!r} must be a finite non-negative number")
 
-    individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
+    if individual is None:
+        individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
     difference = gamma3_difference(individual[KIND_ZQ], individual[KIND_DQ])
 
     free: list[str] = []  # fitted besides gamma3, which is always fitted
@@ -499,6 +510,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         w = np.concatenate([1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c))
                             for c in stack])
     offset, slope = np.array([CURVE_SHAPE[kind] for kind in kinds])[sample_kind].T
+    neg_slope = -slope
     amplitude_at = n_rates + sample_kind
     n_params = n_rates + len(kinds)
     amplitude_flat = np.arange(t.size) * n_params + amplitude_at
@@ -507,15 +519,23 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     def residual_jac(x):
         xs = x.tolist()
         rates = unpack(xs)
-        sample_rates = np.array([_table_rates(row, rates) for row in table])[sample_kind]
-        values, d_amp, d_rate = _curve_model(t, x[amplitude_at], sample_rates, offset, slope)
+        # Model amplitude * (offset + slope exp(-rate t)) and its partials;
+        # each kind's rate is negated once, as a Python float.
+        neg_rates = np.array([-_table_rates(row, rates) for row in table])[sample_kind]
+        amplitude = x[amplitude_at]
+        decay = np.exp(neg_rates * t)
+        d_amp = offset + slope * decay
+        d_rate = neg_slope * amplitude
+        d_rate *= t
+        d_rate *= decay
         chain = 2.0 * x[:n_rates, None]
         chain[-1] = 1.0
         # The rate block is built transposed, so that each numpy pass runs
         # along the samples, and copied into the Jacobian's first columns.
         block = np.take(fitted_coeffs * chain, sample_kind, axis=1)
         block *= d_rate
-        r = values - s
+        r = amplitude * d_amp
+        r -= s
         if w is not None:
             block *= w
             d_amp *= w
@@ -540,7 +560,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     except ValueError as exc:
         raise ConvergenceError(f"fitted rates violate positivity constraints: {exc}") from exc
 
-    segments = np.split(r, np.cumsum(sizes)[:-1])
+    bounds = [0, *accumulate(sizes)]
+    segments = (r[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     per_curve = {kind: math.sqrt(seg @ seg) for kind, seg in zip(kinds, segments)}
 
     return FitReport(

@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's outputs: run a fixed matrix of 68 commands, each as
+"""Fingerprint the CLI's outputs: run a fixed matrix of 69 commands, each as
 `python -m spinpair.cli` in one temporary directory, and print one SHA-256
 line for each output file, stdout, stderr and exit code.
 
@@ -32,7 +32,7 @@ TARGETS = ("ZQ", "DQ", "SQ1", "SQ2")
 def write_configs(root: Path) -> None:
     """Per preset, one config that states the system and the noise as objects,
     with a {start, stop, points} grid and multiplicative noise, and one with
-    a list grid; then the faulty inputs of the five failing commands."""
+    a list grid; then the faulty inputs of the failing commands."""
     for name in PRESETS:
         preset = TABLE[name]
         objects = {
@@ -55,8 +55,8 @@ def write_configs(root: Path) -> None:
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(id, argv) of the 68 commands, in the order they run.  Each writes to
-    out/<id>; fit reads the curves that decay wrote.  The last five fail."""
+    """(id, argv) of the 69 commands, in the order they run.  Each writes to
+    out/<id>; fit reads the curves that decay wrote.  The last six fail."""
     matrix = []
     for p in PRESETS:
         for kind in KINDS:
@@ -91,6 +91,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fault_fit_nothing_to_plot", ["fit", "--curve=ZQ=negative.csv",
                                        "--curve=DQ=negative.csv"]),
         ("fault_fit_growing", ["fit", "--curve=ZQ=growing.csv", "--curve=DQ=growing.csv"]),
+        ("fault_fit_joint_growing", ["fit", "--mode", "joint", "--preset", "btc",
+                                     "--curve=ZQ=out/btc/decay_ZQ/decay_ZQ.csv",
+                                     "--curve=DQ=growing.csv"]),
     ]
     return [(ident, [*argv, "--out", f"out/{ident}"]) for ident, argv in matrix] + [
         ("report_stdout", ["report", "--preset", "all"]),

@@ -379,6 +379,28 @@ def test_long_grid_overflow_is_quiet(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_fit_fits_each_curve_once(tmp_path, monkeypatch):
+    # Both modes fit every curve once, before the growing-curve rule; the
+    # joint fit starts from those estimates and does not fit the curves again.
+    import spinpair.cli as cli_module
+    import spinpair.estimation as estimation
+
+    fitted = []
+
+    def counting(curve):
+        fitted.append(curve.kind)
+        return fit_exponential(curve)
+
+    monkeypatch.setattr(cli_module, "fit_exponential", counting)
+    monkeypatch.setattr(estimation, "fit_exponential", counting)
+    paths = measured_rate_curves(tmp_path)
+    for mode in ("difference", "joint"):
+        fitted.clear()
+        assert main(["fit", "--mode", mode, "--preset", "btc", "--curve", f"ZQ={paths[KIND_ZQ]}",
+                     "--curve", f"DQ={paths[KIND_DQ]}", "--out", str(tmp_path / mode)]) == 0
+        assert fitted == [KIND_ZQ, KIND_DQ]
+
+
 def test_fit_without_out_fails_before_fitting(tmp_path, capsys, monkeypatch):
     # This ZQ curve cannot converge, but the missing --out is found first.
     import spinpair.cli as cli_module
@@ -825,6 +847,11 @@ def json_error(text):
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
          {"grow.csv": GROWING_CSV}, 3,
          "data error: {tmp}/grow.csv: fitted decay rate -0.693147 1/s is negative; the curve grows"),
+        # The other rates are fixed from the preset, so the joint fit itself
+        # would converge on gamma3 from the ZQ curve alone.
+        (["fit", "--mode", "joint", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
+         {"grow.csv": GROWING_CSV}, 3,
+         "data error: {tmp}/grow.csv: fitted decay rate -0.693147 1/s is negative; the curve grows"),
         # The report is written first, and removed when the plot cannot be.
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/dq.csv"],
          {"out/fit_plot.svg": None}, 2,
@@ -840,7 +867,8 @@ def json_error(text):
     ],
     ids=["config-directory", "config-not-utf8", "config-long-integer", "config-too-deep",
          "decay-csv-collision", "decay-json-collision", "fit-nothing-to-plot",
-         "joint-fit-nothing-to-plot", "fit-growing-curve", "fit-plot-collision", "report-collision",
+         "joint-fit-nothing-to-plot", "fit-growing-curve", "joint-fit-growing-curve",
+         "fit-plot-collision", "report-collision",
          "report-csv-collision", "prepare-collision", "tomo-collision"],
 )
 def test_file_fault_names_the_path_and_writes_nothing(tmp_path, capsys, argv, files, code,

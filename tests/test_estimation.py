@@ -162,6 +162,15 @@ def test_decay_curve_compares_extreme_times_without_overflow():
         DecayCurve(KIND_ZQ, [1e308, -1e308], [1.0, 0.5])
 
 
+@pytest.mark.parametrize("times, sample", [
+    ([0.0, 0.1, 0.2, 0.2, 0.1, 0.5], 3),
+    ([0.0, 0.1, 0.2, 0.3, 0.4, -0.5], 5),
+])
+def test_decay_curve_names_the_first_violation(times, sample):
+    with pytest.raises(DataError, match=rf"violated at sample {sample}\)"):
+        DecayCurve(KIND_ZQ, times, np.linspace(1.0, 0.5, len(times)))
+
+
 def test_decay_curve_rejects_bad_sigmas():
     with pytest.raises(DataError, match="sigmas"):
         DecayCurve(KIND_ZQ, [0.0, 0.1, 0.2, 0.3], [1.0, 0.9, 0.8, 0.7], [0.1, -0.1, 0.1, 0.1])
@@ -211,6 +220,25 @@ def test_fit_exponential_recovery_kind():
     estimate = fit_exponential(curve)
     assert estimate.rate == pytest.approx(rate, rel=1e-9)
     assert estimate.amplitude == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("signals", [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, 0.0]])
+def test_fit_exponential_signed_zeros_are_a_constant_signal(signals):
+    # 0.0 == -0.0, so a curve of signed zeros is constant whichever comes first.
+    curve = DecayCurve(KIND_ZQ, [0.0, 0.1, 0.2, 0.3], signals)
+    with pytest.raises(DataError, match="ZQ: constant signal, decay rate undetermined"):
+        fit_exponential(curve)
+
+
+def test_fit_noise_model_with_the_callers_estimates_is_the_same_fit():
+    # Handing in fit_exponential's estimates changes no bit of the report.
+    rng = np.random.default_rng(25)
+    times = {kind: np.linspace(0.0, 3.0 / rate_for_kind(kind, BTC_LIKE), 40) for kind in CURVE_KINDS}
+    curves = [synthetic_curve(kind, BTC_LIKE, times[kind], noise_sigma=0.01, rng=rng)
+              for kind in CURVE_KINDS]
+    individual = {curve.kind: fit_exponential(curve) for curve in curves}
+    expected = fit_noise_model(curves).to_dict()
+    assert _exact(fit_noise_model(curves, individual=individual).to_dict()) == _exact(expected)
 
 
 def test_synthetic_curve_noise_is_the_multiplicative_draw():
