@@ -393,12 +393,12 @@ def cmd_fit(args) -> tuple[str, dict]:
                     )
                 fixed[name] = getattr(config.noise, name)
 
-    # Both modes fit each curve once here, and refuse one that grows.
-    estimates = {kind: fit_exponential(curve) for kind, curve in curves.items()}
-    for kind, est in estimates.items():
-        if est.rate < 0:
-            raise DataError(f"{paths[kind]}: fitted decay rate {est.rate:g} 1/s is negative; "
-                            "the curve grows")
+    estimates = {}  # both modes fit each curve once
+    for kind, curve in curves.items():
+        try:
+            estimates[kind] = fit_exponential(curve)
+        except (DataError, ConvergenceError) as exc:  # name the curve's file
+            raise type(exc)(f"{paths[kind]}: {exc}") from None
 
     if args.mode == "difference":
         diff = gamma3_difference(estimates["ZQ"], estimates["DQ"])

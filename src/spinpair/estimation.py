@@ -342,6 +342,13 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     return amplitude, rate
 
 
+def _refuse_growth(kind: str, estimate: RateEstimate) -> None:
+    """Every rate of the model is a Lindblad rate, so a negative fitted decay
+    rate lies outside it."""
+    if estimate.rate < 0:
+        raise DataError(f"{kind}: fitted decay rate {estimate.rate:g} 1/s is negative; the curve grows")
+
+
 def fit_exponential(curve: DecayCurve) -> RateEstimate:
     """Weighted nonlinear least-squares fit of amplitude and decay rate.
 
@@ -381,12 +388,14 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     if not converged:
         raise ConvergenceError(f"{curve.kind}: fit did not converge in {iterations} iterations")
     cov = _parameter_covariance(r, jac, weighted=curve.sigmas is not None)
-    return RateEstimate(
+    estimate = RateEstimate(
         rate=float(x[1]),
         stderr=math.sqrt(max(cov[1, 1], 0.0)),
         residual_norm=math.sqrt(r @ r),
         amplitude=float(x[0]),
     )
+    _refuse_growth(curve.kind, estimate)
+    return estimate
 
 
 def gamma3_difference(r_zq: RateEstimate, r_dq: RateEstimate) -> RateEstimate:
@@ -436,6 +445,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     reparameterized as squares; every curve carries a free amplitude.
     The start values come from each curve's `fit_exponential` estimate:
     `individual` maps each kind to it when the caller has made them already.
+    It must cover exactly the curves' kinds, and its rates meet
+    `fit_exponential`'s rule: a negative decay rate is a `DataError`.
     """
     fixed = dict(fixed or {})
     by_kind: dict[str, DecayCurve] = {}
@@ -461,28 +472,32 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
 
     if individual is None:
         individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
+    elif individual.keys() != by_kind.keys():
+        raise ValueError(f"individual estimates are of kinds {tuple(sorted(individual))}; "
+                         f"expected the curves' kinds {tuple(sorted(by_kind))}")
+    else:
+        for kind, estimate in individual.items():
+            _refuse_growth(kind, estimate)
     difference = gamma3_difference(individual[KIND_ZQ], individual[KIND_DQ])
 
-    free: list[str] = []  # fitted besides gamma3, which is always fitted
-    values = {"gamma3": difference.rate}
+    # The fit vector x holds the square roots of the free rates, then gamma3,
+    # then one amplitude per kind.  `start` holds the five start values
+    # (gamma3's until the loop sets the others), `fitted_at` x's rate indices.
+    start = [difference.rate] * len(RATE_NAMES)
+    fitted_at = []
     for name, pinning in PINNING_KIND.items():
+        at = RATE_NAMES.index(name)
         if name in fixed:
-            values[name] = fixed[name]
+            start[at] = fixed[name]
         elif pinning in by_kind:
-            free.append(name)
-            values[name] = max(individual[pinning].rate, 1e-6)
+            start[at] = max(individual[pinning].rate, 1e-6)
+            fitted_at.append(at)
         else:
-            raise DataError(
-                f"rate {name!r} has no curve of kind {pinning!r} and no fixed value"
-            )
+            raise DataError(f"rate {name!r} has no curve of kind {pinning!r} and no fixed value")
+    fitted_at.append(RATE_NAMES.index("gamma3"))
+    n_rates = len(fitted_at)
 
     kinds = [kind for kind in CURVE_KINDS if kind in by_kind]
-    # The fit vector x holds the square roots of the free rates, then gamma3,
-    # then one amplitude per kind.
-    fitted = (*free, "gamma3")
-    n_rates = len(fitted)
-    fitted_at = [RATE_NAMES.index(name) for name in fitted]
-    start = [values[name] for name in RATE_NAMES]
     table = [RATE_TABLE[kind] for kind in kinds]
     # Each kind's coefficients of the fitted rates, which are its rate's partial
     # derivatives: one row per fitted rate, one column per kind.
@@ -553,7 +568,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
 
     cov = _parameter_covariance(r, jac, weighted=all_weighted)
     scale = np.append(2.0 * np.abs(x[: n_rates - 1]), 1.0)
-    stderr = dict(zip(fitted, (np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)) * scale).tolist()))
+    stderr = dict(zip([RATE_NAMES[at] for at in fitted_at],
+                      (np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)) * scale).tolist()))
 
     try:
         params = NoiseParams(**dict(zip(RATE_NAMES, unpack(x.tolist()))))

@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's outputs: run a fixed matrix of 69 commands, each as
+"""Fingerprint the CLI's outputs: run a fixed matrix of 70 commands, each as
 `python -m spinpair.cli` in one temporary directory, and print one SHA-256
 line for each output file, stdout, stderr and exit code.
 
@@ -51,12 +51,13 @@ def write_configs(root: Path) -> None:
     (root / "negative.csv").write_text("t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n",
                                        encoding="utf-8")
     (root / "growing.csv").write_text("t,signal\n0,1\n1,2\n2,4\n3,8\n4,16\n", encoding="utf-8")
+    (root / "short.csv").write_text("t,signal\n0,1\n1,0.5\n2,0.25\n", encoding="utf-8")
     (root / "out" / "fault_out_collision" / "report.json").mkdir(parents=True)
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(id, argv) of the 69 commands, in the order they run.  Each writes to
-    out/<id>; fit reads the curves that decay wrote.  The last six fail."""
+    """(id, argv) of the 70 commands, in the order they run.  Each writes to
+    out/<id>; fit reads the curves that decay wrote.  The last seven fail."""
     matrix = []
     for p in PRESETS:
         for kind in KINDS:
@@ -94,6 +95,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fault_fit_joint_growing", ["fit", "--mode", "joint", "--preset", "btc",
                                      "--curve=ZQ=out/btc/decay_ZQ/decay_ZQ.csv",
                                      "--curve=DQ=growing.csv"]),
+        ("fault_fit_too_few_samples", ["fit", "--curve=ZQ=short.csv",
+                                       "--curve=DQ=out/btc/decay_DQ/decay_DQ.csv"]),
     ]
     return [(ident, [*argv, "--out", f"out/{ident}"]) for ident, argv in matrix] + [
         ("report_stdout", ["report", "--preset", "all"]),

@@ -320,7 +320,8 @@ def _fit_steep_zq(tmp_path, rows):
                  "--out", str(tmp_path / "out")])
 
 
-OVERFLOW_LINE = "fit error: ZQ: the amplitude extrapolated to t = 0 overflows; cannot start the fit\n"
+OVERFLOW_LINE = ("fit error: {zq}: ZQ: the amplitude extrapolated to t = 0 overflows; "
+                 "cannot start the fit\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -329,7 +330,7 @@ def test_fit_overflowing_start_is_fit_error(tmp_path, capsys):
     # back to t = 0 overflows the starting amplitude.  No numpy warning may
     # fire on the way: stderr holds the documented line alone.
     assert _fit_steep_zq(tmp_path, "1.0,1e300\n4.2,5e-324\n400,1\n1e300,0.5\n") == 4
-    assert capsys.readouterr().err == OVERFLOW_LINE
+    assert capsys.readouterr().err == OVERFLOW_LINE.format(zq=tmp_path / "steep.csv")
 
 
 @pytest.mark.filterwarnings("error")
@@ -337,7 +338,7 @@ def test_fit_overflowing_start_product_is_fit_error(tmp_path, capsys):
     # A gentle decay from a huge first sample: exp(R t0) is finite, but its
     # product with the first sample is not.
     assert _fit_steep_zq(tmp_path, "0.1,1e308\n1,1e300\n2,1e299\n3,1e298\n") == 4
-    assert capsys.readouterr().err == OVERFLOW_LINE
+    assert capsys.readouterr().err == OVERFLOW_LINE.format(zq=tmp_path / "steep.csv")
 
 
 @pytest.mark.filterwarnings("error")
@@ -353,7 +354,8 @@ def test_fit_overflowing_residuals_are_fit_error(tmp_path, capsys):
     # Residuals near 1e300 overflow the least-squares cost: the fit does not
     # converge, and no numpy warning reaches stderr.
     assert _fit_steep_zq(tmp_path, "1,1e300\n2,1e295\n3,1e290\n4,1e285\n") == 4
-    assert capsys.readouterr().err == "fit error: ZQ: fit did not converge in 1 iterations\n"
+    zq = tmp_path / "steep.csv"
+    assert capsys.readouterr().err == f"fit error: {zq}: ZQ: fit did not converge in 1 iterations\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -428,7 +430,7 @@ def test_fit_without_out_fails_before_fitting(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("-1e308,1\n1e308,0.5\n", "ZQ: need at least 4 samples to fit, got 2"),
+        ("-1e308,1\n1e308,0.5\n", "{zq}: ZQ: need at least 4 samples to fit, got 2"),
         ("1e308,1\n-1e308,0.5\n", "{zq}:3: times must be strictly increasing"),
     ],
     ids=["increasing", "decreasing"],
@@ -846,12 +848,12 @@ def json_error(text):
          {"neg.csv": NEGATIVE_CSV}, 3, "data error: {tmp}/out/fit_plot.svg: nothing to plot"),
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
          {"grow.csv": GROWING_CSV}, 3,
-         "data error: {tmp}/grow.csv: fitted decay rate -0.693147 1/s is negative; the curve grows"),
+         "data error: {tmp}/grow.csv: DQ: fitted decay rate -0.693147 1/s is negative; the curve grows"),
         # The other rates are fixed from the preset, so the joint fit itself
         # would converge on gamma3 from the ZQ curve alone.
         (["fit", "--mode", "joint", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
          {"grow.csv": GROWING_CSV}, 3,
-         "data error: {tmp}/grow.csv: fitted decay rate -0.693147 1/s is negative; the curve grows"),
+         "data error: {tmp}/grow.csv: DQ: fitted decay rate -0.693147 1/s is negative; the curve grows"),
         # The report is written first, and removed when the plot cannot be.
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/dq.csv"],
          {"out/fit_plot.svg": None}, 2,

@@ -241,6 +241,44 @@ def test_fit_noise_model_with_the_callers_estimates_is_the_same_fit():
     assert _exact(fit_noise_model(curves, individual=individual).to_dict()) == _exact(expected)
 
 
+GROWING_DQ = DecayCurve(KIND_DQ, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0])
+GROWING_MESSAGE = "DQ: fitted decay rate -0.693147 1/s is negative; the curve grows"
+BTC_FIXED = {name: getattr(BTC_LIKE, name) for name in PINNING_KIND}
+
+
+def _btc_zq():
+    return synthetic_curve(KIND_ZQ, BTC_LIKE, suggested_times(KIND_ZQ, BTC_LIKE))
+
+
+@pytest.mark.parametrize(
+    "individual, message",
+    [
+        (None, GROWING_MESSAGE),
+        # The caller's estimates are checked as given, not fitted again.
+        ({KIND_ZQ: RateEstimate(-3.0, 0.1, 0.0), KIND_DQ: RateEstimate(12.182, 0.1, 0.0)},
+         "ZQ: fitted decay rate -3 1/s is negative; the curve grows"),
+    ],
+    ids=["fitted", "callers"],
+)
+def test_fit_noise_model_refuses_a_negative_rate(individual, message):
+    # With the other four rates fixed, gamma3 alone would fit the ZQ curve.
+    with pytest.raises(DataError) as excinfo:
+        fit_noise_model([_btc_zq(), GROWING_DQ], fixed=BTC_FIXED, individual=individual)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("kinds", [(KIND_ZQ,), (KIND_ZQ, KIND_DQ, KIND_SQ1)],
+                         ids=["missing", "extra"])
+def test_fit_noise_model_individual_must_cover_the_curves_kinds(kinds):
+    zq = _btc_zq()
+    estimate = fit_exponential(zq)
+    dq = synthetic_curve(KIND_DQ, BTC_LIKE, suggested_times(KIND_DQ, BTC_LIKE))
+    with pytest.raises(ValueError) as excinfo:
+        fit_noise_model([zq, dq], fixed=BTC_FIXED, individual=dict.fromkeys(kinds, estimate))
+    assert str(excinfo.value) == (f"individual estimates are of kinds {tuple(sorted(kinds))}; "
+                                  "expected the curves' kinds ('DQ', 'ZQ')")
+
+
 def test_synthetic_curve_noise_is_the_multiplicative_draw():
     # One draw of rng per sample scales the model signal; sigma = 0 draws nothing.
     t = np.linspace(0.0, 1.0, 65)
@@ -318,6 +356,9 @@ def test_fit_exponential_rejections():
         fit_exponential(DecayCurve(KIND_ZQ, [0.0, 0.1, 0.2], [1.0, 0.9, 0.8]))
     with pytest.raises(DataError, match="constant"):
         fit_exponential(DecayCurve(KIND_ZQ, t, np.ones(10)))
+    with pytest.raises(DataError) as excinfo:
+        fit_exponential(GROWING_DQ)
+    assert str(excinfo.value) == GROWING_MESSAGE
 
 
 def test_rate_estimate_validation():
