@@ -353,6 +353,7 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     """Weighted nonlinear least-squares fit of amplitude and decay rate.
 
     Coherence kinds fit A exp(-R t); recovery kinds fit A (1 - 2 exp(-R t)).
+    A negative fitted rate R is a `DataError`: the curve grows.
     """
     if len(curve) < 4:
         raise DataError(f"{curve.kind}: need at least 4 samples to fit, got {len(curve)}")
