@@ -310,35 +310,69 @@ def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.
 # ----------------------------------------------------------------------
 
 
+# Centred times near 1e300 overflow their squares, and a zero weight times
+# such a square is nan: the slope is then not finite, which the rule handles.
+@np.errstate(over="ignore", invalid="ignore")
 def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
-    """Amplitude and rate seed from the first two samples (asymptote-transformed
-    for recovery kinds, whose raw signal changes sign).
+    """Amplitude and rate seed from every sample: a straight line fitted to
+    ln y against t by least squares with weights y^2 (Caruana's method with
+    Guo's weights; H. Guo, IEEE Signal Process. Mag. 28(5), 134, 2011).
 
-    The arithmetic is on Python floats, which overflow to inf quietly where
-    numpy scalars would print a RuntimeWarning.
+    y is the signal for coherence kinds and (A - s) / 2 for recovery kinds,
+    with A = max(s[-1], -s[0]).  On a noiseless curve at t >= 0 both bound
+    the amplitude from below, and where A is the amplitude y decays as
+    amplitude * exp(-R t).  Only the samples with y > 0 count.  The weights
+    are the squares of y scaled by its largest value, so that none
+    overflows, and the times are centred on their weighted mean.
+
+    The rate is the line's negated slope, clamped to RATE_GUESS_BOUNDS.
+    Fewer than two samples with y > 0 give the rate 1.0.  A slope that is
+    not finite is one the weights cannot resolve: every sample but the
+    largest lies below about 1e-162 of it, so its weight underflows to 0,
+    or a centred time overflows.  Its rate starts at the upper bound, as a
+    curve's that leaves the float range within one sample step.  The
+    amplitude is the line of that rate through the weighted mean of
+    (t, ln y), at t = 0; a fit whose amplitude overflows there cannot start.
     """
     t, s = curve.times, curve.signals
     if curve.kind in RECOVERY_KINDS:
-        amplitude = float(s[-1]) if s[-1] > 0 else 1.0
-        y0, y1 = (amplitude - float(s[0])) / 2.0, (amplitude - float(s[1])) / 2.0
+        # Halved before the difference, which then cannot overflow.
+        ceiling = max(float(s[-1]), -float(s[0]))
+        y = 0.5 * ceiling - 0.5 * s
     else:
-        amplitude = float(s[0]) if s[0] > 0 else max(float(np.abs(s).max()), 1.0)
-        y0, y1 = float(s[0]), float(s[1])
-    t0, t1 = float(t[0]), float(t[1])
-    rate = 1.0
-    if y0 > 0 and y1 > 0 and t1 > t0:
-        ratio = y0 / y1
-        if ratio > 0:
-            rate = math.log(ratio) / (t1 - t0)
+        y = s
+    usable = y > 0
+    count = np.count_nonzero(usable)
+    if count < y.size:
+        if count == 0:
+            return 1.0, 1.0
+        t, y = t[usable], y[usable]
+    log_y = np.log(y)
+    weights = y / y.max()
+    total = float(weights @ weights)
+    weights *= weights
+    t_mean = float(weights @ t) / total
+    log_y_mean = float(weights @ log_y) / total
+    t_centred = t - t_mean
+    weighted_t = weights * t_centred
+    log_y -= log_y_mean
+    spread = float(weighted_t @ t_centred)
+    if count < 2:
+        rate = 1.0
+    else:
+        # All weight on one sample gives a zero spread, and nan stands for its
+        # slope; Python's inf / inf is nan too.
+        rate = -float(weighted_t @ log_y) / spread if spread > 0 else math.nan
+        if not math.isfinite(rate):
+            rate = RATE_GUESS_BOUNDS[1]
     rate = min(max(rate, RATE_GUESS_BOUNDS[0]), RATE_GUESS_BOUNDS[1])
-    if curve.kind not in RECOVERY_KINDS and t0 > 0:
-        try:
-            amplitude = float(s[0]) * math.exp(rate * t0)
-        except OverflowError:
-            amplitude = math.inf
-        if math.isinf(amplitude):
-            raise ConvergenceError(f"{curve.kind}: the amplitude extrapolated to t = 0 overflows; "
-                                   "cannot start the fit")
+    try:
+        amplitude = math.exp(log_y_mean + rate * t_mean)
+    except OverflowError:
+        amplitude = math.inf
+    if not math.isfinite(amplitude):
+        raise ConvergenceError(f"{curve.kind}: the amplitude extrapolated to t = 0 overflows; "
+                               "cannot start the fit")
     return amplitude, rate
 
 
@@ -471,6 +505,14 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         if not admissible:
             raise ValueError(f"fixed rate {name!r} = {value!r} must be a finite non-negative number")
 
+    # Each rate's role, decided before any curve is fitted: a rate not fixed
+    # is fitted, from its pinning curve's estimate, and so needs that curve.
+    free = [name for name in PINNING_KIND if name not in fixed]
+    for name in free:
+        if PINNING_KIND[name] not in by_kind:
+            raise DataError(f"rate {name!r} has no curve of kind {PINNING_KIND[name]!r} "
+                            "and no fixed value")
+
     if individual is None:
         individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
     elif individual.keys() != by_kind.keys():
@@ -482,27 +524,21 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     difference = gamma3_difference(individual[KIND_ZQ], individual[KIND_DQ])
 
     # The fit vector x holds the square roots of the free rates, then gamma3,
-    # then one amplitude per kind.  `start` holds the five start values
-    # (gamma3's until the loop sets the others), `fitted_at` x's rate indices.
+    # then one amplitude per kind.  `start` holds the five start values in
+    # RATE_NAMES order, `fitted_at` x's rate indices.
     start = [difference.rate] * len(RATE_NAMES)
-    fitted_at = []
-    for name, pinning in PINNING_KIND.items():
-        at = RATE_NAMES.index(name)
-        if name in fixed:
-            start[at] = fixed[name]
-        elif pinning in by_kind:
-            start[at] = max(individual[pinning].rate, 1e-6)
-            fitted_at.append(at)
-        else:
-            raise DataError(f"rate {name!r} has no curve of kind {pinning!r} and no fixed value")
-    fitted_at.append(RATE_NAMES.index("gamma3"))
+    for name, value in fixed.items():
+        start[RATE_NAMES.index(name)] = value
+    for name in free:
+        start[RATE_NAMES.index(name)] = max(individual[PINNING_KIND[name]].rate, 1e-6)
+    fitted_at = [RATE_NAMES.index(name) for name in (*free, "gamma3")]
     n_rates = len(fitted_at)
 
     kinds = [kind for kind in CURVE_KINDS if kind in by_kind]
     table = [RATE_TABLE[kind] for kind in kinds]
     # Each kind's coefficients of the fitted rates, which are its rate's partial
     # derivatives: one row per fitted rate, one column per kind.
-    fitted_coeffs = np.array(table).T[fitted_at]
+    fitted_coeffs = np.array([[row[at] for row in table] for at in fitted_at])
 
     def unpack(xs):
         """The five rates in RATE_NAMES order, from the fit vector as a list."""
@@ -525,11 +561,14 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     if any(c.sigmas is not None for c in stack):
         w = np.concatenate([1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c))
                             for c in stack])
-    offset, slope = np.array([CURVE_SHAPE[kind] for kind in kinds])[sample_kind].T
+    # RECOVERY_KINDS lead CURVE_KINDS, so their samples lead the stack.
+    n_recovery = sum(len(by_kind[kind]) for kind in RECOVERY_KINDS if kind in by_kind)
+    offset, slope = np.zeros(t.size), np.ones(t.size)
+    offset[:n_recovery], slope[:n_recovery] = CURVE_SHAPE[RECOVERY_KINDS[0]]
     neg_slope = -slope
     amplitude_at = n_rates + sample_kind
     n_params = n_rates + len(kinds)
-    amplitude_flat = np.arange(t.size) * n_params + amplitude_at
+    amplitude_flat = np.arange(0, t.size * n_params, n_params) + amplitude_at
     all_weighted = all(c.sigmas is not None for c in stack)
 
     def residual_jac(x):
@@ -567,13 +606,16 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
 
-    cov = _parameter_covariance(r, jac, weighted=all_weighted)
-    scale = np.append(2.0 * np.abs(x[: n_rates - 1]), 1.0)
-    stderr = dict(zip([RATE_NAMES[at] for at in fitted_at],
-                      (np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)) * scale).tolist()))
+    # On Python floats, bit for bit as numpy gives them: sqrt(max(variance, 0))
+    # times the chain factor, 2 |root| for a squared rate and 1 for gamma3.
+    xs = x.tolist()
+    variances = _parameter_covariance(r, jac, weighted=all_weighted).diagonal().tolist()
+    chain = [2.0 * abs(root) for root in xs[: n_rates - 1]] + [1.0]
+    stderr = {RATE_NAMES[at]: math.sqrt(max(variance, 0.0)) * factor
+              for at, variance, factor in zip(fitted_at, variances, chain)}
 
     try:
-        params = NoiseParams(**dict(zip(RATE_NAMES, unpack(x.tolist()))))
+        params = NoiseParams(*unpack(xs))
     except ValueError as exc:
         raise ConvergenceError(f"fitted rates violate positivity constraints: {exc}") from exc
 
@@ -584,7 +626,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     return FitReport(
         params=params,
         stderr=stderr,
-        amplitudes={kind: x[n_rates + j] for j, kind in enumerate(kinds)},
+        amplitudes=dict(zip(kinds, x[n_rates:])),
         per_curve_residuals=per_curve,
         converged=converged,
         convergence_reason=reason,
