@@ -310,8 +310,8 @@ def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.
 # ----------------------------------------------------------------------
 
 
-# Centred times near 1e300 overflow their squares, and a zero weight times
-# such a square is nan: the slope is then not finite, which the rule handles.
+# Times near the float limit overflow the weighted sums, and a zero weight
+# times an infinite centred time is nan: the slope is then not finite.
 @np.errstate(over="ignore", invalid="ignore")
 def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     """Amplitude and rate seed from every sample: a straight line fitted to
@@ -325,14 +325,16 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     are the squares of y scaled by its largest value, so that none
     overflows, and the times are centred on their weighted mean.
 
-    The rate is the line's negated slope, clamped to RATE_GUESS_BOUNDS.
-    Fewer than two samples with y > 0 give the rate 1.0.  A slope that is
-    not finite is one the weights cannot resolve: every sample but the
-    largest lies below about 1e-162 of it, so its weight underflows to 0,
-    or a centred time overflows.  Its rate starts at the upper bound, as a
-    curve's that leaves the float range within one sample step.  The
+    The rate is the line's negated slope.  Fewer than two samples with
+    y > 0 give the rate 1.0.  A slope that is not finite is one the weights
+    cannot resolve: every sample but the largest lies below about 1e-162 of
+    it, so its weight underflows to 0, or the sums overflow at times near
+    the float limit.  Its rate is the upper bound of RATE_GUESS_BOUNDS, as
+    a curve's that leaves the float range within one sample step.  The
     amplitude is the line of that rate through the weighted mean of
-    (t, ln y), at t = 0; a fit whose amplitude overflows there cannot start.
+    (t, ln y), at t = 0; a fit whose amplitude overflows there cannot
+    start.  Only then is the rate clamped to RATE_GUESS_BOUNDS: a clamped
+    slope would set the amplitude off by exp(clamp * mean t).
     """
     t, s = curve.times, curve.signals
     if curve.kind in RECOVERY_KINDS:
@@ -365,7 +367,6 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
         rate = -float(weighted_t @ log_y) / spread if spread > 0 else math.nan
         if not math.isfinite(rate):
             rate = RATE_GUESS_BOUNDS[1]
-    rate = min(max(rate, RATE_GUESS_BOUNDS[0]), RATE_GUESS_BOUNDS[1])
     try:
         amplitude = math.exp(log_y_mean + rate * t_mean)
     except OverflowError:
@@ -373,7 +374,7 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     if not math.isfinite(amplitude):
         raise ConvergenceError(f"{curve.kind}: the amplitude extrapolated to t = 0 overflows; "
                                "cannot start the fit")
-    return amplitude, rate
+    return amplitude, min(max(rate, RATE_GUESS_BOUNDS[0]), RATE_GUESS_BOUNDS[1])
 
 
 def _refuse_growth(kind: str, estimate: RateEstimate) -> None:

@@ -254,11 +254,27 @@ def test_noiseless_fit_starts_at_its_optimum(monkeypatch, kind):
         (KIND_ZQ, [-1.0, -0.5, -0.2, -0.1], (1.0, 1.0)),
         # y = (A - s) / 2 with A = 1 is positive at the first sample alone.
         (KIND_T1_SPIN1, [-1.0, 1.0, 1.0, 1.0], (1.0, 1.0)),
+        # The weights of all samples but the first underflow to 0: the
+        # steepest rate.
+        (KIND_ZQ, [1.0, 1e-200, 1e-250, 1e-300], (1.0, 1e3)),
     ],
-    ids=["coherence-one", "coherence-none", "recovery-one"],
+    ids=["coherence-one", "coherence-none", "recovery-one", "weight-on-one"],
 )
-def test_start_without_two_usable_samples_is_the_default_rate(kind, signals, start):
+def test_start_without_a_resolvable_slope(kind, signals, start):
+    # Fewer than two samples with y > 0 start at the default rate 1.0.
     assert _initial_guess(DecayCurve(kind, [0.0, 0.1, 0.2, 0.3], signals)) == start
+
+
+@pytest.mark.parametrize("kind", [KIND_T1_SPIN1, KIND_SQ1])
+def test_start_amplitude_takes_the_unclamped_slope(kind):
+    # A rate of 1e-7 1/s lies below the start's lower bound.  The amplitude is
+    # read off the fitted line, not off one of the clamped slope, which over
+    # a mean time of 1e7 s would put it off by exp(1e3) and overflow.
+    slow = NoiseParams(1e-7, 1.0, 0.0, 1e-7, 1.0)
+    t = np.linspace(0.0, 3e7, 50)
+    amplitude, rate = _initial_guess(synthetic_curve(kind, slow, t, amplitude=0.8))
+    assert amplitude == pytest.approx(0.8, rel=1e-9)
+    assert rate == 1e-4
 
 
 def test_recovery_fit_starts_in_the_positive_basin():
