@@ -268,7 +268,7 @@ def test_start_without_a_resolvable_slope(kind, signals, start):
 @pytest.mark.parametrize("kind", [KIND_T1_SPIN1, KIND_SQ1])
 def test_start_amplitude_takes_the_unclamped_slope(kind):
     # A rate of 1e-7 1/s lies below the start's lower bound.  The amplitude is
-    # read off the fitted line, not off one of the clamped slope, which over
+    # read off the fitted line, not off a line of the clamped slope, which over
     # a mean time of 1e7 s would put it off by exp(1e3) and overflow.
     slow = NoiseParams(1e-7, 1.0, 0.0, 1e-7, 1.0)
     t = np.linspace(0.0, 3e7, 50)
