@@ -25,6 +25,7 @@ from .estimation import (
     DataError,
     DecayCurve,
     RateEstimate,
+    _curve_csv,
     _read_text,
     add_noise,
     fit_exponential,
@@ -32,7 +33,6 @@ from .estimation import (
     gamma3_difference,
     load_curve,
     model_consistency,
-    save_curve,
     signal_model,
 )
 from .evolution import default_time_grid, propagate
@@ -211,19 +211,16 @@ def _json(payload: dict) -> str:
 
 
 def _write(out: str, outputs: dict) -> list[Path]:
-    """Create the --out directory, write each named output into it (text, or a
-    function that writes the file at the path it is given), and return the
-    paths written.  An OSError leaves none of them and names --out and the file."""
+    """Create the --out directory, write each named output's text into it, and
+    return the paths written.  An OSError leaves none of them and names --out
+    and the file."""
     path = Path(out)
     written: list[Path] = []
     try:
         path.mkdir(parents=True, exist_ok=True)
         for name, content in outputs.items():
             path = Path(out, name)
-            if callable(content):
-                content(path)
-            else:
-                path.write_text(content, encoding="utf-8")
+            path.write_text(content, encoding="utf-8")
             written.append(path)
     except OSError as exc:
         for done in written:
@@ -315,7 +312,7 @@ def cmd_decay(args) -> tuple[str, dict]:
         payload = {"kind": args.kind, "t": [float(v) for v in times],
                    "signal": [float(v) for v in signals]}
         return "", {f"decay_{args.kind}.json": _json(payload)}
-    return "", {f"decay_{args.kind}.csv": lambda path: save_curve(curve, path)}
+    return "", {f"decay_{args.kind}.csv": _curve_csv(curve)}
 
 
 def cmd_tomo(args) -> tuple[str, dict]:

@@ -293,12 +293,13 @@ def _levenberg_marquardt(residual_jac, x0):
 
 
 def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.ndarray:
-    """Covariance of the fitted parameters from the Jacobian at the optimum."""
-    normal = jac.T @ jac
+    """Parameter covariance (J^T J)^-1 at the optimum, times s^2 unless the fit is
+    weighted; a singular J^T J leaves a parameter unresolved: `ConvergenceError`."""
     try:
-        cov = np.linalg.inv(normal)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(normal)
+        raise ConvergenceError("the samples do not resolve every fitted parameter; "
+                               "J^T J is singular at the optimum") from None
     if not weighted:
         dof = max(r.size - jac.shape[1], 1)
         cov = cov * (float(r @ r) / dof)
@@ -388,7 +389,8 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     """Weighted nonlinear least-squares fit of amplitude and decay rate.
 
     Coherence kinds fit A exp(-R t); recovery kinds fit A (1 - 2 exp(-R t)).
-    A negative fitted rate R is a `DataError`: the curve grows.
+    A negative fitted rate R is a `DataError`: the curve grows.  A rate or
+    amplitude the samples cannot resolve is a `ConvergenceError`.
     """
     if len(curve) < 4:
         raise DataError(f"{curve.kind}: need at least 4 samples to fit, got {len(curve)}")
@@ -423,7 +425,10 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     x, r, jac, converged, _, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"{curve.kind}: fit did not converge in {iterations} iterations")
-    cov = _parameter_covariance(r, jac, weighted=curve.sigmas is not None)
+    try:
+        cov = _parameter_covariance(r, jac, weighted=curve.sigmas is not None)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{curve.kind}: {exc}") from None
     estimate = RateEstimate(
         rate=float(x[1]),
         stderr=math.sqrt(max(cov[1, 1], 0.0)),
@@ -483,6 +488,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     `individual` maps each kind to it when the caller has made them already.
     It must cover exactly the curves' kinds, and its rates meet
     `fit_exponential`'s rule: a negative decay rate is a `DataError`.
+    Weights are 1/sigma on every curve or on none: a mix is a `DataError`.
     """
     fixed = dict(fixed or {})
     by_kind: dict[str, DecayCurve] = {}
@@ -513,6 +519,10 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         if PINNING_KIND[name] not in by_kind:
             raise DataError(f"rate {name!r} has no curve of kind {PINNING_KIND[name]!r} "
                             "and no fixed value")
+    unweighted = [kind for kind, curve in by_kind.items() if curve.sigmas is None]
+    if 0 < len(unweighted) < len(by_kind):
+        raise DataError(f"mixed weights: sigmas on some curves but not on {', '.join(unweighted)}; "
+                        "a joint fit weights every curve or none")
 
     if individual is None:
         individual = {kind: fit_exponential(curve) for kind, curve in by_kind.items()}
@@ -551,17 +561,13 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
 
     # The curves stacked once in `kinds` order, with each sample's kind, model
     # shape, weight and amplitude entry in the flat Jacobian, so that one pass
-    # fills the residual and the Jacobian.  Without sigmas the weights are 1
-    # and are skipped.
+    # fills the residual and the Jacobian.  Without sigmas there are no weights.
     stack = [by_kind[kind] for kind in kinds]
     sizes = [len(c) for c in stack]
     sample_kind = np.repeat(np.arange(len(kinds)), sizes)
     t = np.concatenate([c.times for c in stack])
     s = np.concatenate([c.signals for c in stack])
-    w = None
-    if any(c.sigmas is not None for c in stack):
-        w = np.concatenate([1.0 / c.sigmas if c.sigmas is not None else np.ones(len(c))
-                            for c in stack])
+    w = None if unweighted else np.concatenate([1.0 / c.sigmas for c in stack])
     # RECOVERY_KINDS lead CURVE_KINDS, so their samples lead the stack.
     n_recovery = sum(len(by_kind[kind]) for kind in RECOVERY_KINDS if kind in by_kind)
     offset, slope = np.zeros(t.size), np.ones(t.size)
@@ -570,7 +576,6 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     amplitude_at = n_rates + sample_kind
     n_params = n_rates + len(kinds)
     amplitude_flat = np.arange(0, t.size * n_params, n_params) + amplitude_at
-    all_weighted = all(c.sigmas is not None for c in stack)
 
     def residual_jac(x):
         xs = x.tolist()
@@ -610,7 +615,10 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     # On Python floats, bit for bit as numpy gives them: sqrt(max(variance, 0))
     # times the chain factor, 2 |root| for a squared rate and 1 for gamma3.
     xs = x.tolist()
-    variances = _parameter_covariance(r, jac, weighted=all_weighted).diagonal().tolist()
+    try:
+        variances = _parameter_covariance(r, jac, weighted=w is not None).diagonal().tolist()
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"joint fit: {exc}") from None
     chain = [2.0 * abs(root) for root in xs[: n_rates - 1]] + [1.0]
     stderr = {RATE_NAMES[at]: math.sqrt(max(variance, 0.0)) * factor
               for at, variance, factor in zip(fitted_at, variances, chain)}
@@ -698,8 +706,8 @@ def load_curve(path, kind: str) -> DecayCurve:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def save_curve(curve: DecayCurve, path) -> None:
-    """Write a decay curve in the CSV interchange format."""
+def _curve_csv(curve: DecayCurve) -> str:
+    """A decay curve as the text of the CSV interchange format."""
     lines = [f"# kind: {curve.kind}"]
     if curve.sigmas is None:
         lines.append("t,signal")
@@ -710,5 +718,10 @@ def save_curve(curve: DecayCurve, path) -> None:
             f"{t:.12g},{s:.12g},{e:.12g}"
             for t, s, e in zip(curve.times, curve.signals, curve.sigmas)
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def save_curve(curve: DecayCurve, path) -> None:
+    """Write a decay curve in the CSV interchange format."""
+    Path(path).write_text(_curve_csv(curve), encoding="utf-8")
 

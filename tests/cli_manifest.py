@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's outputs: run a fixed matrix of 70 commands, each as
+"""Fingerprint the CLI's outputs: run a fixed matrix of 72 commands, each as
 `python -m spinpair.cli` in one temporary directory, and print one SHA-256
 line for each output file, stdout, stderr and exit code.
 
@@ -52,12 +52,16 @@ def write_configs(root: Path) -> None:
                                        encoding="utf-8")
     (root / "growing.csv").write_text("t,signal\n0,1\n1,2\n2,4\n3,8\n4,16\n", encoding="utf-8")
     (root / "short.csv").write_text("t,signal\n0,1\n1,0.5\n2,0.25\n", encoding="utf-8")
+    (root / "recovered.csv").write_text("t,signal\n0,-1.0\n2,1.01\n4,0.99\n6,1.0\n8,1.005\n",
+                                        encoding="utf-8")
+    (root / "weighted.csv").write_text("t,signal,sigma\n0,1,0.01\n1,0.65,0.01\n2,0.42,0.01\n"
+                                       "3,0.28,0.01\n4,0.18,0.01\n", encoding="utf-8")
     (root / "out" / "fault_out_collision" / "report.json").mkdir(parents=True)
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(id, argv) of the 70 commands, in the order they run.  Each writes to
-    out/<id>; fit reads the curves that decay wrote.  The last seven fail."""
+    """(id, argv) of the 72 commands, in the order they run.  Each writes to
+    out/<id>; fit reads the curves that decay wrote.  The last nine fail."""
     matrix = []
     for p in PRESETS:
         for kind in KINDS:
@@ -97,6 +101,12 @@ def commands() -> list[tuple[str, list[str]]]:
                                      "--curve=DQ=growing.csv"]),
         ("fault_fit_too_few_samples", ["fit", "--curve=ZQ=short.csv",
                                        "--curve=DQ=out/btc/decay_DQ/decay_DQ.csv"]),
+        ("fault_fit_unresolved_rate", ["fit", "--curve=ZQ=out/btc/decay_ZQ/decay_ZQ.csv",
+                                       "--curve=DQ=out/btc/decay_DQ/decay_DQ.csv",
+                                       "--curve=T1_inversion_recovery_spin1=recovered.csv"]),
+        ("fault_fit_joint_mixed_weights", ["fit", "--mode", "joint", "--preset", "btc",
+                                           "--curve=ZQ=weighted.csv",
+                                           "--curve=DQ=out/btc/decay_DQ/decay_DQ.csv"]),
     ]
     return [(ident, [*argv, "--out", f"out/{ident}"]) for ident, argv in matrix] + [
         ("report_stdout", ["report", "--preset", "all"]),

@@ -458,6 +458,46 @@ def test_fit_non_convergence_exit_code(tmp_path, capsys, monkeypatch):
     assert "fit error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["difference", "joint"])
+def test_fit_unresolved_rate_is_fit_error(tmp_path, capsys, mode):
+    # The T1 curve has recovered by its first sample after t = 0, so no rate
+    # is resolved: exit 4 naming its CSV, not Gamma1 = 2.6e42 +/- 0.
+    for kind in (KIND_ZQ, KIND_DQ):
+        assert main(["decay", "--preset", "btc", "--kind", kind, "--out", str(tmp_path)]) == 0
+    t1 = tmp_path / "t1.csv"
+    t1.write_text("t,signal\n0,-1.0\n2,1.01\n4,0.99\n6,1.0\n8,1.005\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["fit", "--mode", mode, "--preset", "btc", "--curve", f"ZQ={tmp_path / 'decay_ZQ.csv'}",
+                 "--curve", f"DQ={tmp_path / 'decay_DQ.csv'}", "--curve", f"{KIND_T1_SPIN1}={t1}",
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr() == ("", f"fit error: {t1}: {KIND_T1_SPIN1}: the samples do not resolve "
+                                       "every fitted parameter; J^T J is singular at the optimum\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_mixed_weights_are_refused_in_joint_mode(tmp_path, capsys):
+    # Sigmas on ZQ alone: the joint fit would weight ZQ alone, so it exits 3;
+    # difference mode fits each curve alone and takes the same CSVs.
+    params = NoiseParams(3.741, 3.048, 5.876, 0.264, 0.255)
+    rng = np.random.default_rng(28)
+    curve_args = []
+    for kind in ALL_KINDS:
+        curve = synthetic_curve(kind, params, suggested_times(kind, params), noise_sigma=0.02, rng=rng)
+        if kind == KIND_ZQ:
+            curve = DecayCurve(kind, curve.times, curve.signals, 0.02 * np.abs(curve.signals))
+        path = tmp_path / f"{kind}.csv"
+        save_curve(curve, path)
+        curve_args += ["--curve", f"{kind}={path}"]
+    assert main(["fit", "--mode", "joint", *curve_args, "--out", str(tmp_path / "joint")]) == 3
+    assert capsys.readouterr() == ("", "data error: mixed weights: sigmas on some curves but not on "
+                                       "T1_inversion_recovery_spin1, T1_inversion_recovery_spin2, SQ1, "
+                                       "SQ2, DQ; a joint fit weights every curve or none\n")
+    assert not (tmp_path / "joint").exists()
+    assert main(["fit", "--mode", "difference", *curve_args, "--out", str(tmp_path / "diff")]) == 0
+
+
 # ----------------------------------------------------------------------
 # report and config handling
 # ----------------------------------------------------------------------

@@ -476,6 +476,51 @@ def test_fit_exponential_non_convergence(monkeypatch):
         fit_exponential(DecayCurve(KIND_ZQ, t, signals))
 
 
+# Recovered by its first sample after t = 0: every rate above about 400 1/s
+# fits it alike, so exp(-R t) underflows at t > 0 and the rate column is 0.
+UNRESOLVED_T1 = DecayCurve(KIND_T1_SPIN1, [0.0, 2.0, 4.0, 6.0, 8.0], [-1.0, 1.01, 0.99, 1.0, 1.005])
+UNRESOLVED = "the samples do not resolve every fitted parameter; J^T J is singular at the optimum"
+
+
+def test_fit_exponential_unresolved_rate_is_convergence_error():
+    # Not a rate of 2.6e42 1/s with a standard error of 0.
+    with pytest.raises(ConvergenceError) as excinfo:
+        fit_exponential(UNRESOLVED_T1)
+    assert str(excinfo.value) == f"{KIND_T1_SPIN1}: {UNRESOLVED}"
+
+
+def test_fit_noise_model_unresolved_rate_is_convergence_error():
+    # Started from the unresolved T1 rate, Gamma1's column of the joint
+    # Jacobian is 0 too; the joint fit does not report Gamma1 +/- 0.
+    zq, dq = _btc_zq(), synthetic_curve(KIND_DQ, BTC_LIKE, suggested_times(KIND_DQ, BTC_LIKE))
+    individual = {KIND_ZQ: fit_exponential(zq), KIND_DQ: fit_exponential(dq),
+                  KIND_T1_SPIN1: RateEstimate(2.5596019744744742e42, 0.0, 0.0148, 1.001)}
+    fixed = {name: BTC_FIXED[name] for name in ("gamma1", "gamma2", "Gamma2")}
+    with pytest.raises(ConvergenceError) as excinfo:
+        fit_noise_model([zq, dq, UNRESOLVED_T1], fixed=fixed, individual=individual)
+    assert str(excinfo.value) == f"joint fit: {UNRESOLVED}"
+
+
+def test_recovery_fits_never_report_a_zero_stderr():
+    # Noisy recovery curves on coarse grids, where the first sample after
+    # t = 0 has often recovered: a fit either returns a stderr > 0 for its
+    # non-zero residual, or raises.
+    rng = np.random.default_rng(28)
+    returned = 0
+    for _ in range(300):
+        rate = 10.0 ** rng.uniform(-1.0, 1.0)
+        times = rng.uniform(0.5, 20.0) / rate * np.arange(rng.integers(4, 61))
+        curve = synthetic_curve(KIND_T1_SPIN1, NoiseParams(0, 0, 0, rate, 0), times,
+                                noise_sigma=rng.choice([0.001, 0.01, 0.05]), rng=rng)
+        try:
+            estimate = fit_exponential(curve)
+        except (DataError, ConvergenceError):
+            continue
+        returned += 1
+        assert estimate.stderr > 0 or estimate.residual_norm == 0
+    assert returned >= 150
+
+
 def test_levenberg_marquardt_reports_no_descent():
     def residual_jac(x):
         # Finite at the start and inf at every other point, so no step lowers the cost.
@@ -662,6 +707,30 @@ def test_fit_noise_model_checks_its_pins_before_fitting(monkeypatch):
     with pytest.raises(DataError) as excinfo:
         fit_noise_model([_btc_zq(), GROWING_DQ], fixed={"gamma2": 1.0, "Gamma1": 0.1, "Gamma2": 0.1})
     assert str(excinfo.value) == "rate 'gamma1' has no curve of kind 'SQ1' and no fixed value"
+    assert fitted == []
+
+
+def test_fit_noise_model_refuses_mixed_weights_before_fitting(monkeypatch):
+    # Sigmas on ZQ alone would weight ZQ by 1/sigma and the others by 1, and
+    # every stderr would then follow the size of ZQ's sigmas.
+    import spinpair.estimation as estimation
+
+    curves = six_curves(BTC_LIKE, noise_sigma=0.02, rng=np.random.default_rng(28))
+    zq = curves[ALL_KINDS.index(KIND_ZQ)]
+    curves[ALL_KINDS.index(KIND_ZQ)] = DecayCurve(KIND_ZQ, zq.times, zq.signals,
+                                                  0.02 * np.abs(zq.signals))
+    fitted = []
+
+    def counted(curve):
+        fitted.append(curve.kind)
+        return fit_exponential(curve)
+
+    monkeypatch.setattr(estimation, "fit_exponential", counted)
+    with pytest.raises(DataError) as excinfo:
+        fit_noise_model(curves)
+    assert str(excinfo.value) == (
+        "mixed weights: sigmas on some curves but not on T1_inversion_recovery_spin1, "
+        "T1_inversion_recovery_spin2, SQ1, SQ2, DQ; a joint fit weights every curve or none")
     assert fitted == []
 
 
