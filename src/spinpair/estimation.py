@@ -53,6 +53,7 @@ PINNING_KIND = {
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
 STEP_TOL = 1e-12
+# Its upper bound starts an unresolvable slope; tests/estimation_reference.py clamps to both.
 RATE_GUESS_BOUNDS = (1e-4, 1e3)
 
 
@@ -326,16 +327,13 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     are the squares of y scaled by its largest value, so that none
     overflows, and the times are centred on their weighted mean.
 
-    The rate is the line's negated slope.  Fewer than two samples with
-    y > 0 give the rate 1.0.  A slope that is not finite is one the weights
-    cannot resolve: every sample but the largest lies below about 1e-162 of
-    it, so its weight underflows to 0, or the sums overflow at times near
-    the float limit.  Its rate is the upper bound of RATE_GUESS_BOUNDS, as
-    a curve's that leaves the float range within one sample step.  The
-    amplitude is the line of that rate through the weighted mean of
-    (t, ln y), at t = 0; a fit whose amplitude overflows there cannot
-    start.  Only then is the rate clamped to RATE_GUESS_BOUNDS: a clamped
-    slope would set the amplitude off by exp(clamp * mean t).
+    The rate is the line's negated slope, in the curve's own time unit; fewer
+    than two samples with y > 0 give 1.0.  A slope that is not finite is one
+    the weights cannot resolve (every sample but the largest lies below about
+    1e-162 of it, so its weight underflows, or the sums overflow at times near
+    the float limit): its rate is the upper bound of RATE_GUESS_BOUNDS.  The
+    amplitude is the line of that rate through the weighted mean of (t, ln y),
+    at t = 0; a fit whose amplitude overflows there cannot start.
     """
     t, s = curve.times, curve.signals
     if curve.kind in RECOVERY_KINDS:
@@ -375,7 +373,7 @@ def _initial_guess(curve: DecayCurve) -> tuple[float, float]:
     if not math.isfinite(amplitude):
         raise ConvergenceError(f"{curve.kind}: the amplitude extrapolated to t = 0 overflows; "
                                "cannot start the fit")
-    return amplitude, min(max(rate, RATE_GUESS_BOUNDS[0]), RATE_GUESS_BOUNDS[1])
+    return amplitude, rate
 
 
 def _refuse_growth(kind: str, estimate: RateEstimate) -> None:
@@ -541,7 +539,9 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     for name, value in fixed.items():
         start[RATE_NAMES.index(name)] = value
     for name in free:
-        start[RATE_NAMES.index(name)] = max(individual[PINNING_KIND[name]].rate, 1e-6)
+        # A zero rate is a zero root, which the fit cannot move: start it at 1 / its curve's span.
+        kind = PINNING_KIND[name]
+        start[RATE_NAMES.index(name)] = individual[kind].rate or 1.0 / np.ptp(by_kind[kind].times)
     fitted_at = [RATE_NAMES.index(name) for name in (*free, "gamma3")]
     n_rates = len(fitted_at)
 

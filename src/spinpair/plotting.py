@@ -44,7 +44,7 @@ def render_decay_plot(series: list[Series]) -> str:
 
     The y axis is logarithmic with decade ticks: non-positive y values are
     dropped from the plot (decayed signals at the noise floor).  The x axis
-    is time in seconds.
+    spans the times as given, labelled in seconds; a single time spans 1.
     """
     xs = [float(v) for s in series for v in s.x]
     ys = [float(v) for s in series for v in s.y if v > 0]
@@ -56,7 +56,7 @@ def render_decay_plot(series: list[Series]) -> str:
         y_lo_log -= 0.5
         y_hi_log += 0.5
     y_lo, y_hi = 10.0**y_lo_log, 10.0**y_hi_log
-    if x_hi - x_lo < 1e-12:
+    if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT

@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's outputs: run a fixed matrix of 72 commands, each as
+"""Fingerprint the CLI's outputs: run a fixed matrix of 73 commands, each as
 `python -m spinpair.cli` in one temporary directory, and print one SHA-256
 line for each output file, stdout, stderr and exit code.
 
@@ -21,7 +21,10 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 import spinpair
+from spinpair.estimation import DecayCurve, save_curve, synthetic_curve
 from spinpair.presets import PRESETS as TABLE
 
 PRESETS = ("btc", "cytosine", "coumarin")
@@ -32,7 +35,8 @@ TARGETS = ("ZQ", "DQ", "SQ1", "SQ2")
 def write_configs(root: Path) -> None:
     """Per preset, one config that states the system and the noise as objects,
     with a {start, stop, points} grid and multiplicative noise, and one with
-    a list grid; then the faulty inputs of the failing commands."""
+    a list grid; then a noiseless btc ZQ/DQ pair with 64 times over 0-1e10 ns,
+    and the faulty inputs of the failing commands."""
     for name in PRESETS:
         preset = TABLE[name]
         objects = {
@@ -46,6 +50,9 @@ def write_configs(root: Path) -> None:
         (root / f"{name}.json").write_text(json.dumps(objects), encoding="utf-8")
         listed = {"time_grid": [0.0, 0.01, 0.1, 0.5, 1.0, 2.5, 5.0]}
         (root / f"{name}_list.json").write_text(json.dumps(listed), encoding="utf-8")
+    for kind in ("ZQ", "DQ"):
+        curve = synthetic_curve(kind, TABLE["btc"].noise, np.linspace(0.0, 10.0, 64))
+        save_curve(DecayCurve(kind, 1e9 * curve.times, curve.signals), root / f"btc_ns_{kind}.csv")
     (root / "directory.json").mkdir()
     (root / "latin1.json").write_bytes(b'{"epsilon": 0.5\xff}')
     (root / "negative.csv").write_text("t,signal\n0,-1\n1,-0.5\n2,-0.25\n3,-0.125\n",
@@ -60,7 +67,7 @@ def write_configs(root: Path) -> None:
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(id, argv) of the 72 commands, in the order they run.  Each writes to
+    """(id, argv) of the 73 commands, in the order they run.  Each writes to
     out/<id>; fit reads the curves that decay wrote.  The last nine fail."""
     matrix = []
     for p in PRESETS:
@@ -86,6 +93,8 @@ def commands() -> list[tuple[str, list[str]]]:
     matrix += [
         ("report_all", ["report"]),
         ("report_all_csv", ["report", "--format", "csv"]),
+        ("fit_difference_nanoseconds", ["fit", "--curve=ZQ=btc_ns_ZQ.csv",
+                                        "--curve=DQ=btc_ns_DQ.csv"]),
     ]
     faults = [
         ("fault_config_directory", ["prepare", "--preset", "btc", "--target", "DQ",

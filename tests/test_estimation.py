@@ -267,14 +267,14 @@ def test_start_without_a_resolvable_slope(kind, signals, start):
 
 @pytest.mark.parametrize("kind", [KIND_T1_SPIN1, KIND_SQ1])
 def test_start_amplitude_takes_the_unclamped_slope(kind):
-    # A rate of 1e-7 1/s lies below the start's lower bound.  The amplitude is
-    # read off the fitted line, not off a line of the clamped slope, which over
-    # a mean time of 1e7 s would put it off by exp(1e3) and overflow.
+    # A rate of 1e-7 1/s starts where the line puts it, with no bound in
+    # seconds.  The amplitude is read off that line: one of a slope clamped to
+    # 1e-4 would, over a mean time of 1e7 s, be off by exp(1e3) and overflow.
     slow = NoiseParams(1e-7, 1.0, 0.0, 1e-7, 1.0)
     t = np.linspace(0.0, 3e7, 50)
     amplitude, rate = _initial_guess(synthetic_curve(kind, slow, t, amplitude=0.8))
     assert amplitude == pytest.approx(0.8, rel=1e-9)
-    assert rate == 1e-4
+    assert rate == pytest.approx(1e-7, rel=1e-9)
 
 
 def test_recovery_fit_starts_in_the_positive_basin():
@@ -306,6 +306,19 @@ def test_fit_noise_model_with_the_callers_estimates_is_the_same_fit():
     individual = {curve.kind: fit_exponential(curve) for curve in curves}
     expected = fit_noise_model(curves).to_dict()
     assert _exact(fit_noise_model(curves, individual=individual).to_dict()) == _exact(expected)
+
+
+@pytest.mark.parametrize("kind", [KIND_SQ1, KIND_T1_SPIN2])
+def test_fit_noise_model_moves_a_zero_start_rate(kind):
+    # A caller's rate of 0 is a zero root of the squared rate, whose Jacobian
+    # column is 0 there; it starts at 1 / its curve's span and fits.
+    curves = [synthetic_curve(k, BTC_LIKE, suggested_times(k, BTC_LIKE)) for k in CURVE_KINDS]
+    individual = {curve.kind: fit_exponential(curve) for curve in curves}
+    individual[kind] = RateEstimate(0.0, 0.1, 0.0, individual[kind].amplitude)
+    fitted = fit_noise_model(curves, individual=individual).params
+    for name in PINNING_KIND:
+        assert getattr(fitted, name) == pytest.approx(getattr(BTC_LIKE, name), rel=1e-8)
+    assert fitted.gamma3 == pytest.approx(BTC_LIKE.gamma3, rel=1e-8)
 
 
 GROWING_DQ = DecayCurve(KIND_DQ, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0])
@@ -399,6 +412,59 @@ def test_fit_exponential_time_scale_equivariance():
     base = fit_exponential(DecayCurve(KIND_ZQ, t, signals)).rate
     scaled = fit_exponential(DecayCurve(KIND_ZQ, 10.0 * t, signals)).rate
     assert scaled == pytest.approx(base / 10.0, rel=1e-8)
+
+
+_time_factor = st.floats(-15.0, 15.0).map(lambda e: 10.0**e)
+
+
+def _scaled_times(curve, factor):
+    return DecayCurve(curve.kind, factor * curve.times, curve.signals, curve.sigmas)
+
+
+def _same_rate(unit_rate, unit_stderr, scaled_rate, factor, noisy):
+    """A fit of times x factor gives the unit-scale rate / factor: within 1e-5
+    of the unit fit's stderr on a noisy curve, within 1e-12 relative on a
+    noiseless one."""
+    tolerance = 1e-5 * unit_stderr if noisy else 1e-12 * abs(unit_rate)
+    assert abs(scaled_rate * factor - unit_rate) <= tolerance
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(ALL_KINDS), _time_factor, st.sampled_from([0.0, 0.02]),
+       st.integers(0, 2**32 - 1))
+def test_fit_exponential_is_invariant_to_the_time_unit(kind, factor, sigma, seed):
+    # The start reads its rate off the data, in the data's own time unit, so
+    # a curve in ns fits as it does in s: no start bound assumes seconds.
+    curve = synthetic_curve(kind, BTC_LIKE, suggested_times(kind, BTC_LIKE), amplitude=0.8,
+                            noise_sigma=sigma, rng=np.random.default_rng(seed))
+    try:
+        unit = fit_exponential(curve)
+    except (DataError, ConvergenceError):
+        assume(False)
+    scaled = fit_exponential(_scaled_times(curve, factor))
+    _same_rate(unit.rate, unit.stderr, scaled.rate, factor, sigma > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_time_factor, st.sampled_from([0.0, 0.02]), st.integers(0, 2**32 - 1))
+def test_fit_noise_model_is_invariant_to_the_time_unit(factor, sigma, seed):
+    # Each free rate starts at its pinning curve's rate, with no floor in 1/s.
+    curves = six_curves(BTC_LIKE, noise_sigma=sigma, rng=np.random.default_rng(seed))
+    try:
+        unit = fit_noise_model(curves)
+    except (DataError, ConvergenceError):
+        assume(False)
+    scaled = fit_noise_model([_scaled_times(curve, factor) for curve in curves])
+    _same_rate(unit.params.gamma3, unit.stderr["gamma3"], scaled.params.gamma3, factor, sigma > 0)
+
+
+def test_fit_exponential_slow_rate_in_seconds():
+    # 1e-7 1/s over three e-foldings: from a start clamped to 1e-4 1/s the
+    # model is 0 past t = 0, and the fit stopped there with a stderr of 1e50.
+    t = np.linspace(0.0, 3e7, 24)
+    estimate = fit_exponential(DecayCurve(KIND_ZQ, t, np.exp(-1e-7 * t)))
+    assert estimate.rate == pytest.approx(1e-7, rel=1e-12)
+    assert estimate.stderr < 1e-18
 
 
 def test_fit_exponential_signal_scale_invariance():

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from spinpair.plotting import Series, render_decay_plot
+from spinpair.plotting import MARGIN_LEFT, MARGIN_RIGHT, WIDTH, Series, render_decay_plot
 
 
 def sample_series():
@@ -37,3 +39,12 @@ def test_render_drops_non_positive_values_on_log_axis():
 def test_render_rejects_empty_plot():
     with pytest.raises(ValueError, match="nothing to plot"):
         render_decay_plot([Series("void", [0.0], [-1.0], style="points")])
+
+
+def test_render_spans_a_femtosecond_axis():
+    # The x axis is in the data's own unit: a span of 7e-15 is not widened.
+    t = np.linspace(0.0, 7e-15, 40)
+    svg = render_decay_plot([Series("ZQ data", list(t), list(np.exp(-1e14 * t)), style="points")])
+    cx = [float(x) for x in re.findall(r'<circle cx="([^"]+)"', svg)]
+    assert cx[0] == MARGIN_LEFT
+    assert cx[-1] == WIDTH - MARGIN_RIGHT
