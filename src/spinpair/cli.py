@@ -416,7 +416,8 @@ def cmd_fit(args) -> tuple[str, dict]:
                                      if key.endswith(("_predicted", "_mismatch"))})
         fitted_rates = {kind: est.rate for kind, est in estimates.items()}
         fitted_amplitudes = {kind: est.amplitude for kind, est in estimates.items()}
-        text = f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} 1/s (difference estimator)\n"
+        text = (f"gamma3 = {diff.rate:.6g} +/- {diff.stderr:.3g} per unit of t "
+                "(difference estimator)\n")
     else:
         report = fit_noise_model(list(curves.values()), fixed=fixed, individual=estimates)
         payload = {"mode": "joint", **report.to_dict()}
@@ -425,7 +426,7 @@ def cmd_fit(args) -> tuple[str, dict]:
         }
         fitted_amplitudes = report.amplitudes
         text = (f"joint fit converged ({report.convergence_reason}, "
-                f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} 1/s\n")
+                f"{report.iterations} iterations): gamma3 = {report.params.gamma3:.6g} per unit of t\n")
 
     try:
         svg = _fit_plot(curves, fitted_rates, fitted_amplitudes)

@@ -380,7 +380,8 @@ def _refuse_growth(kind: str, estimate: RateEstimate) -> None:
     """Every rate of the model is a Lindblad rate, so a negative fitted decay
     rate lies outside it."""
     if estimate.rate < 0:
-        raise DataError(f"{kind}: fitted decay rate {estimate.rate:g} 1/s is negative; the curve grows")
+        raise DataError(f"{kind}: fitted decay rate {estimate.rate:g} per unit of t is negative; "
+                        "the curve grows")
 
 
 def fit_exponential(curve: DecayCurve) -> RateEstimate:
@@ -480,8 +481,9 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     ZQ and DQ curves are mandatory.  Each of gamma1, gamma2, Gamma1, Gamma2
     is fitted when its pinning curve (SQ or inversion-recovery) is present
     and the value is not supplied in `fixed`; otherwise it must appear in
-    `fixed`.  gamma3 is always fitted.  The non-negative rates are
-    reparameterized as squares; every curve carries a free amplitude.
+    `fixed`.  gamma3 is always fitted, and so are the free rates themselves,
+    as `fit_exponential` fits its rate: a fitted rate below zero is a
+    `ConvergenceError`.  Every curve carries a free amplitude.
     The start values come from each curve's `fit_exponential` estimate:
     `individual` maps each kind to it when the caller has made them already.
     It must cover exactly the curves' kinds, and its rates meet
@@ -532,16 +534,14 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
             _refuse_growth(kind, estimate)
     difference = gamma3_difference(individual[KIND_ZQ], individual[KIND_DQ])
 
-    # The fit vector x holds the square roots of the free rates, then gamma3,
-    # then one amplitude per kind.  `start` holds the five start values in
-    # RATE_NAMES order, `fitted_at` x's rate indices.
+    # The fit vector x holds the free rates, then gamma3, then one amplitude
+    # per kind.  `start` holds the five start values in RATE_NAMES order,
+    # `fitted_at` x's rate indices.
     start = [difference.rate] * len(RATE_NAMES)
     for name, value in fixed.items():
         start[RATE_NAMES.index(name)] = value
     for name in free:
-        # A zero rate is a zero root, which the fit cannot move: start it at 1 / its curve's span.
-        kind = PINNING_KIND[name]
-        start[RATE_NAMES.index(name)] = individual[kind].rate or 1.0 / np.ptp(by_kind[kind].times)
+        start[RATE_NAMES.index(name)] = individual[PINNING_KIND[name]].rate
     fitted_at = [RATE_NAMES.index(name) for name in (*free, "gamma3")]
     n_rates = len(fitted_at)
 
@@ -554,9 +554,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     def unpack(xs):
         """The five rates in RATE_NAMES order, from the fit vector as a list."""
         rates = start.copy()
-        for i, root in zip(fitted_at[:-1], xs):
-            rates[i] = root * root
-        rates[fitted_at[-1]] = xs[n_rates - 1]
+        for i, rate in zip(fitted_at, xs):
+            rates[i] = rate
         return rates
 
     # The curves stacked once in `kinds` order, with each sample's kind, model
@@ -576,10 +575,12 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     amplitude_at = n_rates + sample_kind
     n_params = n_rates + len(kinds)
     amplitude_flat = np.arange(0, t.size * n_params, n_params) + amplitude_at
+    # The rate block is built transposed, so that each numpy pass runs along
+    # the samples, and copied into the Jacobian's first columns.
+    sample_coeffs = np.take(fitted_coeffs, sample_kind, axis=1)
 
     def residual_jac(x):
-        xs = x.tolist()
-        rates = unpack(xs)
+        rates = unpack(x.tolist())
         # Model amplitude * (offset + slope exp(-rate t)) and its partials;
         # each kind's rate is negated once, as a Python float.
         neg_rates = np.array([-_table_rates(row, rates) for row in table])[sample_kind]
@@ -589,12 +590,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         d_rate = neg_slope * amplitude
         d_rate *= t
         d_rate *= decay
-        chain = 2.0 * x[:n_rates, None]
-        chain[-1] = 1.0
-        # The rate block is built transposed, so that each numpy pass runs
-        # along the samples, and copied into the Jacobian's first columns.
-        block = np.take(fitted_coeffs * chain, sample_kind, axis=1)
-        block *= d_rate
+        block = sample_coeffs * d_rate
         r = amplitude * d_amp
         r -= s
         if w is not None:
@@ -606,25 +602,21 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         jac.ravel()[amplitude_flat] = d_amp
         return r, jac
 
-    x0 = np.array([*(math.sqrt(start[i]) for i in fitted_at[:-1]), difference.rate,
-                   *(individual[kind].amplitude for kind in kinds)])
+    x0 = np.array([*(start[i] for i in fitted_at), *(individual[kind].amplitude for kind in kinds)])
     x, r, jac, converged, reason, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
 
-    # On Python floats, bit for bit as numpy gives them: sqrt(max(variance, 0))
-    # times the chain factor, 2 |root| for a squared rate and 1 for gamma3.
-    xs = x.tolist()
+    # Each stderr is sqrt(max(variance, 0)) on Python floats, bit for bit as numpy gives it.
     try:
         variances = _parameter_covariance(r, jac, weighted=w is not None).diagonal().tolist()
     except ConvergenceError as exc:
         raise ConvergenceError(f"joint fit: {exc}") from None
-    chain = [2.0 * abs(root) for root in xs[: n_rates - 1]] + [1.0]
-    stderr = {RATE_NAMES[at]: math.sqrt(max(variance, 0.0)) * factor
-              for at, variance, factor in zip(fitted_at, variances, chain)}
+    stderr = {RATE_NAMES[at]: math.sqrt(max(variance, 0.0))
+              for at, variance in zip(fitted_at, variances)}
 
     try:
-        params = NoiseParams(*unpack(xs))
+        params = NoiseParams(*unpack(x.tolist()))
     except ValueError as exc:
         raise ConvergenceError(f"fitted rates violate positivity constraints: {exc}") from exc
 

@@ -101,7 +101,7 @@ def render_decay_plot(series: list[Series]) -> str:
         )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">time (s)</text>'
+        f'font-family="sans-serif" font-size="12">time (unit of t)</text>'
     )
     parts.append(
         f'<text x="16" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '

@@ -164,8 +164,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     ZQ and DQ curves are mandatory.  Each of gamma1, gamma2, Gamma1, Gamma2
     is fitted when its pinning curve (SQ or inversion-recovery) is present
     and the value is not supplied in `fixed`; otherwise it must appear in
-    `fixed`.  gamma3 is always fitted.  The non-negative rates are
-    reparameterized as squares; every curve carries a free amplitude.
+    `fixed`.  gamma3 is always fitted, and so are the free rates themselves;
+    every curve carries a free amplitude.
     """
     fixed = dict(fixed or {})
     by_kind: dict[str, DecayCurve] = {}
@@ -196,8 +196,8 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
             )
 
     kinds = [kind for kind in CURVE_KINDS if kind in by_kind]
-    # The fit vector x holds the square roots of the free rates, then gamma3,
-    # then one amplitude per kind.
+    # The fit vector x holds the free rates, then gamma3, then one amplitude
+    # per kind.
     fitted = (*free, "gamma3")
     n_rates = len(fitted)
     fitted_at = [RATE_NAMES.index(name) for name in fitted]
@@ -210,7 +210,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     def unpack(x):
         """The five rates in RATE_NAMES order."""
         rates = start.copy()
-        rates[fitted_at] = np.append(x[: n_rates - 1] ** 2, x[n_rates - 1])
+        rates[fitted_at] = x[:n_rates]
         return rates
 
     weights = {
@@ -221,7 +221,6 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
 
     def residual_jac(x):
         kind_rates = _table_rates(columns, unpack(x))
-        chain = np.append(2.0 * x[: n_rates - 1], 1.0)
         blocks_r, blocks_j = [], []
         for j, kind in enumerate(kinds):
             curve = by_kind[kind]
@@ -229,20 +228,18 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
             w = weights[kind]
             blocks_r.append((vals - curve.signals) * w)
             jac = np.zeros((len(curve), n_rates + len(kinds)))
-            jac[:, :n_rates] = np.outer(d_rate, fitted_coeffs[j] * chain) * w[:, None]
+            jac[:, :n_rates] = np.outer(d_rate, fitted_coeffs[j]) * w[:, None]
             jac[:, n_rates + j] = d_amp * w
             blocks_j.append(jac)
         return np.concatenate(blocks_r), np.vstack(blocks_j)
 
-    x0 = np.concatenate((np.sqrt(start[fitted_at[:-1]]), [difference.rate],
-                         [individual[kind].amplitude for kind in kinds]))
+    x0 = np.concatenate((start[fitted_at], [individual[kind].amplitude for kind in kinds]))
     x, r, jac, converged, reason, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
 
     cov = _parameter_covariance(r, jac, weighted=all_weighted)
-    scale = np.append(2.0 * np.abs(x[: n_rates - 1]), 1.0)
-    stderr = dict(zip(fitted, (np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)) * scale).tolist()))
+    stderr = dict(zip(fitted, np.sqrt(np.maximum(np.diag(cov)[:n_rates], 0.0)).tolist()))
 
     try:
         params = NoiseParams(**dict(zip(RATE_NAMES, unpack(x).tolist())))

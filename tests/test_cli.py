@@ -888,12 +888,12 @@ def json_error(text):
          {"neg.csv": NEGATIVE_CSV}, 3, "data error: {tmp}/out/fit_plot.svg: nothing to plot"),
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
          {"grow.csv": GROWING_CSV}, 3,
-         "data error: {tmp}/grow.csv: DQ: fitted decay rate -0.693147 1/s is negative; the curve grows"),
+         "data error: {tmp}/grow.csv: DQ: fitted decay rate -0.693147 per unit of t is negative; the curve grows"),
         # The other rates are fixed from the preset, so the joint fit itself
         # would converge on gamma3 from the ZQ curve alone.
         (["fit", "--mode", "joint", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/grow.csv"],
          {"grow.csv": GROWING_CSV}, 3,
-         "data error: {tmp}/grow.csv: DQ: fitted decay rate -0.693147 1/s is negative; the curve grows"),
+         "data error: {tmp}/grow.csv: DQ: fitted decay rate -0.693147 per unit of t is negative; the curve grows"),
         # The report is written first, and removed when the plot cannot be.
         (["fit", "--curve", "ZQ={tmp}/zq.csv", "--curve", "DQ={tmp}/dq.csv"],
          {"out/fit_plot.svg": None}, 2,

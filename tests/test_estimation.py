@@ -310,8 +310,7 @@ def test_fit_noise_model_with_the_callers_estimates_is_the_same_fit():
 
 @pytest.mark.parametrize("kind", [KIND_SQ1, KIND_T1_SPIN2])
 def test_fit_noise_model_moves_a_zero_start_rate(kind):
-    # A caller's rate of 0 is a zero root of the squared rate, whose Jacobian
-    # column is 0 there; it starts at 1 / its curve's span and fits.
+    # A caller's rate of 0 is a start like any other: the fit moves it.
     curves = [synthetic_curve(k, BTC_LIKE, suggested_times(k, BTC_LIKE)) for k in CURVE_KINDS]
     individual = {curve.kind: fit_exponential(curve) for curve in curves}
     individual[kind] = RateEstimate(0.0, 0.1, 0.0, individual[kind].amplitude)
@@ -321,8 +320,20 @@ def test_fit_noise_model_moves_a_zero_start_rate(kind):
     assert fitted.gamma3 == pytest.approx(BTC_LIKE.gamma3, rel=1e-8)
 
 
+def test_fit_noise_model_refuses_a_joint_rate_below_zero():
+    # Gamma2's own T1 curve fits 9.6e-5, but the joint optimum puts Gamma2
+    # below zero: a rate outside the model, refused as fit_exponential
+    # refuses one.
+    params = NoiseParams(0.015, 0.03, -0.003, 0.003, 0.0015)
+    rng = np.random.default_rng(32)
+    curves = [synthetic_curve(kind, params, default_time_grid(), noise_sigma=0.05, rng=rng)
+              for kind in CURVE_KINDS]
+    with pytest.raises(ConvergenceError, match="positivity constraints: .*Gamma2"):
+        fit_noise_model(curves)
+
+
 GROWING_DQ = DecayCurve(KIND_DQ, [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 8.0, 16.0])
-GROWING_MESSAGE = "DQ: fitted decay rate -0.693147 1/s is negative; the curve grows"
+GROWING_MESSAGE = "DQ: fitted decay rate -0.693147 per unit of t is negative; the curve grows"
 BTC_FIXED = {name: getattr(BTC_LIKE, name) for name in PINNING_KIND}
 
 
@@ -336,7 +347,7 @@ def _btc_zq():
         (None, GROWING_MESSAGE),
         # The caller's estimates are checked as given, not fitted again.
         ({KIND_ZQ: RateEstimate(-3.0, 0.1, 0.0), KIND_DQ: RateEstimate(12.182, 0.1, 0.0)},
-         "ZQ: fitted decay rate -3 1/s is negative; the curve grows"),
+         "ZQ: fitted decay rate -3 per unit of t is negative; the curve grows"),
     ],
     ids=["fitted", "callers"],
 )

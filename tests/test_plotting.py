@@ -21,7 +21,7 @@ def test_render_produces_svg_document():
     assert svg.count("<circle") == 9
     assert svg.count("<polyline") == 1
     assert "decay fits" in svg
-    assert "time (s)" in svg
+    assert "time (unit of t)" in svg
     assert "signal (log)" in svg
 
 
