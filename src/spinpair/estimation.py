@@ -51,8 +51,13 @@ PINNING_KIND = {
 }
 
 MAX_ITERATIONS = 200
-GRADIENT_TOL = 1e-10
-STEP_TOL = 1e-12
+# The relative cost, step and gradient tolerances of _levenberg_marquardt's stop tests.
+FTOL = 1e-9
+XTOL = 1e-12
+GTOL = 1e-12
+# Signals whose largest magnitude has a binary exponent beyond +/- this are fitted
+# scaled by a power of two, so that no squared residual leaves the float range.
+SIGNAL_EXPONENT_LIMIT = 64
 # Its upper bound starts an unresolvable slope; tests/estimation_reference.py clamps to both.
 RATE_GUESS_BOUNDS = (1e-4, 1e3)
 
@@ -241,14 +246,30 @@ def synthetic_curve(
 # ----------------------------------------------------------------------
 
 
-# Residuals near 1e300 overflow the cost, so no damped step lowers it and the
-# fit reports non-convergence; numpy's overflow warnings would only repeat that.
+# A trial point whose model or cost overflows is rejected like any other that
+# raises the cost; numpy's overflow warnings would only repeat that.
 @np.errstate(over="ignore", invalid="ignore")
 def _levenberg_marquardt(residual_jac, x0):
     """Minimize 0.5 ||r(x)||^2 with adaptive damping and analytic Jacobians.
 
-    Returns (x, r, jac, converged, reason, iterations); converged means the
-    max-abs gradient fell below GRADIENT_TOL or the step below STEP_TOL.
+    Returns (x, r, jac, converged, reason, iterations).  The fit converges on
+    the first of three stop tests that holds, after MINPACK's (More, Garbow &
+    Hillstrom, "User guide for MINPACK-1", ANL-80-74, 1980).  None depends on
+    the unit of the residual or of a parameter.  D^2 is the damping diagonal,
+    the diagonal of J^T J with 1.0 for entries <= 0, so D holds the norms of
+    J's columns.
+      - "gradient": ||D x|| is finite, and the projection of r on each
+        column of J, |J_j^T r| / ||J_j||, is at most GTOL ||D x||.  MINPACK
+        bounds it by GTOL ||r||, a cosine, which a residual at rounding level
+        never meets; against ||D x|| a noiseless fit stops here, at its first
+        test.
+      - "step": a trial step p, accepted or not, has ||D p|| <= XTOL ||D x||.
+        The fit stops at x and does not evaluate x + p.
+      - "cost": a step was accepted, and both its actual cost reduction and
+        the one the linear model predicts, cost - 0.5 ||r + J p||^2, are at
+        most FTOL of the cost before it.  The fit stops at x + p.
+    Otherwise the fit ends unconverged: on "no_descent" when no damped step
+    lowers the cost, or on "max_iterations".  A nan fails every test.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jac = residual_jac(x)
@@ -263,12 +284,17 @@ def _levenberg_marquardt(residual_jac, x0):
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         descent = -(jac.T @ r)
-        # On Python floats; a nan component fails the test, as np.max's nan would.
-        if all(abs(g) < GRADIENT_TOL for g in descent.tolist()):
-            return x, r, jac, True, "gradient", iterations
         normal = jac.T @ jac
         # d <= 0.0 is False for nan, so a nan entry stays nan.
-        scale_diagonal[:] = [1.0 if d <= 0.0 else d for d in normal.diagonal().tolist()]
+        diagonal = [1.0 if d <= 0.0 else d for d in normal.diagonal().tolist()]
+        scale_diagonal[:] = diagonal
+        # The stop tests run on Python floats, with D's entries; hypot forms
+        # ||D x|| and ||D p|| without the underflow of a sum of squares.
+        norms = [math.sqrt(d) for d in diagonal]
+        x_norm = math.hypot(*[n * v for n, v in zip(norms, x.tolist())])
+        bound = GTOL * x_norm
+        if x_norm < math.inf and all(abs(g) <= bound * n for g, n in zip(descent.tolist(), norms)):
+            return x, r, jac, True, "gradient", iterations
         step = None
         for _ in range(60):
             try:
@@ -276,6 +302,8 @@ def _levenberg_marquardt(residual_jac, x0):
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
+            if math.hypot(*[n * v for n, v in zip(norms, candidate.tolist())]) <= XTOL * x_norm:
+                return x, r, jac, True, "step", iterations
             trial = x + candidate
             r_new, jac_new = residual_jac(trial)
             cost_new = 0.5 * float(r_new @ r_new)
@@ -284,13 +312,30 @@ def _levenberg_marquardt(residual_jac, x0):
                 break
             damping *= 10.0
         if step is None:
-            # The gradient failed GRADIENT_TOL above, yet no damped step lowers the cost.
+            # No damped step lowers the cost, and none falls below XTOL either.
             return x, r, jac, False, "no_descent", iterations
+        # The linear model's reduction is needed only where the actual one is small.
+        tolerance = FTOL * cost
+        settled = cost - cost_new <= tolerance
+        if settled:
+            linear = r + jac @ step
+            settled = cost - 0.5 * float(linear @ linear) <= tolerance
         x, r, jac, cost = trial, r_new, jac_new, cost_new
         damping = max(damping / 3.0, 1e-14)
-        if math.sqrt(step @ step) < STEP_TOL * (math.sqrt(x @ x) + STEP_TOL):
-            return x, r, jac, True, "step", iterations
+        if settled:
+            return x, r, jac, True, "cost", iterations
     return x, r, jac, False, "max_iterations", iterations
+
+
+def _signal_scale(signals: np.ndarray) -> float:
+    """1.0 when the largest |signal| has a binary exponent within
+    +/-SIGNAL_EXPONENT_LIMIT; otherwise the power of two that brings it into
+    [0.5, 1), or as near as 2^1023 brings a subnormal.  A power of two scales
+    exactly, barring underflow, and no stop test depends on the scale."""
+    exponent = math.frexp(float(np.abs(signals).max()))[1]
+    if abs(exponent) <= SIGNAL_EXPONENT_LIMIT:
+        return 1.0
+    return math.ldexp(1.0, -max(exponent, -1023))
 
 
 def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.ndarray:
@@ -397,8 +442,11 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     if (curve.signals == curve.signals[0]).all():
         raise DataError(f"{curve.kind}: constant signal, decay rate undetermined")
 
-    weights = None if curve.sigmas is None else 1.0 / curve.sigmas
-    t, s = curve.times, curve.signals
+    # The fit runs on signals and sigmas times `scale`; weighted residuals are
+    # free of it, and plain ones are divided by it again at the end.
+    scale = _signal_scale(curve.signals)
+    weights = None if curve.sigmas is None else 1.0 / (curve.sigmas * scale)
+    t, s = curve.times, curve.signals * scale
     offset, slope = CURVE_SHAPE[curve.kind]
     recovery = curve.kind in RECOVERY_KINDS
 
@@ -420,7 +468,8 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
             jac *= weights[:, None]
         return r, jac
 
-    x0 = np.array(_initial_guess(curve))
+    amplitude, rate = _initial_guess(curve)
+    x0 = [amplitude * scale, rate]
     x, r, jac, converged, _, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"{curve.kind}: fit did not converge in {iterations} iterations")
@@ -431,8 +480,8 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     estimate = RateEstimate(
         rate=float(x[1]),
         stderr=math.sqrt(max(cov[1, 1], 0.0)),
-        residual_norm=math.sqrt(r @ r),
-        amplitude=float(x[0]),
+        residual_norm=math.sqrt(r @ r) / (1.0 if weights is not None else scale),
+        amplitude=float(x[0]) / scale,
     )
     _refuse_growth(curve.kind, estimate)
     return estimate
@@ -566,7 +615,10 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     sample_kind = np.repeat(np.arange(len(kinds)), sizes)
     t = np.concatenate([c.times for c in stack])
     s = np.concatenate([c.signals for c in stack])
-    w = None if unweighted else np.concatenate([1.0 / c.sigmas for c in stack])
+    # The fit runs on every signal and sigma times one `scale`, as fit_exponential's does.
+    scale = _signal_scale(s)
+    s *= scale
+    w = None if unweighted else 1.0 / (np.concatenate([c.sigmas for c in stack]) * scale)
     # RECOVERY_KINDS lead CURVE_KINDS, so their samples lead the stack.
     n_recovery = sum(len(by_kind[kind]) for kind in RECOVERY_KINDS if kind in by_kind)
     offset, slope = np.zeros(t.size), np.ones(t.size)
@@ -602,7 +654,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         jac.ravel()[amplitude_flat] = d_amp
         return r, jac
 
-    x0 = np.array([*(start[i] for i in fitted_at), *(individual[kind].amplitude for kind in kinds)])
+    x0 = [*(start[i] for i in fitted_at), *(individual[kind].amplitude * scale for kind in kinds)]
     x, r, jac, converged, reason, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
@@ -622,12 +674,13 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
 
     bounds = [0, *accumulate(sizes)]
     segments = (r[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    per_curve = {kind: math.sqrt(seg @ seg) for kind, seg in zip(kinds, segments)}
+    r_unit = 1.0 if w is not None else scale
+    per_curve = {kind: math.sqrt(seg @ seg) / r_unit for kind, seg in zip(kinds, segments)}
 
     return FitReport(
         params=params,
         stderr=stderr,
-        amplitudes=dict(zip(kinds, x[n_rates:])),
+        amplitudes=dict(zip(kinds, x[n_rates:] / scale)),
         per_curve_residuals=per_curve,
         converged=converged,
         convergence_reason=reason,

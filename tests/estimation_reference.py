@@ -13,7 +13,8 @@ import numpy as np
 from spinpair.channels import NoiseParams
 from spinpair.estimation import (
     CURVE_KINDS,
-    GRADIENT_TOL,
+    FTOL,
+    GTOL,
     KIND_DQ,
     KIND_ZQ,
     MAX_ITERATIONS,
@@ -22,7 +23,7 @@ from spinpair.estimation import (
     RATE_NAMES,
     RATE_TABLE,
     RECOVERY_KINDS,
-    STEP_TOL,
+    XTOL,
     ConvergenceError,
     DataError,
     DecayCurve,
@@ -41,8 +42,11 @@ from spinpair.estimation import (
 def _levenberg_marquardt(residual_jac, x0):
     """Minimize 0.5 ||r(x)||^2 with adaptive damping and analytic Jacobians.
 
-    Returns (x, r, jac, converged, reason, iterations); converged means the
-    max-abs gradient fell below GRADIENT_TOL or the step below STEP_TOL.
+    Returns (x, r, jac, converged, reason, iterations); converged means that
+    one of the package's three scale-free stop tests held: each |J_j^T r| at
+    most GTOL ||J_j|| ||D x|| ("gradient"), a trial step below XTOL of x in
+    the damping scale D ("step"), or an accepted step whose actual and
+    predicted cost reductions are at most FTOL of the cost ("cost").
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jac = residual_jac(x)
@@ -51,11 +55,14 @@ def _levenberg_marquardt(residual_jac, x0):
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         gradient = jac.T @ r
-        if np.abs(gradient).max() < GRADIENT_TOL:
-            return x, r, jac, True, "gradient", iterations
         normal = jac.T @ jac
         scale = np.diag(normal).copy()
         scale[scale <= 0.0] = 1.0
+        norms = np.sqrt(scale).tolist()
+        x_norm = math.hypot(*(n * v for n, v in zip(norms, x.tolist())))
+        if x_norm < math.inf and all(abs(g) <= GTOL * x_norm * n
+                                     for g, n in zip(gradient.tolist(), norms)):
+            return x, r, jac, True, "gradient", iterations
         step = None
         for _ in range(60):
             try:
@@ -63,6 +70,8 @@ def _levenberg_marquardt(residual_jac, x0):
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
+            if math.hypot(*(n * v for n, v in zip(norms, candidate.tolist()))) <= XTOL * x_norm:
+                return x, r, jac, True, "step", iterations
             r_new, jac_new = residual_jac(x + candidate)
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new <= cost:
@@ -70,14 +79,15 @@ def _levenberg_marquardt(residual_jac, x0):
                 break
             damping *= 10.0
         if step is None:
-            # No descent direction left: only possible at a stationary point.
-            gradient = jac.T @ r
-            return x, r, jac, bool(np.abs(gradient).max() < GRADIENT_TOL), "gradient", iterations
+            return x, r, jac, False, "no_descent", iterations
+        linear = r + jac @ step
+        settled = (cost - cost_new <= FTOL * cost
+                   and cost - 0.5 * float(linear @ linear) <= FTOL * cost)
         x = x + step
         r, jac, cost = r_new, jac_new, cost_new
         damping = max(damping / 3.0, 1e-14)
-        if np.linalg.norm(step) < STEP_TOL * (np.linalg.norm(x) + STEP_TOL):
-            return x, r, jac, True, "step", iterations
+        if settled:
+            return x, r, jac, True, "cost", iterations
     return x, r, jac, False, "max_iterations", iterations
 
 

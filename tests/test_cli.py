@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,12 +351,16 @@ def test_fit_start_rate_overflow_is_quiet(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_fit_overflowing_residuals_are_fit_error(tmp_path, capsys):
-    # Residuals near 1e300 overflow the least-squares cost: the fit does not
-    # converge, and no numpy warning reaches stderr.
-    assert _fit_steep_zq(tmp_path, "1,1e300\n2,1e295\n3,1e290\n4,1e285\n") == 4
-    zq = tmp_path / "steep.csv"
-    assert capsys.readouterr().err == f"fit error: {zq}: ZQ: fit did not converge in 1 iterations\n"
+@pytest.mark.filterwarnings("error")
+def test_fit_takes_signals_near_the_float_limit(tmp_path, capsys):
+    # Signals near 1e300, whose squared residuals would overflow the cost, are
+    # fitted scaled by a power of two: ZQ decays at 5 ln 10 per unit of t, and
+    # DQ at 12.182, with no numpy warning.
+    assert _fit_steep_zq(tmp_path, "1,1e300\n2,1e295\n3,1e290\n4,1e285\n") == 0
+    assert capsys.readouterr().out.startswith("gamma3 = 0.334537 +/- ")
+    report = json.loads((tmp_path / "out" / "fit_report.json").read_text(encoding="utf-8"))
+    assert report["ZQ_rate"] == pytest.approx(5.0 * math.log(10.0), rel=1e-12)
+    assert report["ZQ_amplitude"] == pytest.approx(1e305, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,9 @@ from spinpair.estimation import (
     KIND_ZQ,
     MAX_ITERATIONS,
     PINNING_KIND,
+    RATE_NAMES,
     RATE_TABLE,
+    RECOVERY_KINDS,
     ConvergenceError,
     DataError,
     DecayCurve,
@@ -227,14 +230,20 @@ def test_fit_exponential_recovery_kind():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_noiseless_fit_starts_at_its_optimum(monkeypatch, kind):
     # The start reads every sample, so a noiseless curve starts where the fit
-    # ends and the fit stops at its first gradient test.
+    # ends, and the fit stops at its first gradient test, after its first
+    # residual call: its residual is at rounding level, far below GTOL of
+    # the scaled parameters.
     import spinpair.estimation as estimation
 
-    iterations = []
+    calls, stops = [], []
 
     def counted(residual_jac, x0):
-        result = _levenberg_marquardt(residual_jac, x0)
-        iterations.append(result[5])
+        def counted_residual_jac(x):
+            calls.append(x)
+            return residual_jac(x)
+
+        result = _levenberg_marquardt(counted_residual_jac, x0)
+        stops.append(result[3:])
         return result
 
     monkeypatch.setattr(estimation, "_levenberg_marquardt", counted)
@@ -244,7 +253,7 @@ def test_noiseless_fit_starts_at_its_optimum(monkeypatch, kind):
     assert start == pytest.approx(rate, rel=1e-12)
     assert amplitude == pytest.approx(0.7, rel=1e-12)
     assert fit_exponential(curve).rate == pytest.approx(rate, rel=1e-12)
-    assert iterations == [1]
+    assert (len(calls), stops) == (1, [(True, "gradient", 1)])
 
 
 @pytest.mark.parametrize(
@@ -487,6 +496,151 @@ def test_fit_exponential_signal_scale_invariance():
     assert scaled.amplitude == pytest.approx(37.0 * base.amplitude, rel=1e-8)
 
 
+_signal_factor = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def _scaled_signals(curve, factor):
+    sigmas = None if curve.sigmas is None else factor * curve.sigmas
+    return DecayCurve(curve.kind, curve.times, factor * curve.signals, sigmas)
+
+
+def _same_amplitude(unit_amplitude, scaled_amplitude, factor, noisy):
+    """A fit of signals x factor gives the unit-scale amplitude x factor:
+    within 1e-8 relative on a noisy curve, 1e-11 on a noiseless one (its
+    fit stops within about GTOL = 1e-12 of its scaled parameters)."""
+    assert scaled_amplitude == pytest.approx(factor * unit_amplitude, rel=1e-8 if noisy else 1e-11)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(ALL_KINDS), _signal_factor, st.sampled_from([0.0, 0.02]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_fit_exponential_is_invariant_to_the_signal_unit(kind, factor, sigma, weighted, seed):
+    # No stop test depends on the signal's unit, and signals beyond 2^+/-64
+    # are fitted scaled by a power of two, so a curve x 1e-300 or x 1e300
+    # fits as it does at unit scale, with its sigmas scaled alike.
+    curve = synthetic_curve(kind, BTC_LIKE, suggested_times(kind, BTC_LIKE), amplitude=0.8,
+                            noise_sigma=sigma, rng=np.random.default_rng(seed))
+    if weighted:
+        curve = DecayCurve(kind, curve.times, curve.signals,
+                           max(sigma, 1e-3) * np.abs(curve.signals) + 1e-6)
+    try:
+        unit = fit_exponential(curve)
+    except (DataError, ConvergenceError):
+        assume(False)
+    scaled = fit_exponential(_scaled_signals(curve, factor))
+    _same_rate(unit.rate, unit.stderr, scaled.rate, 1.0, sigma > 0)
+    _same_amplitude(unit.amplitude, scaled.amplitude, factor, sigma > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_signal_factor, st.sampled_from([0.0, 0.02]), st.integers(0, 2**32 - 1))
+def test_fit_noise_model_is_invariant_to_the_signal_unit(factor, sigma, seed):
+    # One power of two scales every curve of the joint fit, so their relative
+    # weights do not change.
+    curves = six_curves(BTC_LIKE, noise_sigma=sigma, rng=np.random.default_rng(seed))
+    try:
+        unit = fit_noise_model(curves)
+    except (DataError, ConvergenceError):
+        assume(False)
+    scaled = fit_noise_model([_scaled_signals(curve, factor) for curve in curves])
+    for name, stderr in unit.stderr.items():
+        _same_rate(getattr(unit.params, name), stderr, getattr(scaled.params, name), 1.0, sigma > 0)
+    for kind, amplitude in unit.amplitudes.items():
+        _same_amplitude(amplitude, scaled.amplitudes[kind], factor, sigma > 0)
+
+
+def _btc_zq_noisy():
+    """The btc ZQ curve on 60 samples over 0-10 s at 2 % noise (seed 1)."""
+    return synthetic_curve(KIND_ZQ, BTC_LIKE, np.linspace(0.0, 10.0, 60), noise_sigma=0.02,
+                           rng=np.random.default_rng(1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [2.0**-30, 1e-12, 1e6, 1e-150, 1e150, 1e-155, 1e-160, 1e-163])
+def test_fit_exponential_noisy_curve_at_any_signal_scale(factor):
+    # An absolute gradient bound stopped the fit at its start from 2^-30
+    # down, 0.062 stderr from its optimum.  The standard error, formed in the
+    # signal's unit, was inf at 1e-155 and nan, with a RuntimeWarning, at
+    # 1e-160; at 1e-163 J^T J underflowed to a singular matrix.
+    curve = _btc_zq_noisy()
+    unit = fit_exponential(curve)
+    scaled = fit_exponential(_scaled_signals(curve, factor))
+    _same_rate(unit.rate, unit.stderr, scaled.rate, 1.0, noisy=True)
+    assert scaled.stderr == pytest.approx(unit.stderr, rel=1e-12)
+    assert scaled.residual_norm == pytest.approx(factor * unit.residual_norm, rel=1e-9)
+    _same_amplitude(unit.amplitude, scaled.amplitude, factor, noisy=True)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [2.0**-30, 1e-12, 1e6, 1e-160])
+def test_fit_noise_model_noisy_curves_at_any_signal_scale(factor):
+    curves = six_curves(BTC_LIKE, noise_sigma=0.02, rng=np.random.default_rng(1))
+    unit = fit_noise_model(curves)
+    scaled = fit_noise_model([_scaled_signals(curve, factor) for curve in curves])
+    for name, stderr in unit.stderr.items():
+        _same_rate(getattr(unit.params, name), stderr, getattr(scaled.params, name), 1.0, True)
+        assert scaled.stderr[name] == pytest.approx(stderr, rel=1e-9)
+
+
+def _least_squares_oracle(curves, params):
+    """The joint model fitted by scipy's least_squares at 1e-15 tolerances
+    from the true rates and unit amplitudes: every rate of RATE_NAMES, then
+    one amplitude per curve.  A single curve gives its rate and amplitude."""
+    single = len(curves) == 1
+    coeffs = np.array([[1.0] if single else RATE_TABLE[c.kind] for c in curves])
+    recovery = [c.kind in RECOVERY_KINDS for c in curves]
+
+    def model(x):
+        rates, amplitudes = x[:-len(curves)], x[-len(curves):]
+        residuals, columns = [], []
+        for k, curve in enumerate(curves):
+            decay = np.exp(-(coeffs[k] @ rates) * curve.times)
+            shape = 1.0 - 2.0 * decay if recovery[k] else decay
+            d_rate = (2.0 if recovery[k] else -1.0) * amplitudes[k] * curve.times * decay
+            block = np.zeros((len(curve), x.size))
+            block[:, :rates.size] = np.outer(d_rate, coeffs[k])
+            block[:, rates.size + k] = shape
+            residuals.append(amplitudes[k] * shape - curve.signals)
+            columns.append(block)
+        return np.concatenate(residuals), np.vstack(columns)
+
+    rates = [rate_for_kind(curves[0].kind, params)] if single else [getattr(params, n)
+                                                                     for n in RATE_NAMES]
+    result = scipy.optimize.least_squares(lambda x: model(x)[0], [*rates, *[1.0] * len(curves)],
+                                          jac=lambda x: model(x)[1], xtol=1e-15, ftol=1e-15,
+                                          gtol=1e-15, max_nfev=10_000)
+    assert result.success
+    return result.x
+
+
+def test_fits_match_a_least_squares_oracle():
+    # Noisy curves like the fit benchmark's: six kinds, 24 to 200 samples
+    # over three e-foldings, 0.5 % or 2 % noise.  The fits stop on the cost
+    # test once a step lowers the cost by at most 1e-9 of itself; every rate
+    # still lies within 1e-5 of its stderr of the optimum that scipy's
+    # least_squares finds.
+    rng = np.random.default_rng(31)
+    for op in range(30):
+        params = random_cp_params(rng)
+        curves = []
+        for kind in ALL_KINDS:
+            times = np.linspace(0.0, 3.0 / rate_for_kind(kind, params), int(rng.integers(24, 201)))
+            curves.append(synthetic_curve(kind, params, times, noise_sigma=(0.005, 0.02)[op % 2],
+                                          rng=rng))
+        fitted, oracle_rates = {}, {}
+        for curve in curves:
+            fitted[curve.kind] = estimate = fit_exponential(curve)
+            oracle_rates[curve.kind] = rate = _least_squares_oracle([curve], params)[0]
+            assert abs(estimate.rate - rate) <= 1e-5 * estimate.stderr
+        difference = gamma3_difference(fitted[KIND_ZQ], fitted[KIND_DQ])
+        oracle_gamma3 = 0.5 * (oracle_rates[KIND_DQ] - oracle_rates[KIND_ZQ])
+        assert abs(difference.rate - oracle_gamma3) <= 1e-5 * difference.stderr
+        report = fit_noise_model(curves, individual=fitted)
+        oracle = _least_squares_oracle(curves, params)
+        for name, rate in zip(RATE_NAMES, oracle):
+            assert abs(getattr(report.params, name) - rate) <= 1e-5 * report.stderr[name]
+
+
 def test_fit_exponential_weighted():
     t = np.linspace(0.0, 2.0, 16)
     curve = DecayCurve(KIND_ZQ, t, np.exp(-0.8 * t), sigmas=np.full(16, 0.01))
@@ -599,6 +753,7 @@ def test_recovery_fits_never_report_a_zero_stderr():
 
 
 def test_levenberg_marquardt_reports_no_descent():
+    # At x = 0, ||D x|| = 0, so no trial step falls below XTOL of it.
     def residual_jac(x):
         # Finite at the start and inf at every other point, so no step lowers the cost.
         return np.array([1.0 if x[0] == 0.0 else np.inf]), np.ones((1, 1))
@@ -608,8 +763,9 @@ def test_levenberg_marquardt_reports_no_descent():
 
 
 def test_levenberg_marquardt_never_stops_on_a_nan_gradient():
-    # The gradient is (0, nan): a max-abs test that dropped the nan would stop
-    # on "gradient" at once.  Every nan step is accepted at an equal cost.
+    # The gradient is (0, nan): a test that dropped the nan would stop on
+    # "gradient" at once.  Every nan step is accepted at an equal cost; its
+    # actual cost reduction, 0, meets FTOL, but the predicted one is nan.
     def residual_jac(x):
         return np.array([1.0]), np.array([[0.0, np.nan]])
 
@@ -621,7 +777,9 @@ def test_levenberg_marquardt_never_stops_on_a_nan_gradient():
 def test_levenberg_marquardt_reports_no_descent_once_damping_overflows():
     # Each iteration rejects 59 trials and accepts the 60th, so damping grows
     # about 1e59 / 3 per iteration, and the Jacobian shrinks to match, so the
-    # step does not vanish.  In the sixth iteration damping overflows to inf;
+    # step does not vanish.  In the sixth iteration its entry of 1e-153 keeps
+    # every trial step above XTOL of x in the damping scale, although the
+    # sum of squares of D p underflows, until damping overflows to inf;
     # inf * 0 then puts nan off the diagonal, every trial point is nan, and
     # the fit ends in no_descent at the last accepted point.
     calls = itertools.count()
@@ -632,7 +790,7 @@ def test_levenberg_marquardt_reports_no_descent_once_damping_overflows():
         trials.append(x.tolist())
         if n % 60 == 0 and np.isfinite(x).all():
             k = n // 60
-            jac = np.array([[0.0, 0.0], [10.0 ** (89 - 58.5 * min(k, 4)), 0.0]])
+            jac = np.array([[0.0, 0.0], [10.0 ** (89 - 58.5 * k) if k < 5 else 1e-153, 0.0]])
             return np.array([1e153 * (1 - 1e-3 * k), 1e145]), jac
         return np.array([2e153, 1e145]), np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -642,14 +800,33 @@ def test_levenberg_marquardt_reports_no_descent_once_damping_overflows():
     assert len(trials) == 1 + 6 * 60 and np.isnan(trials[-1]).all()
 
 
-def test_levenberg_marquardt_stops_on_a_vanishing_step():
-    # The step of about 1e7 is below STEP_TOL relative to x = 1e20, while the
-    # gradient, also about 1e7, is far above GRADIENT_TOL.
+@pytest.mark.parametrize("factor", [1.0, 2.0**-400, 1e-150, 1e150])
+def test_levenberg_marquardt_stops_on_a_settled_cost_at_any_scale(factor):
+    # r = c (x - 1, x + 1) is least at x = 0, where ||r|| = c sqrt(2).  The
+    # third step lowers the cost by about 3e-12 of itself, and so does the
+    # linear model, at every c; an absolute gradient bound stopped at x = 5
+    # when c = 1e-150.
     def residual_jac(x):
-        return x - (1e20 + 1e7), np.eye(1)
+        return factor * np.array([x[0] - 1.0, x[0] + 1.0]), factor * np.ones((2, 1))
 
-    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [1e20])
-    assert (x.tolist(), converged, reason, iterations) == ([1.0000000000000998e20], True, "step", 1)
+    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [5.0])
+    assert (converged, reason, iterations) == (True, "cost", 3)
+    assert abs(x[0]) < 1e-9
+
+
+def test_levenberg_marquardt_stops_on_a_vanishing_step():
+    # The gradient, 1, is far above GTOL of x = 1, and every trial raises the
+    # cost.  Damping grows tenfold per trial, and the 16th trial step, below
+    # XTOL of x, ends the fit at x as converged, not in no_descent, and is
+    # never evaluated.
+    calls = []
+
+    def residual_jac(x):
+        calls.append(x.tolist())
+        return np.array([1.0 if x[0] == 1.0 else 2.0]), np.eye(1)
+
+    x, _, _, converged, reason, iterations = _levenberg_marquardt(residual_jac, [1.0])
+    assert (x.tolist(), converged, reason, iterations, len(calls)) == ([1.0], True, "step", 1, 16)
 
 
 # ----------------------------------------------------------------------
