@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .channels import NoiseParams, vectorize
+from .channels import NoiseParams
 from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from .spinops import _finite_real
 from .states import validate_density_matrix
@@ -85,18 +85,21 @@ def _pair(spin1: np.ndarray, spin2: np.ndarray) -> np.ndarray:
 
 # _BASIS[v, 16 n + m] is 1 where exp(Z t)[n, m] takes the v-th value of
 # _block_values, else 0: the population block, the single-quantum pairs of
-# each spin, and the ZQ and DQ elements.  No two rows share an entry and
-# every value is finite and >= 0, so values @ _BASIS places each one bit for bit.
+# each spin, and the ZQ and DQ elements.  No two rows share an entry, so
+# _SLOT[n, m] names the one value at (n, m), or the trailing 0.0 of
+# _block_values where no row is 1, and exp(Z t) is a gather of the values.
 _BASIS = np.array(
     [_pair(a, b) for a in (_KEEP, _FLIP) for b in (_KEEP, _FLIP)]
     + [_pair(_UP + _DOWN, b) for b in (_KEEP, _FLIP)]
     + [_pair(a, _UP + _DOWN) for a in (_KEEP, _FLIP)]
     + [_pair(_UP, _DOWN) + _pair(_DOWN, _UP), _pair(_UP, _UP) + _pair(_DOWN, _DOWN)]
 )
+_SLOT = np.where(_BASIS.any(axis=0), _BASIS.argmax(axis=0), len(_BASIS)).reshape(16, 16)
 
 
 def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float) -> list[float]:
-    """The ten distinct entries of exp(Z t), from six scalar exponentials.
+    """The ten distinct entries of exp(Z t), from six scalar exponentials,
+    and the 0.0 of every other entry.
 
     Python floats let rate * t overflow to inf quietly, and exp(-inf) = 0.
     """
@@ -112,14 +115,13 @@ def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float)
         sq1 * same2, sq1 * flip2,
         sq2 * same1, sq2 * flip1,
         math.exp(-zq_rate * t), math.exp(-dq_rate * t),
+        0.0,
     ]
 
 
-def superoperator(params: NoiseParams, times) -> np.ndarray:
-    """Exact exp(Z t) of the full generator at each of a 1-D array of times,
-    as a (T, 16, 16) real stack; a scalar time gives a stack of one.  Times
-    of any dtype but bool, integer or float raise, so a complex time cannot
-    lose its imaginary part."""
+def _flow(params: NoiseParams, times, dtype: type) -> np.ndarray:
+    """exp(Z t) at a scalar time or a 1-D array of times, as a (T, 16, 16)
+    stack of dtype, gathered from _block_values built in that dtype."""
     times = np.asarray(times)
     if times.dtype.kind not in "biuf":
         raise ValueError(f"t must be real (bool, integer or float), got dtype {times.dtype}")
@@ -127,8 +129,19 @@ def superoperator(params: NoiseParams, times) -> np.ndarray:
         raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
     times = times.reshape(-1).astype(float, copy=False)
     zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
-    values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()])
-    return (values.reshape(times.size, len(_BASIS)) @ _BASIS).reshape(-1, 16, 16)
+    values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()], dtype=dtype)
+    # Rows of 11 keep an empty grid two-dimensional.  take, not
+    # values[:, _SLOT]: fancy indexing returns an F-ordered stack, on which
+    # matmul skips BLAS and rounds differently.
+    return values.reshape(-1, len(_BASIS) + 1).take(_SLOT, axis=1)
+
+
+def superoperator(params: NoiseParams, times) -> np.ndarray:
+    """Exact exp(Z t) of the full generator at each of a 1-D array of times,
+    as a (T, 16, 16) real stack; a scalar time gives a stack of one.  Times
+    of any dtype but bool, integer or float raise, so a complex time cannot
+    lose its imaginary part."""
+    return _flow(params, times, float)
 
 
 def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
@@ -145,7 +158,7 @@ def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     """
     rho0 = validate_density_matrix(rho0)
     t = np.asarray(t)
-    states = (superoperator(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
+    states = (_flow(params, t, complex) @ rho0.reshape(-1)).reshape(-1, 4, 4)
     return states if t.ndim else states[0]
 
 

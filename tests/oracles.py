@@ -5,12 +5,17 @@ textbook descriptions of the same channels: the operator-sum map and the
 closed-form single-spin phase damping and generalized amplitude damping
 (Nielsen & Chuang, sections 8.3.5-8.3.6).  Next to them are the Choi matrix
 that complete positivity is read from, the linear time grid the fits are
-sampled on, and the fidelity with one eigendecomposition per input.
+sampled on, the fidelity with one eigendecomposition per input, and the
+propagator as it was first assembled, which the product must match bit for
+bit.
 """
 
 import numpy as np
 
-from spinpair.estimation import rate_for_kind
+from spinpair.channels import vectorize
+from spinpair.estimation import KIND_DQ, KIND_ZQ, rate_for_kind
+from spinpair.evolution import _BASIS, _block_values
+from spinpair.states import validate_density_matrix
 from spinpair.tomography import PSD_CLAMP_TOL
 
 
@@ -85,3 +90,22 @@ def fidelity(rho_a, rho_b):
     value = float(singular_values.sum() ** 2)
     # value is a Python float; a nan stays nan.
     return min(max(value, 0.0), 1.0)
+
+
+def superoperator_by_basis(params, times):
+    """exp(Z t) as a (T, 16, 16) float stack placed by the matmul values @ _BASIS,
+    which copies each closed-form value: no two rows of the 0/1 basis share
+    an entry, and every value is finite and >= 0."""
+    times = np.asarray(times).reshape(-1).astype(float)
+    zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
+    values = np.array([_block_values(params, zq_rate, dq_rate, t)[:len(_BASIS)] for t in times.tolist()])
+    return (values.reshape(times.size, len(_BASIS)) @ _BASIS).reshape(-1, 16, 16)
+
+
+def propagate_by_basis(rho0, params, t):
+    """The states at t from the float stack of superoperator_by_basis, cast to
+    complex by numpy for the product with vec rho0."""
+    rho0 = validate_density_matrix(rho0)
+    t = np.asarray(t)
+    states = (superoperator_by_basis(params, t) @ vectorize(rho0)).reshape(-1, 4, 4)
+    return states if t.ndim else states[0]

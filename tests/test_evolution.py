@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRACE_EDGES, admissible_params, random_cp_params, random_density_matrix
-from oracles import choi_matrix
+from oracles import choi_matrix, propagate_by_basis, superoperator_by_basis
 from spinpair.channels import NoiseParams, NotCompletelyPositive, full_generator, vectorize
 from spinpair.estimation import rate_for_kind
 from spinpair.evolution import (
@@ -233,10 +234,48 @@ def test_superoperator_assembly():
     params = NoiseParams(1.3, 0.7, 0.4, 0.9, 1.6)
     superop = superoperator(params, [0.0, 0.5])
     assert superop.shape == (2, 16, 16)
+    assert superop.dtype == np.float64
     assert np.array_equal(superop[0], np.eye(16))
     numeric = scipy.linalg.expm(full_generator(params) * 0.5)
     assert np.array_equal(superop[1] != 0, np.abs(numeric) > 1e-14)
     assert np.count_nonzero(superop[1]) == 36
+
+
+@pytest.mark.parametrize("t", [[], np.zeros(0), np.array([], dtype=int)])
+def test_empty_time_grid(t):
+    assert propagate(coherence_state("DQ"), BTC_LIKE, t).shape == (0, 4, 4)
+    assert superoperator(BTC_LIKE, t).shape == (0, 16, 16)
+
+
+def test_propagate_peak_memory_is_one_complex_stack():
+    # exp(Z t) is gathered straight into the complex stack the product
+    # reads: no float stack and no cast copy of it on top.
+    t = np.linspace(0.0, 10.0, 2001)
+    rho = coherence_state("DQ")
+    propagate(rho, BTC_LIKE, t[:3])
+    tracemalloc.start()
+    try:
+        propagate(rho, BTC_LIKE, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * t.size * 16 * 16 * 16
+
+
+def _assert_same_bits(out, expected):
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+    assert out.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def test_propagate_matches_basis_reference_on_the_longest_grid():
+    # The longest grid a config may ask for.  Each state is a product of its
+    # own 16x16 block, so the reference is built in blocks of the grid.
+    t = default_time_grid(points=100_000)
+    rho = random_density_matrix(np.random.default_rng(7))
+    out = propagate(rho, BTC_LIKE, t)
+    for start in range(0, t.size, 10_000):
+        _assert_same_bits(out[start:start + 10_000], propagate_by_basis(rho, BTC_LIKE, t[start:start + 10_000]))
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +360,41 @@ def test_property_outputs_pass_the_validator(params, rho0, t):
         return
     for state in np.reshape(propagate(rho0, params, t), (-1, 4, 4)):
         validate_density_matrix(state)
+
+
+float_times = times_strategy | wide_times
+scalar_times = float_times | float_times.map(np.float64) | st.integers(0, 10**6) | st.booleans()
+
+
+@st.composite
+def time_grids(draw):
+    """A 1-D grid of 2 to 1,200 times: t = 0 and a log grid from 1 ms to up
+    to 1e300, consecutive integers or alternating bools."""
+    size = draw(st.integers(2, 1200))
+    kind = draw(st.sampled_from(["float", "int", "bool"]))
+    if kind == "int":
+        return np.arange(size) * draw(st.integers(1, 10**6))
+    if kind == "bool":
+        return np.arange(size) % 2 == 1
+    stop = draw(st.floats(-2.0, 300.0).map(lambda e: 10.0**e))
+    return np.concatenate(([0.0], np.geomspace(1e-3, stop, size - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(params_strategy | wide_params(), _rho0(),
+       scalar_times | st.lists(scalar_times, min_size=1, max_size=8) | time_grids())
+def test_property_matches_basis_reference(params, rho0, t):
+    # Gathering exp(Z t) in the caller's dtype places the same values as the
+    # basis matmul, and the complex stack equals numpy's cast of the float
+    # one, so every output keeps its bits.
+    _assert_same_bits(superoperator(params, t), superoperator_by_basis(params, t))
+    try:
+        expected = propagate_by_basis(rho0, params, t)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc)) + "$"):
+            propagate(rho0, params, t)
+        return
+    _assert_same_bits(propagate(rho0, params, t), expected)
 
 
 def test_propagate_at_the_trace_tolerance():
