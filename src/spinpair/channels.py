@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,15 @@ class NoiseParams:
         if g3 > 2.0 * math.sqrt(g1) * math.sqrt(g2):
             raise NotCompletelyPositive(f"|gamma3| = {abs(self.gamma3):g} exceeds 2 sqrt(gamma1 gamma2), "
                                         "so the generator is not completely positive")
+
+    @cached_property
+    def _coherence_rates(self) -> tuple[float, float]:
+        """The ZQ and DQ decay rates of `estimation.rate_for_kind`, evaluated
+        once per instance.  The memo sits in the instance's __dict__, outside
+        the fields that ==, hash, repr, asdict and replace read."""
+        from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
+
+        return rate_for_kind(KIND_ZQ, self), rate_for_kind(KIND_DQ, self)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

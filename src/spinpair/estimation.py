@@ -58,6 +58,8 @@ GTOL = 1e-12
 # Signals whose largest magnitude has a binary exponent beyond +/- this are fitted
 # scaled by a power of two, so that no squared residual leaves the float range.
 SIGNAL_EXPONENT_LIMIT = 64
+# The squared column norms of a Jacobian in that band, on the diagonal of J^T J.
+_NORMAL_BAND = (2.0 ** (-2 * SIGNAL_EXPONENT_LIMIT), 2.0 ** (2 * SIGNAL_EXPONENT_LIMIT))
 # Its upper bound starts an unresolvable slope; tests/estimation_reference.py clamps to both.
 RATE_GUESS_BOUNDS = (1e-4, 1e3)
 
@@ -327,29 +329,46 @@ def _levenberg_marquardt(residual_jac, x0):
     return x, r, jac, False, "max_iterations", iterations
 
 
-def _signal_scale(signals: np.ndarray) -> float:
-    """1.0 when the largest |signal| has a binary exponent within
-    +/-SIGNAL_EXPONENT_LIMIT; otherwise the power of two that brings it into
-    [0.5, 1), or as near as 2^1023 brings a subnormal.  A power of two scales
-    exactly, barring underflow, and no stop test depends on the scale."""
+def _signal_scale(signals: np.ndarray, limit: int = SIGNAL_EXPONENT_LIMIT) -> float:
+    """1.0 when the largest |signal| has a binary exponent within +/-limit;
+    otherwise the power of two that brings it into [0.5, 1), or as near as
+    2^1023 brings a subnormal.  A power of two scales exactly, barring
+    underflow, and no stop test depends on the scale."""
     exponent = math.frexp(float(np.abs(signals).max()))[1]
-    if abs(exponent) <= SIGNAL_EXPONENT_LIMIT:
+    if abs(exponent) <= limit:
         return 1.0
     return math.ldexp(1.0, -max(exponent, -1023))
 
 
-def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.ndarray:
-    """Parameter covariance (J^T J)^-1 at the optimum, times s^2 unless the fit is
-    weighted; a singular J^T J leaves a parameter unresolved: `ConvergenceError`."""
+# A column past 2^511 overflows J^T J before it is scaled.
+@np.errstate(over="ignore", invalid="ignore")
+def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[float]:
+    """Standard errors of the fitted parameters: the square roots of the
+    diagonal of the covariance (J^T J)^-1 at the optimum, times s^2 unless
+    the fit is weighted; a singular J^T J leaves a parameter unresolved:
+    `ConvergenceError`.
+
+    A column of J whose squared norm, its entry on the diagonal of J^T J,
+    lies outside 2^(+/-2 SIGNAL_EXPONENT_LIMIT) is first scaled by the power
+    of two that brings its largest entry into [0.5, 1), so that J^T J neither
+    underflows nor overflows, as it does at times far from the data's own
+    unit.  Its stderr is the square root of the scaled variance, scaled back,
+    since the variance itself may leave the float range.  Columns in the
+    band keep their bits."""
+    normal = jac.T @ jac
+    low, high = _NORMAL_BAND
+    scales = [1.0 if low <= norm <= high else _signal_scale(jac[:, k], 0)
+              for k, norm in enumerate(normal.diagonal().tolist())]
+    if scales.count(1.0) < len(scales):
+        jac = jac * scales
+        normal = jac.T @ jac
     try:
-        cov = np.linalg.inv(jac.T @ jac)
+        variances = np.linalg.inv(normal).diagonal().tolist()
     except np.linalg.LinAlgError:
         raise ConvergenceError("the samples do not resolve every fitted parameter; "
                                "J^T J is singular at the optimum") from None
-    if not weighted:
-        dof = max(r.size - jac.shape[1], 1)
-        cov = cov * (float(r @ r) / dof)
-    return cov
+    factor = 1.0 if weighted else float(r @ r) / max(r.size - len(scales), 1)
+    return [math.sqrt(max(variance * factor, 0.0)) * scale for variance, scale in zip(variances, scales)]
 
 
 # ----------------------------------------------------------------------
@@ -474,12 +493,12 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     if not converged:
         raise ConvergenceError(f"{curve.kind}: fit did not converge in {iterations} iterations")
     try:
-        cov = _parameter_covariance(r, jac, weighted=curve.sigmas is not None)
+        stderrs = _parameter_stderrs(r, jac, weighted=curve.sigmas is not None)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{curve.kind}: {exc}") from None
     estimate = RateEstimate(
         rate=float(x[1]),
-        stderr=math.sqrt(max(cov[1, 1], 0.0)),
+        stderr=stderrs[1],
         residual_norm=math.sqrt(r @ r) / (1.0 if weights is not None else scale),
         amplitude=float(x[0]) / scale,
     )
@@ -659,13 +678,11 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
     if not converged:
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
 
-    # Each stderr is sqrt(max(variance, 0)) on Python floats, bit for bit as numpy gives it.
     try:
-        variances = _parameter_covariance(r, jac, weighted=w is not None).diagonal().tolist()
+        stderrs = _parameter_stderrs(r, jac, weighted=w is not None)
     except ConvergenceError as exc:
         raise ConvergenceError(f"joint fit: {exc}") from None
-    stderr = {RATE_NAMES[at]: math.sqrt(max(variance, 0.0))
-              for at, variance in zip(fitted_at, variances)}
+    stderr = {RATE_NAMES[at]: value for at, value in zip(fitted_at, stderrs)}
 
     try:
         params = NoiseParams(*unpack(x.tolist()))

@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .channels import NoiseParams
-from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from .spinops import _finite_real
 from .states import validate_density_matrix
 
@@ -120,46 +119,52 @@ def _block_values(params: NoiseParams, zq_rate: float, dq_rate: float, t: float)
 
 
 def _flow(params: NoiseParams, times, dtype: type) -> np.ndarray:
-    """exp(Z t) at a scalar time or a 1-D array of times, as a (T, 16, 16)
-    stack of dtype, gathered from _block_values built in that dtype."""
+    """exp(Z t) in dtype and in the shape of the times: (16, 16) at a scalar
+    time, (T, 16, 16) on a 1-D array of T times, gathered from _block_values
+    built in that dtype."""
     times = np.asarray(times)
     if times.dtype.kind not in "biuf":
         raise ValueError(f"t must be real (bool, integer or float), got dtype {times.dtype}")
     if times.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-D array of times, got shape {times.shape}")
-    times = times.reshape(-1).astype(float, copy=False)
-    zq_rate, dq_rate = rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params)
-    values = np.array([_block_values(params, zq_rate, dq_rate, t) for t in times.tolist()], dtype=dtype)
-    # Rows of 11 keep an empty grid two-dimensional.  take, not
-    # values[:, _SLOT]: fancy indexing returns an F-ordered stack, on which
-    # matmul skips BLAS and rounds differently.
-    return values.reshape(-1, len(_BASIS) + 1).take(_SLOT, axis=1)
+    zq_rate, dq_rate = params._coherence_rates
+    t = times.astype(float, copy=False).tolist()
+    if times.ndim:
+        # Rows of 11 keep an empty grid two-dimensional.
+        values = np.array([_block_values(params, zq_rate, dq_rate, time) for time in t], dtype=dtype)
+        values = values.reshape(-1, len(_BASIS) + 1)
+    else:
+        # No stack of one around a scalar: a sweep point by point pays for it at every point.
+        values = np.array(_block_values(params, zq_rate, dq_rate, t), dtype=dtype)
+    # take, not values[..., _SLOT]: fancy indexing returns an F-ordered
+    # stack, on which matmul skips BLAS and rounds differently.
+    return values.take(_SLOT, axis=-1)
 
 
 def superoperator(params: NoiseParams, times) -> np.ndarray:
     """Exact exp(Z t) of the full generator at each of a 1-D array of times,
-    as a (T, 16, 16) real stack; a scalar time gives a stack of one.  Times
-    of any dtype but bool, integer or float raise, so a complex time cannot
-    lose its imaginary part."""
-    return _flow(params, times, float)
+    as a (T, 16, 16) real stack; a scalar time gives a stack of one,
+    (1, 16, 16), where `propagate` returns a single state.  Times of any
+    dtype but bool, integer or float raise, so a complex time cannot lose
+    its imaginary part."""
+    return _flow(params, np.atleast_1d(times), float)
 
 
 def propagate(rho0: np.ndarray, params: NoiseParams, t) -> np.ndarray:
     """Evolve rho0 under the full decoherence generator.
 
-    A scalar t returns the (4, 4) state at t; a 1-D array of T times returns
-    the (T, 4, 4) stack of states.  Checks fail in this order: the shape of
-    rho0, its content, then t.  rho0 is the one input validated: NoiseParams
-    admits only completely positive rates at nbar = 1/2, under which the
-    exact closed-form flow maps density matrices to density matrices, so
-    the outputs are not checked again.  Rounding moves their trace by a few
-    ulps, which can carry the outputs of a rho0 at the trace tolerance just
-    past it.
+    The states come in the shape of t: a scalar t returns the (4, 4) state
+    at t, a 1-D array of T times the (T, 4, 4) stack of states.  Checks fail
+    in this order: the shape of rho0, its content, then t.  rho0 is the one
+    input validated: NoiseParams admits only completely positive rates at
+    nbar = 1/2, under which the exact closed-form flow maps density matrices
+    to density matrices, so the outputs are not checked again.  Rounding
+    moves their trace by a few ulps, which can carry the outputs of a rho0
+    at the trace tolerance just past it.
     """
     rho0 = validate_density_matrix(rho0)
-    t = np.asarray(t)
-    states = (_flow(params, t, complex) @ rho0.reshape(-1)).reshape(-1, 4, 4)
-    return states if t.ndim else states[0]
+    flow = _flow(params, t, complex)
+    return (flow @ rho0.reshape(-1)).reshape(flow.shape[:-2] + (4, 4))
 
 
 def default_time_grid(start: float = 1e-3, stop: float = 10.0, points: int = 64) -> np.ndarray:

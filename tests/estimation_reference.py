@@ -29,11 +29,24 @@ from spinpair.estimation import (
     DecayCurve,
     FitReport,
     RateEstimate,
-    _parameter_covariance,
     _table_rates,
     gamma3_difference,
     model_consistency,
 )
+
+
+def _parameter_covariance(r: np.ndarray, jac: np.ndarray, weighted: bool) -> np.ndarray:
+    """Parameter covariance (J^T J)^-1 at the optimum, times s^2 unless the fit is
+    weighted; a singular J^T J leaves a parameter unresolved: `ConvergenceError`."""
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("the samples do not resolve every fitted parameter; "
+                               "J^T J is singular at the optimum") from None
+    if not weighted:
+        dof = max(r.size - jac.shape[1], 1)
+        cov = cov * (float(r @ r) / dof)
+    return cov
 
 
 # Residuals near 1e300 overflow the cost, so no damped step lowers it and the

@@ -1,5 +1,7 @@
+import json
 import math
-from dataclasses import asdict
+import pickle
+from dataclasses import FrozenInstanceError, asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from spinpair.channels import (
     lindblad_generator,
     vectorize,
 )
+from spinpair.estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 from spinpair.evolution import matrix_exp, propagate, superoperator
 from spinpair.spinops import SIGMA, pauli
 from spinpair.states import coherence_state
@@ -70,6 +73,34 @@ def test_noise_params_defaults_and_dict():
     p = NoiseParams(1.0, 2.0, 0.5, 0.1, 0.2)
     assert p.nbar == 0.5
     assert asdict(p)["gamma3"] == 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_params() | st.integers(0, 2**32 - 1).map(lambda seed: random_cp_params(np.random.default_rng(seed))))
+def test_noise_params_coherence_rates_are_rate_for_kind(params):
+    # The memo is rate_for_kind's ZQ and DQ rows, bit for bit: RATE_TABLE stays their one source.
+    expected = (rate_for_kind(KIND_ZQ, params), rate_for_kind(KIND_DQ, params))
+    assert [r.hex() for r in params._coherence_rates] == [r.hex() for r in expected]
+
+
+def test_noise_params_rate_memo_is_invisible():
+    # The memo changes no value semantics of the frozen dataclass, so no
+    # report built from asdict (fit_report.json) changes either.
+    fresh, memo = NoiseParams(1.3, 0.7, 0.4, 0.9, 1.6), NoiseParams(1.3, 0.7, 0.4, 0.9, 1.6)
+    rates = memo._coherence_rates
+    assert memo == fresh and hash(memo) == hash(fresh) and repr(memo) == repr(fresh)
+    assert asdict(memo) == asdict(fresh)
+    assert json.dumps(asdict(memo)) == json.dumps(asdict(fresh))
+    assert replace(memo) == replace(fresh)
+    moved = replace(memo, gamma3=-0.4)
+    assert moved._coherence_rates == (rate_for_kind(KIND_ZQ, moved), rate_for_kind(KIND_DQ, moved))
+    assert moved._coherence_rates == rates[::-1]
+    for copy in (pickle.loads(pickle.dumps(memo)), pickle.loads(pickle.dumps(fresh))):
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+        assert asdict(copy) == asdict(fresh)
+        assert copy._coherence_rates == rates
+    with pytest.raises(FrozenInstanceError):
+        memo.gamma3 = 0.0
 
 
 @pytest.mark.filterwarnings("error")

@@ -32,6 +32,7 @@ from spinpair.estimation import (
     RateEstimate,
     _initial_guess,
     _levenberg_marquardt,
+    _parameter_stderrs,
     fit_exponential,
     fit_noise_model,
     gamma3_difference,
@@ -580,6 +581,56 @@ def test_fit_noise_model_noisy_curves_at_any_signal_scale(factor):
     for name, stderr in unit.stderr.items():
         _same_rate(getattr(unit.params, name), stderr, getattr(scaled.params, name), 1.0, True)
         assert scaled.stderr[name] == pytest.approx(stderr, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [1e-12, 1e12, 1e-150, 1e150, 1e-155, 1e-160])
+def test_fit_exponential_noisy_curve_at_any_time_scale(factor):
+    # J's rate column is the time's size: at 1e-155 the variance formed in
+    # that unit overflowed to an inf stderr, and at 1e-160 its square did.
+    curve = _btc_zq_noisy()
+    unit = fit_exponential(curve)
+    scaled = fit_exponential(_scaled_times(curve, factor))
+    _same_rate(unit.rate, unit.stderr, scaled.rate, factor, noisy=True)
+    assert scaled.stderr * factor == pytest.approx(unit.stderr, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [1e-12, 1e12, 1e-155, 1e-160])
+def test_fit_noise_model_noisy_curves_at_any_time_scale(factor):
+    # At 1e-155 and 1e-160 the parent's stderrs read inf and nan.
+    curves = six_curves(BTC_LIKE, noise_sigma=0.02, rng=np.random.default_rng(1), points=40)
+    unit = fit_noise_model(curves)
+    scaled = fit_noise_model([_scaled_times(curve, factor) for curve in curves])
+    for name, stderr in unit.stderr.items():
+        _same_rate(getattr(unit.params, name), stderr, getattr(scaled.params, name), factor, True)
+        assert scaled.stderr[name] * factor == pytest.approx(stderr, rel=1e-9)
+
+
+@pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_parameter_stderrs_scale_a_column_outside_the_band_exactly(power, weighted):
+    # A column whose largest entry is in [0.5, 1) is in the band, so a column
+    # 2^power times it is brought back to it exactly: its stderr is exactly
+    # 2^-power times the in-band one, and every other stderr keeps its bits.
+    rng = np.random.default_rng(5)
+    jac = rng.uniform(-1.0, 1.0, size=(30, 3))
+    jac /= np.abs(jac).max(axis=0)
+    jac *= 0.75
+    r = rng.standard_normal(30)
+    base = _parameter_stderrs(r, jac, weighted)
+    scaled = jac.copy()
+    scaled[:, 1] *= 2.0**power
+    out = _parameter_stderrs(r, scaled, weighted)
+    assert out[0] == base[0] and out[2] == base[2]
+    assert out[1] == base[1] * 2.0**-power
+    assert all(math.isfinite(value) for value in out)
+
+
+def test_parameter_stderrs_refuse_a_zero_column():
+    jac = np.column_stack((np.linspace(0.5, 1.0, 10), np.zeros(10)))
+    with pytest.raises(ConvergenceError, match="J\\^T J is singular at the optimum"):
+        _parameter_stderrs(np.ones(10), jac, False)
 
 
 def _least_squares_oracle(curves, params):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import TRACE_EDGES, admissible_params, random_cp_params, random_density_matrix
 from oracles import choi_matrix, propagate_by_basis, superoperator_by_basis
+import spinpair.estimation
 from spinpair.channels import NoiseParams, NotCompletelyPositive, full_generator, vectorize
 from spinpair.estimation import rate_for_kind
 from spinpair.evolution import (
@@ -276,6 +277,63 @@ def test_propagate_matches_basis_reference_on_the_longest_grid():
     out = propagate(rho, BTC_LIKE, t)
     for start in range(0, t.size, 10_000):
         _assert_same_bits(out[start:start + 10_000], propagate_by_basis(rho, BTC_LIKE, t[start:start + 10_000]))
+
+
+SCALAR_TIMES = [0.37, 2, True, False, np.float64(0.37), np.array(0.37), np.array(3, dtype=np.int8)]
+
+
+@pytest.mark.parametrize("t", SCALAR_TIMES, ids=repr)
+def test_propagate_at_a_scalar_time_is_one_state(t):
+    # A 0-d time takes exp(Z t) as one (16, 16) matrix, with no stack of one
+    # around it, and keeps the bits of the stacked reference.
+    rho = random_density_matrix(np.random.default_rng(3))
+    out = propagate(rho, BTC_LIKE, t)
+    assert out.flags.c_contiguous
+    _assert_same_bits(out, propagate_by_basis(rho, BTC_LIKE, t))
+    assert out.shape == (4, 4) and out.dtype == np.complex128
+
+
+@pytest.mark.parametrize("t", SCALAR_TIMES, ids=repr)
+def test_superoperator_at_a_scalar_time_is_a_stack_of_one(t):
+    out = superoperator(BTC_LIKE, t)
+    _assert_same_bits(out, superoperator_by_basis(BTC_LIKE, t))
+    assert out.shape == (1, 16, 16) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "t must be finite and non-negative, got nan"),
+    (-1, "t must be finite and non-negative, got -1.0"),
+    (math.inf, "t must be finite and non-negative, got inf"),
+    (1j, "t must be real (bool, integer or float), got dtype complex128"),
+    ("a", "t must be real (bool, integer or float), got dtype <U1"),
+    ([[1.0]], "t must be a scalar or a 1-D array of times, got shape (1, 1)"),
+    # The dtype is checked before the shape, and the shape before the values.
+    ([[1j]], "t must be real (bool, integer or float), got dtype complex128"),
+    ([[math.nan]], "t must be a scalar or a 1-D array of times, got shape (1, 1)"),
+], ids=repr)
+def test_bad_times_keep_their_messages(t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        propagate(coherence_state("ZQ"), BTC_LIKE, t)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        superoperator(BTC_LIKE, t)
+
+
+def test_scalar_propagate_loop_evaluates_the_rate_table_at_most_twice(monkeypatch):
+    # The ZQ/DQ rates are fixed for a NoiseParams: a sweep point by point
+    # reads them from the instance instead of evaluating RATE_TABLE's rows.
+    calls = []
+    original = spinpair.estimation._table_rates
+
+    def counted(coeffs, rates):
+        calls.append(coeffs)
+        return original(coeffs, rates)
+
+    monkeypatch.setattr(spinpair.estimation, "_table_rates", counted)
+    params = NoiseParams(3.741, 3.048, 5.876, 0.264, 0.255)
+    rho = coherence_state("SQ1")
+    for t in np.linspace(0.0, 10.0, 300):
+        propagate(rho, params, t)
+    assert 1 <= len(calls) <= 2
 
 
 # ----------------------------------------------------------------------
