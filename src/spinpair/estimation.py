@@ -340,8 +340,6 @@ def _signal_scale(signals: np.ndarray, limit: int = SIGNAL_EXPONENT_LIMIT) -> fl
     return math.ldexp(1.0, -max(exponent, -1023))
 
 
-# A column past 2^511 overflows J^T J before it is scaled.
-@np.errstate(over="ignore", invalid="ignore")
 def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[float]:
     """Standard errors of the fitted parameters: the square roots of the
     diagonal of the covariance (J^T J)^-1 at the optimum, times s^2 unless
@@ -354,7 +352,8 @@ def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[f
     underflows nor overflows, as it does at times far from the data's own
     unit.  Its stderr is the square root of the scaled variance, scaled back,
     since the variance itself may leave the float range.  Columns in the
-    band keep their bits."""
+    band keep their bits.  A column past about 2^511 still overflows the
+    first J^T J, with numpy's warning, before it is scaled."""
     normal = jac.T @ jac
     low, high = _NORMAL_BAND
     scales = [1.0 if low <= norm <= high else _signal_scale(jac[:, k], 0)

@@ -607,7 +607,7 @@ def test_fit_noise_model_noisy_curves_at_any_time_scale(factor):
         assert scaled.stderr[name] * factor == pytest.approx(stderr, rel=1e-9)
 
 
-@pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("power", [-1000, -600, -300, 300])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_parameter_stderrs_scale_a_column_outside_the_band_exactly(power, weighted):
     # A column whose largest entry is in [0.5, 1) is in the band, so a column
