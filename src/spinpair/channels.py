@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,14 +76,21 @@ class NoiseParams:
             raise NotCompletelyPositive(f"|gamma3| = {abs(self.gamma3):g} exceeds 2 sqrt(gamma1 gamma2), "
                                         "so the generator is not completely positive")
 
-    @cached_property
+    @property
     def _coherence_rates(self) -> tuple[float, float]:
         """The ZQ and DQ decay rates of `estimation.rate_for_kind`, evaluated
-        once per instance.  The memo sits in the instance's __dict__, outside
-        the fields that ==, hash, repr, asdict and replace read."""
-        from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
+        once per instance and kept outside the fields that ==, hash, repr,
+        asdict and replace read.  Not a functools.cached_property: writing to
+        the instance's __dict__ slows every later read of a rate by half,
+        and the propagator reads six per time point."""
+        try:
+            return self._coherence_rates_memo
+        except AttributeError:
+            from .estimation import KIND_DQ, KIND_ZQ, rate_for_kind
 
-        return rate_for_kind(KIND_ZQ, self), rate_for_kind(KIND_DQ, self)
+            rates = rate_for_kind(KIND_ZQ, self), rate_for_kind(KIND_DQ, self)
+            object.__setattr__(self, "_coherence_rates_memo", rates)
+            return rates
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
