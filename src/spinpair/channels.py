@@ -80,9 +80,10 @@ class NoiseParams:
     def _coherence_rates(self) -> tuple[float, float]:
         """The ZQ and DQ decay rates of `estimation.rate_for_kind`, evaluated
         once per instance and kept outside the fields that ==, hash, repr,
-        asdict and replace read.  Not a functools.cached_property: writing to
-        the instance's __dict__ slows every later read of a rate by half,
-        and the propagator reads six per time point."""
+        asdict and replace read.  Not a functools.cached_property: it writes
+        through the instance's __dict__, after which CPython 3.11 reads every
+        rate of the instance about half again slower, and the propagator
+        reads six per time point."""
         try:
             return self._coherence_rates_memo
         except AttributeError:

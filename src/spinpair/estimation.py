@@ -355,10 +355,11 @@ def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[f
     band keep their bits.  A column past about 2^511 still overflows the
     first J^T J, with numpy's warning, before it is scaled."""
     normal = jac.T @ jac
+    norms = normal.diagonal().tolist()
     low, high = _NORMAL_BAND
-    scales = [1.0 if low <= norm <= high else _signal_scale(jac[:, k], 0)
-              for k, norm in enumerate(normal.diagonal().tolist())]
-    if scales.count(1.0) < len(scales):
+    scales = None
+    if not low <= min(norms) or not max(norms) <= high:
+        scales = [1.0 if low <= norm <= high else _signal_scale(jac[:, k], 0) for k, norm in enumerate(norms)]
         jac = jac * scales
         normal = jac.T @ jac
     try:
@@ -366,8 +367,9 @@ def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[f
     except np.linalg.LinAlgError:
         raise ConvergenceError("the samples do not resolve every fitted parameter; "
                                "J^T J is singular at the optimum") from None
-    factor = 1.0 if weighted else float(r @ r) / max(r.size - len(scales), 1)
-    return [math.sqrt(max(variance * factor, 0.0)) * scale for variance, scale in zip(variances, scales)]
+    factor = 1.0 if weighted else float(r @ r) / max(r.size - len(norms), 1)
+    stderrs = [math.sqrt(max(variance * factor, 0.0)) for variance in variances]
+    return stderrs if scales is None else [stderr * scale for stderr, scale in zip(stderrs, scales)]
 
 
 # ----------------------------------------------------------------------
