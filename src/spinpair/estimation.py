@@ -340,11 +340,12 @@ def _signal_scale(signals: np.ndarray, limit: int = SIGNAL_EXPONENT_LIMIT) -> fl
     return math.ldexp(1.0, -max(exponent, -1023))
 
 
-def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[float]:
+def _parameter_stderrs(jac: np.ndarray, cost: float, weighted: bool) -> list[float]:
     """Standard errors of the fitted parameters: the square roots of the
-    diagonal of the covariance (J^T J)^-1 at the optimum, times s^2 unless
-    the fit is weighted; a singular J^T J leaves a parameter unresolved:
-    `ConvergenceError`.
+    diagonal of the covariance (J^T J)^-1 at the optimum, times
+    s^2 = cost / (samples - parameters) unless the fit is weighted, where
+    cost is the residuals' sum of squares r @ r; a singular J^T J leaves a
+    parameter unresolved: `ConvergenceError`.
 
     A column of J whose squared norm, its entry on the diagonal of J^T J,
     lies outside 2^(+/-2 SIGNAL_EXPONENT_LIMIT) is first scaled by the power
@@ -367,7 +368,7 @@ def _parameter_stderrs(r: np.ndarray, jac: np.ndarray, weighted: bool) -> list[f
     except np.linalg.LinAlgError:
         raise ConvergenceError("the samples do not resolve every fitted parameter; "
                                "J^T J is singular at the optimum") from None
-    factor = 1.0 if weighted else float(r @ r) / max(r.size - len(norms), 1)
+    factor = 1.0 if weighted else cost / max(len(jac) - len(norms), 1)
     stderrs = [math.sqrt(max(variance * factor, 0.0)) for variance in variances]
     return stderrs if scales is None else [stderr * scale for stderr, scale in zip(stderrs, scales)]
 
@@ -493,14 +494,15 @@ def fit_exponential(curve: DecayCurve) -> RateEstimate:
     x, r, jac, converged, _, iterations = _levenberg_marquardt(residual_jac, x0)
     if not converged:
         raise ConvergenceError(f"{curve.kind}: fit did not converge in {iterations} iterations")
+    cost = float(r @ r)
     try:
-        stderrs = _parameter_stderrs(r, jac, weighted=curve.sigmas is not None)
+        stderrs = _parameter_stderrs(jac, cost, weighted=curve.sigmas is not None)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{curve.kind}: {exc}") from None
     estimate = RateEstimate(
         rate=float(x[1]),
         stderr=stderrs[1],
-        residual_norm=math.sqrt(r @ r) / (1.0 if weights is not None else scale),
+        residual_norm=math.sqrt(cost) / (1.0 if weights is not None else scale),
         amplitude=float(x[0]) / scale,
     )
     _refuse_growth(curve.kind, estimate)
@@ -680,7 +682,7 @@ def fit_noise_model(curves: list[DecayCurve], fixed: dict[str, float] | None = N
         raise ConvergenceError(f"joint fit did not converge in {iterations} iterations")
 
     try:
-        stderrs = _parameter_stderrs(r, jac, weighted=w is not None)
+        stderrs = _parameter_stderrs(jac, float(r @ r), weighted=w is not None)
     except ConvergenceError as exc:
         raise ConvergenceError(f"joint fit: {exc}") from None
     stderr = {RATE_NAMES[at]: value for at, value in zip(fitted_at, stderrs)}

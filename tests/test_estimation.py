@@ -618,10 +618,11 @@ def test_parameter_stderrs_scale_a_column_outside_the_band_exactly(power, weight
     jac /= np.abs(jac).max(axis=0)
     jac *= 0.75
     r = rng.standard_normal(30)
-    base = _parameter_stderrs(r, jac, weighted)
+    cost = float(r @ r)
+    base = _parameter_stderrs(jac, cost, weighted)
     scaled = jac.copy()
     scaled[:, 1] *= 2.0**power
-    out = _parameter_stderrs(r, scaled, weighted)
+    out = _parameter_stderrs(scaled, cost, weighted)
     assert out[0] == base[0] and out[2] == base[2]
     assert out[1] == base[1] * 2.0**-power
     assert all(math.isfinite(value) for value in out)
@@ -630,7 +631,7 @@ def test_parameter_stderrs_scale_a_column_outside_the_band_exactly(power, weight
 def test_parameter_stderrs_refuse_a_zero_column():
     jac = np.column_stack((np.linspace(0.5, 1.0, 10), np.zeros(10)))
     with pytest.raises(ConvergenceError, match="J\\^T J is singular at the optimum"):
-        _parameter_stderrs(np.ones(10), jac, False)
+        _parameter_stderrs(jac, 10.0, False)
 
 
 def _least_squares_oracle(curves, params):
